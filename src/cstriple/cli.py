@@ -1,7 +1,8 @@
 """Command-line front end: verify, search, minimize, sharpness.
 
 Exit codes: 0 when everything passed, 1 when a check was refuted or a
-counterexample was found, 2 on usage or structural errors.
+counterexample was found, 2 on usage or structural errors and when the
+manifest cannot be written.
 
 With ``--json PATH`` each subcommand writes a run manifest whose content is
 fully determined by the arguments (including the seed); reruns produce
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +25,6 @@ from .explorer import MacroState, PreconditionError, SearchConfig
 from .poly import StructuralError
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-
-ONES_PROBE = {"a1": 1, "a2": 1, "a3": 1, "b1": 1, "b2": 1, "b3": 1}
 
 
 def rational(text: str) -> Fraction:
@@ -55,30 +54,33 @@ def coordinate_order(text: str) -> tuple[int, int, int]:
     return tuple(int(ch) for ch in text)
 
 
-@dataclass
-class RunManifest:
-    """Machine-readable record of one CLI invocation."""
+def _finish(args: argparse.Namespace, config: dict, reports: list[dict], ok: bool) -> int:
+    """Print the overall status, write the manifest if asked, return the exit code.
 
-    command: str
-    config: dict
-    reports: list[dict]
-    overall_status: str
-
-    def to_dict(self) -> dict:
-        return {
+    The manifest goes to a temporary file next to ``--json PATH`` that then
+    replaces it, so a failed write never leaves a truncated manifest behind.
+    """
+    status = "pass" if ok else "fail"
+    print(f"overall: {status}")
+    if args.json:
+        manifest = {
             "tool": "cstriple",
             "version": __version__,
-            "command": self.command,
-            "config": self.config,
-            "reports": self.reports,
-            "overall_status": self.overall_status,
+            "command": args.command,
+            "config": config,
+            "reports": reports,
+            "overall_status": status,
         }
-
-
-def _emit(manifest: RunManifest, json_path: str | None) -> None:
-    if json_path:
-        text = json.dumps(manifest.to_dict(), indent=2) + "\n"
-        Path(json_path).write_text(text, encoding="utf-8")
+        path = Path(args.json)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            print(f"error: cannot write {args.json}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    return 0 if ok else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -90,16 +92,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             line += f"  witness: {report.witness}"
         print(line)
     ok = all(r.status == verifier.STATUS_VERIFIED for r in reports)
-    status = "pass" if ok else "fail"
-    print(f"overall: {status}")
-    manifest = RunManifest(
-        command="verify",
-        config={"checks": names},
-        reports=[r.to_dict() for r in reports],
-        overall_status=status,
-    )
-    _emit(manifest, args.json)
-    return 0 if ok else 1
+    return _finish(args, {"checks": names}, [r.to_dict() for r in reports], ok)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -124,20 +117,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"counterexamples: {len(report.counterexamples)}")
     for point, value in report.counterexamples[:3]:
         print(f"  {point_text(point)} -> {value}")
-    ok = not report.counterexamples
-    status = "pass" if ok else "fail"
-    print(f"overall: {status}")
     config = cfg.to_dict()
     config["target"] = args.target
     config["c"] = str(args.c) if args.c is not None else None
-    manifest = RunManifest(
-        command="search",
-        config=config,
-        reports=[report.to_dict()],
-        overall_status=status,
-    )
-    _emit(manifest, args.json)
-    return 0 if ok else 1
+    return _finish(args, config, [report.to_dict()], not report.counterexamples)
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
@@ -159,29 +142,15 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         f"case {classification.label} (permutation {classification.permutation}, "
         f"closed form {classification.closed_form_value})"
     )
-    negative_product = state.p[0] * state.p[1] * state.p[2] < 0
-    ok = (
-        trace.case_label != "mixed"
-        and all(step.d_after <= step.d_before for step in trace.steps)
-        and classification.closed_form_value == trace.final.d_value()
-        and (not negative_product or trace.final.d_value() >= 0)
-    )
-    status = "pass" if ok else "fail"
-    print(f"overall: {status}")
     payload = trace.to_dict()
     payload["classification"] = classification.to_dict()
-    manifest = RunManifest(
-        command="minimize",
-        config={
-            "p": [str(v) for v in args.p],
-            "z": [str(v) for v in args.z],
-            "order": list(args.order),
-        },
-        reports=[payload],
-        overall_status=status,
-    )
-    _emit(manifest, args.json)
-    return 0 if ok else 1
+    config = {
+        "p": [str(v) for v in args.p],
+        "z": [str(v) for v in args.z],
+        "order": list(args.order),
+    }
+    ok = not explorer.failed_guarantees(trace, classification)
+    return _finish(args, config, [payload], ok)
 
 
 def _cmd_sharpness(args: argparse.Namespace) -> int:
@@ -190,17 +159,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
         f"c={witness.c}: value {witness.value} < 0 at "
         f"b=({','.join(map(str, witness.b))}) k=({','.join(map(str, witness.k))})"
     )
-    ok = witness.value < 0
-    status = "pass" if ok else "fail"
-    print(f"overall: {status}")
-    manifest = RunManifest(
-        command="sharpness",
-        config={"c": str(witness.c)},
-        reports=[witness.to_dict()],
-        overall_status=status,
-    )
-    _emit(manifest, args.json)
-    return 0 if ok else 1
+    return _finish(args, {"c": str(witness.c)}, [witness.to_dict()], witness.value < 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

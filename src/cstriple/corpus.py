@@ -23,6 +23,11 @@ and the whole pipeline stays denominator-free), the collapsed form
 the feasibility product (p1+z1)(p2+z2)(p3+z3), and the single-ratio form in
 k_i = a_i/b_i whose sharpness constant can be left symbolic.
 
+``c_values``, ``d_value`` and ``case_value`` are the single definition of
+c_i, d and the four vertex-case closed forms.  They are plain arithmetic
+over any ring values: the verifier applies them to MACRO polynomials and
+proves them, the explorer applies them to Fractions and runs them.
+
 All builders are pure and deterministic: repeated calls return identical
 canonical term maps.
 """
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, Substitution, VarSet
+from .poly import Polynomial, StructuralError, Substitution, VarSet
 
 AB = VarSet(("a1", "a2", "a3", "b1", "b2", "b3"))
 KB = VarSet(("k1", "k2", "k3", "b1", "b2", "b3"))
@@ -127,28 +132,59 @@ def build_macro_substitution() -> Substitution:
     return Substitution(MACRO, AB, images)
 
 
+def c_values(p1, p2, p3):
+    """c1, c2, c3 = p2^2 + p2*p3 + p3^2 and cyclically, over any ring."""
+    return (
+        p2 * p2 + p2 * p3 + p3 * p3,
+        p1 * p1 + p1 * p3 + p3 * p3,
+        p2 * p2 + p2 * p1 + p1 * p1,
+    )
+
+
+def d_value(p, z):
+    """d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3 for triples ``p`` and ``z``."""
+    c1, c2, c3 = c_values(*p)
+    return p[0] * p[1] * p[2] + c1 * z[0] + c2 * z[1] + c3 * z[2]
+
+
+# Vertex case by the number of pinned coordinates (z_i = -p_i).
+CASE_LABELS = ("iv", "iii", "ii", "i")
+
+
+def case_value(label: str, q1, q2, q3):
+    """Closed form of d at a vertex of case ``label``: three (i), two (ii),
+    one (iii) or none (iv) of the z_i pinned at -p_i, with the p values
+    permuted so the pinned ones come first as q1, q2, q3.  Case iv is the
+    value of d at z = 0."""
+    if label == "i":
+        return -(q1 + q2) * (q1 + q3) * (q2 + q3)
+    if label == "ii":
+        return -q1 * q2 * (q1 + q2) - q1 * q2 * q3 + (-q1 - q2) * q3 * q3
+    if label == "iii":
+        return -q1 * (q2 * q2 + q3 * q3)
+    if label == "iv":
+        return q1 * q2 * q3
+    raise StructuralError(f"unknown case {label!r}; valid: {', '.join(CASE_LABELS)}")
+
+
+def _macro_vars(*names: str) -> tuple[Polynomial, ...]:
+    return tuple(_v(MACRO, n) for n in names)
+
+
 def c_coefficients() -> tuple[Polynomial, Polynomial, Polynomial]:
     """The derived quadratics c1, c2, c3 as polynomials in p1, p2, p3."""
-    p1, p2, p3 = (_v(MACRO, n) for n in ("p1", "p2", "p3"))
-    return (
-        p2**2 + p2 * p3 + p3**2,
-        p1**2 + p1 * p3 + p3**2,
-        p2**2 + p2 * p1 + p1**2,
-    )
+    return c_values(*_macro_vars("p1", "p2", "p3"))
 
 
 def build_d() -> Polynomial:
     """The collapsed difference d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3."""
-    p1, p2, p3 = (_v(MACRO, n) for n in ("p1", "p2", "p3"))
-    z1, z2, z3 = (_v(MACRO, n) for n in ("z1", "z2", "z3"))
-    c1, c2, c3 = c_coefficients()
-    return p1 * p2 * p3 + c1 * z1 + c2 * z2 + c3 * z3
+    return d_value(_macro_vars("p1", "p2", "p3"), _macro_vars("z1", "z2", "z3"))
 
 
 def build_constraint() -> Polynomial:
     """The feasibility product (p1+z1)(p2+z2)(p3+z3)."""
-    p1, p2, p3 = (_v(MACRO, n) for n in ("p1", "p2", "p3"))
-    z1, z2, z3 = (_v(MACRO, n) for n in ("z1", "z2", "z3"))
+    p1, p2, p3 = _macro_vars("p1", "p2", "p3")
+    z1, z2, z3 = _macro_vars("z1", "z2", "z3")
     return (p1 + z1) * (p2 + z2) * (p3 + z3)
 
 

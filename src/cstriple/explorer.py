@@ -35,7 +35,6 @@ from .poly import Polynomial, StructuralError, compile_evaluator
 TARGET_NAMES = ("d-tilde", "d-k", "weak", "cs")
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 class PreconditionError(ValueError):
@@ -54,7 +53,7 @@ def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
     if name == "d-tilde":
         return corpus.build_inequality().d_tilde
     if name == "d-k":
-        value = _HALF if c is None else Fraction(c)
+        value = corpus.HALF if c is None else Fraction(c)
         parametric = corpus.build_k_form(parametric=True)
         return parametric.substitute(corpus.constant_substitution(value))
     if name == "weak":
@@ -134,22 +133,34 @@ class SearchPartial:
     counterexamples: list[tuple[int, tuple[Fraction, ...], Fraction]]
 
 
-def search_range(poly: Polynomial, cfg: SearchConfig, lo: int, hi: int) -> SearchPartial:
-    """Evaluate samples lo..hi-1; safe to run slices concurrently."""
-    evaluate = compile_evaluator(poly)
-    nvars = len(poly.varset)
+def _fold(
+    lo: int, hi: int, results: Iterable[tuple[int, tuple[Fraction, ...], Fraction]]
+) -> SearchPartial:
+    """Min/argmin/negative-hit fold of (index, point, value) results given in
+    index order; ties on the minimum go to the first (smallest) index."""
     best: Fraction | None = None
     best_index: int | None = None
     best_point: tuple[Fraction, ...] | None = None
     hits: list[tuple[int, tuple[Fraction, ...], Fraction]] = []
-    for index in range(lo, hi):
-        point = sample_point(cfg.seed, index, nvars, cfg)
-        value = evaluate(point)
+    for index, point, value in results:
         if best is None or value < best:
             best, best_index, best_point = value, index, point
         if value < 0:
             hits.append((index, point, value))
     return SearchPartial(lo, hi, best, best_index, best_point, hits)
+
+
+def search_range(poly: Polynomial, cfg: SearchConfig, lo: int, hi: int) -> SearchPartial:
+    """Evaluate samples lo..hi-1; safe to run slices concurrently."""
+    evaluate = compile_evaluator(poly)
+    nvars = len(poly.varset)
+
+    def results():
+        for index in range(lo, hi):
+            point = sample_point(cfg.seed, index, nvars, cfg)
+            yield index, point, evaluate(point)
+
+    return _fold(lo, hi, results())
 
 
 def merge_partials(partials: Iterable[SearchPartial]) -> SearchPartial:
@@ -233,33 +244,26 @@ def random_search(
 ) -> SearchReport:
     """Search ``poly`` at ``cfg.sample_count`` seeded points plus the fixed
     ``probes`` (evaluated first, before sample 0, and counted for the
-    minimum and for counterexamples but not in ``samples_run``)."""
+    minimum and for counterexamples but not in ``samples_run``).
+
+    Probe ``j`` of ``n`` is folded as index ``j - n``, so a probe wins a tie
+    on the minimum and probe hits are listed first.
+    """
+    if cfg.zero_probability == 1:
+        raise PreconditionError("zero_probability 1 would evaluate only the zero point")
     probe_points = [_normalize_probe(poly, p) for p in probes]
     probe_results = [(pt, poly.evaluate(dict(zip(poly.varset.names, pt)))) for pt in probe_points]
-
-    partial = search_range(poly, cfg, 0, cfg.sample_count)
-
-    best_value: Fraction | None = None
-    best_point: tuple[Fraction, ...] | None = None
-    for pt, value in probe_results:
-        if best_value is None or value < best_value:
-            best_value, best_point = value, pt
-    if partial.min_value is not None and (
-        best_value is None or partial.min_value < best_value
-    ):
-        best_value, best_point = partial.min_value, partial.argmin
-
-    counterexamples = [(pt, v) for pt, v in probe_results if v < 0]
-    counterexamples.extend((pt, v) for _, pt, v in partial.counterexamples)
-
+    n = len(probe_results)
+    probe_partial = _fold(-n, 0, ((j - n, pt, v) for j, (pt, v) in enumerate(probe_results)))
+    merged = merge_partials([probe_partial, search_range(poly, cfg, 0, cfg.sample_count)])
     return SearchReport(
         target=label or str(poly)[:40],
         variables=poly.varset.names,
         samples_run=cfg.sample_count,
         seed=cfg.seed,
-        min_value=best_value,
-        argmin=best_point,
-        counterexamples=counterexamples,
+        min_value=merged.min_value,
+        argmin=merged.argmin,
+        counterexamples=[(pt, v) for _, pt, v in merged.counterexamples],
         probes=probe_results,
     )
 
@@ -287,12 +291,7 @@ class MacroState:
 
     @property
     def c(self) -> tuple[Fraction, Fraction, Fraction]:
-        p1, p2, p3 = self.p
-        return (
-            p2 * p2 + p2 * p3 + p3 * p3,
-            p1 * p1 + p1 * p3 + p3 * p3,
-            p2 * p2 + p2 * p1 + p1 * p1,
-        )
+        return corpus.c_values(*self.p)
 
     def feasibility(self) -> Fraction:
         """(p1+z1)(p2+z2)(p3+z3); feasible means >= 0."""
@@ -303,8 +302,7 @@ class MacroState:
         return self.feasibility() >= 0
 
     def d_value(self) -> Fraction:
-        p, z, c = self.p, self.z, self.c
-        return p[0] * p[1] * p[2] + c[0] * z[0] + c[1] * z[1] + c[2] * z[2]
+        return corpus.d_value(self.p, self.z)
 
     def to_dict(self) -> dict:
         return {
@@ -360,7 +358,7 @@ def vertex_label(state: MacroState) -> str:
             pinned += 1
         else:
             return "mixed"
-    return ("iv", "iii", "ii", "i")[pinned]
+    return corpus.CASE_LABELS[pinned]
 
 
 def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)) -> MinimizeTrace:
@@ -425,16 +423,8 @@ class CaseClassification:
 
 
 def case_classify(state: MacroState) -> CaseClassification:
-    """Classify a vertex (every z_i in {0, -p_i}) into one of the four cases.
-
-    The closed forms, after permuting so the pinned indices come first as
-    q1..q3:
-
-      i    all pinned          -(q1+q2)(q1+q3)(q2+q3)
-      ii   two pinned          -q1*q2*(q1+q2) - q1*q2*q3 - (q1+q2)*q3^2
-      iii  one pinned          -q1*(q2^2 + q3^2)
-      iv   none pinned         q1*q2*q3   (the value of d at z = 0)
-    """
+    """Classify a vertex (every z_i in {0, -p_i}) into one of the four cases
+    and evaluate its closed form ``corpus.case_value`` on the permuted p."""
     if any(v == 0 for v in state.p):
         raise PreconditionError("case analysis requires nonzero p coordinates")
     pinned: list[int] = []
@@ -453,16 +443,8 @@ def case_classify(state: MacroState) -> CaseClassification:
                 f"not a vertex: z{i + 1} = {z_i} is neither 0 nor -p{i + 1} = {-p_i}"
             )
     perm = pinned + free
-    q1, q2, q3 = (state.p[j] for j in perm)
-    label = ("iv", "iii", "ii", "i")[len(pinned)]
-    if label == "i":
-        value = -(q1 + q2) * (q1 + q3) * (q2 + q3)
-    elif label == "ii":
-        value = -q1 * q2 * (q1 + q2) - q1 * q2 * q3 + (-q1 - q2) * q3 * q3
-    elif label == "iii":
-        value = -q1 * (q2 * q2 + q3 * q3)
-    else:
-        value = q1 * q2 * q3
+    label = corpus.CASE_LABELS[len(pinned)]
+    value = corpus.case_value(label, *(state.p[j] for j in perm))
     return CaseClassification(label, tuple(j + 1 for j in perm), value)
 
 
@@ -496,7 +478,7 @@ def sharpness_witness(c: Fraction | int | str) -> SharpnessWitness:
     actual evaluation of the parametric polynomial at that point.
     """
     c = _frac(c)
-    if c <= _HALF:
+    if c <= corpus.HALF:
         raise PreconditionError(
             f"no witness exists for c = {c}: the inequality holds for c <= 1/2"
         )
@@ -565,25 +547,35 @@ def _draw_state(rng: random.Random, cfg: SearchConfig, require_negative_product:
         if require_negative_product and p[0] * p[1] * p[2] >= 0:
             continue
         return state
-    raise RuntimeError("rejection sampling failed to find a feasible state")
+    raise PreconditionError("rejection sampling found no admissible state in 10000 draws")
+
+
+GUARANTEES = ("monotonicity", "vertex", "negativity", "closed_form", "case_iv_negative_product")
+
+
+def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification) -> list[str]:
+    """The proof's per-trace guarantees that ``trace`` violates, in GUARANTEES
+    order: the d column is non-increasing, the final state is a sound vertex,
+    the final d is nonnegative when p1*p2*p3 < 0, the classifier's closed
+    form equals d, and a negative product never ends in case iv."""
+    p1, p2, p3 = trace.final.p
+    negative_product = p1 * p2 * p3 < 0
+    d = trace.final.d_value()
+    held = (
+        all(step.d_after <= step.d_before for step in trace.steps),
+        # z >= 0, so a pinned z_i = -p_i != 0 already has -p_i > 0.
+        trace.case_label != "mixed",
+        not negative_product or d >= 0,
+        classification.closed_form_value == d,
+        not (negative_product and trace.case_label == "iv"),
+    )
+    return [name for name, ok in zip(GUARANTEES, held) if not ok]
 
 
 def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> FuzzSummary:
     """Run the greedy minimizer and classifier on random feasible states and
-    count violations of the proof's guarantees.
-
-    Per state: the d column of the trace must be non-increasing, the final
-    state must be a sound vertex, the classifier's closed form must equal
-    the direct evaluation of d, and whenever p1*p2*p3 < 0 the final d must
-    be nonnegative and the final case must not be iv.
-    """
-    failures = {
-        "monotonicity": 0,
-        "vertex": 0,
-        "negativity": 0,
-        "closed_form": 0,
-        "case_iv_negative_product": 0,
-    }
+    count, per guarantee of ``failed_guarantees``, the states violating it."""
+    failures = dict.fromkeys(GUARANTEES, 0)
     case_counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 0}
     failed_samples = 0
     for index in range(cfg.sample_count):
@@ -591,28 +583,10 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
         trace = greedy_minimize_z(state)
         classification = case_classify(trace.final)
         case_counts[trace.case_label] += 1
-        negative_product = state.p[0] * state.p[1] * state.p[2] < 0
-
-        sample_ok = True
-        if any(step.d_after > step.d_before for step in trace.steps):
-            failures["monotonicity"] += 1
-            sample_ok = False
-        for p_i, z_i in zip(trace.final.p, trace.final.z):
-            if not (z_i == 0 or (z_i == -p_i and -p_i > 0)):
-                failures["vertex"] += 1
-                sample_ok = False
-                break
-        if negative_product and trace.final.d_value() < 0:
-            failures["negativity"] += 1
-            sample_ok = False
-        if classification.closed_form_value != trace.final.d_value():
-            failures["closed_form"] += 1
-            sample_ok = False
-        if negative_product and trace.case_label == "iv":
-            failures["case_iv_negative_product"] += 1
-            sample_ok = False
-        if not sample_ok:
-            failed_samples += 1
+        failed = failed_guarantees(trace, classification)
+        for name in failed:
+            failures[name] += 1
+        failed_samples += bool(failed)
     return FuzzSummary(
         samples_run=cfg.sample_count,
         passed=cfg.sample_count - failed_samples,

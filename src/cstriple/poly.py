@@ -13,8 +13,7 @@ Terms are ordered graded-lexicographically with respect to the VarSet order
 list the largest term first.
 
 Operations never unify variable sets implicitly: combining polynomials over
-different VarSets raises ``StructuralError``.  Use ``Polynomial.embed`` to
-lift a polynomial into a superset VarSet explicitly.
+different VarSets raises ``StructuralError``.
 
 All values are immutable after construction and all operations are pure, so
 everything here may be shared freely across threads.
@@ -170,13 +169,6 @@ class Polynomial:
         i = self.varset.index(name)
         return max((m[i] for m in self.terms), default=-1)
 
-    def coefficient(self, powers: Mapping[str, int]) -> Fraction:
-        """Coefficient of the monomial given as a name->exponent map."""
-        exps = [0] * len(self.varset)
-        for name, power in powers.items():
-            exps[self.varset.index(name)] = power
-        return self.terms.get(tuple(exps), _ZERO)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order: graded lex, largest first."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
@@ -331,18 +323,6 @@ class Polynomial:
             total += term
         return total
 
-    def embed(self, varset: VarSet) -> "Polynomial":
-        """Lift into a superset VarSet (new variables get exponent zero)."""
-        positions = [varset.index(name) for name in self.varset.names]
-        n = len(varset)
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            exps = [0] * n
-            for pos, e in zip(positions, mono):
-                exps[pos] = e
-            out[tuple(exps)] = coeff
-        return _raw(varset, out)
-
     def coefficient_of(self, name: str, power: int) -> "Polynomial":
         """Coefficient of ``name**power`` as a polynomial over the same VarSet.
 
@@ -406,9 +386,6 @@ class Substitution:
         return cls(
             varset, varset, {name: Polynomial.variable(varset, name) for name in varset}
         )
-
-    def __call__(self, poly: Polynomial) -> Polynomial:
-        return poly.substitute(self)
 
     def __repr__(self) -> str:
         arrows = ", ".join(f"{n} -> {self.images[n]}" for n in self.source.names)

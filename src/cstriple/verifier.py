@@ -155,7 +155,8 @@ def _k_equivalence_components() -> list[Component]:
 
 def _case_formula_components() -> list[Component]:
     d = corpus.build_d()
-    p1, p2, p3 = (Polynomial.variable(corpus.MACRO, n) for n in ("p1", "p2", "p3"))
+    p = tuple(Polynomial.variable(corpus.MACRO, n) for n in ("p1", "p2", "p3"))
+    p1, p2, _ = p
 
     case_i = d.substitute(_zero_sub((), ("z1", "z2", "z3")))
     case_ii = d.substitute(_zero_sub(("z3",), ("z1", "z2")))
@@ -170,19 +171,15 @@ def _case_formula_components() -> list[Component]:
     discriminant = quad_b**2 - 4 * quad_a * quad_c
 
     return [
-        ("case-i", case_i, -(p1 + p2) * (p1 + p3) * (p2 + p3)),
-        (
-            "case-ii",
-            case_ii,
-            -p1 * p2 * (p1 + p2) - p1 * p2 * p3 + (-p1 - p2) * p3**2,
-        ),
+        ("case-i", case_i, corpus.case_value("i", *p)),
+        ("case-ii", case_ii, corpus.case_value("ii", *p)),
         (
             "case-ii-discriminant",
             discriminant,
             -p1 * p2 * (4 * p1**2 + 7 * p1 * p2 + 4 * p2**2),
         ),
-        ("case-iii", case_iii, -p1 * (p2**2 + p3**2)),
-        ("case-iv", case_iv, p1 * p2 * p3),
+        ("case-iii", case_iii, corpus.case_value("iii", *p)),
+        ("case-iv", case_iv, corpus.case_value("iv", *p)),
     ]
 
 
@@ -239,30 +236,3 @@ def run_check(check: str) -> Report:
 def run_all() -> list[Report]:
     return [run_check(name) for name in CHECK_NAMES]
 
-
-def verify_lagrange() -> Report:
-    return run_check("lagrange")
-
-
-def verify_key_identity() -> Report:
-    return run_check("key-identity")
-
-
-def verify_constraint_factorization() -> Report:
-    return run_check("constraint-factorization")
-
-
-def verify_k_equivalence() -> Report:
-    return run_check("k-equivalence")
-
-
-def verify_case_formulas() -> Report:
-    return run_check("case-formulas")
-
-
-def verify_sharpness_reduction() -> Report:
-    return run_check("sharpness-reduction")
-
-
-def verify_weak_implication() -> Report:
-    return run_check("weak-implication")

@@ -113,6 +113,28 @@ def test_search_dk_counterexamples_exit_one(capsys, tmp_path):
     assert manifest["reports"][0]["counterexample_count"] > 0
 
 
+def test_search_zero_prob_one_exits_two(capsys):
+    code, _, err = run(
+        ["search", "--target", "d-tilde", "--samples", "10", "--seed", "1", "--zero-prob", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert "zero_probability" in err
+
+
+def test_unwritable_json_path_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "verify.json"
+    code, out, err = run(["verify", "--check", "lagrange", "--json", str(target)], capsys)
+    assert code == 2
+    assert "overall: pass" in out
+    assert err.startswith(f"error: cannot write {target}: ")
+    # a directory in the way fails the replace; no temporary file is left
+    code, _, err = run(["verify", "--check", "lagrange", "--json", str(tmp_path)], capsys)
+    assert code == 2
+    assert "cannot write" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_c_flag_requires_dk_target(capsys):
     code, _, err = run(["search", "--target", "weak", "--c", "1", "--samples", "10", "--seed", "1"], capsys)
     assert code == 2

@@ -13,6 +13,7 @@ from cstriple.explorer import (
     PreconditionError,
     SearchConfig,
     case_classify,
+    failed_guarantees,
     greedy_minimize_z,
     merge_partials,
     minimize_fuzz,
@@ -51,6 +52,11 @@ def test_search_config_validation():
         SearchConfig(sample_count=10, seed=1, numerator_bound=0)
     with pytest.raises(PreconditionError):
         SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(3, 2))
+    # 1 is a valid config (the fuzz draws z with it), but a search at 1
+    # would evaluate only the zero point.
+    only_zero = SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(1))
+    with pytest.raises(PreconditionError):
+        random_search(resolve_target("d-tilde"), only_zero)
 
 
 def test_sample_point_respects_bounds_and_zero_probability():
@@ -136,6 +142,22 @@ def test_search_probe_validation():
         random_search(poly, cfg, probes=[{"a1": 1}])
     with pytest.raises(StructuralError):
         random_search(poly, cfg, probes=[(1, 2)])
+
+
+def test_search_probes_win_ties_and_list_their_hits_first():
+    # At zero probability 1/2 some samples are the zero point, where d-tilde
+    # is 0 like at the all-ones probe; the probe keeps the argmin.
+    poly = resolve_target("d-tilde")
+    cfg = SearchConfig(200, 4, zero_probability=Fraction(1, 2))
+    report = random_search(poly, cfg, probes=[ONES])
+    assert report.min_value == 0
+    assert report.argmin == (1,) * 6
+    # At c = 5 about a fifth of the samples are hits; the probe's comes first.
+    poly = resolve_target("d-k", c=Fraction(5))
+    probe = {"k1": 0, "k2": 0, "k3": 1, "b1": 1, "b2": 1, "b3": 1}
+    report = random_search(poly, SearchConfig(100, 1), probes=[probe])
+    assert len(report.counterexamples) > 1
+    assert report.counterexamples[0] == ((0, 0, 1, 1, 1, 1), Fraction(-1))
 
 
 # -- greedy minimization ------------------------------------------------------
@@ -355,3 +377,25 @@ def test_positive_product_needs_no_minimization():
             continue
         found += 1
         assert MacroState(p, (0, 0, 0)).d_value() == p[0] * p[1] * p[2] > 0
+
+
+def test_fuzz_rejection_exhaustion_is_a_precondition_error():
+    # With every z at 0 a feasible state has p1*p2*p3 >= 0, so no state
+    # with a negative product is ever accepted.
+    cfg = SearchConfig(sample_count=1, seed=0, zero_probability=Fraction(1))
+    with pytest.raises(PreconditionError):
+        minimize_fuzz(cfg, require_negative_product=True)
+
+
+def test_failed_guarantees_names_each_broken_guarantee():
+    trace = greedy_minimize_z(MacroState((-1, -1, -1), (1, 1, 1)))
+    classification = case_classify(trace.final)
+    assert failed_guarantees(trace, classification) == []
+    wrong = explorer.CaseClassification("iii", (1, 2, 3), classification.closed_form_value + 1)
+    assert failed_guarantees(trace, wrong) == ["closed_form"]
+    step = trace.steps[0]
+    rising = explorer.MinimizeStep(
+        step.coordinate, step.old_value, step.new_value, step.d_after, step.d_before
+    )
+    broken = explorer.MinimizeTrace(trace.initial, (rising,), trace.final, "iv")
+    assert failed_guarantees(broken, classification) == ["monotonicity", "case_iv_negative_product"]

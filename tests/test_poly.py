@@ -157,16 +157,6 @@ def test_homogeneous_degree():
         Polynomial.zero(XY).homogeneous_degree()
 
 
-def test_embed_into_superset():
-    big = VarSet(("x", "y", "z"))
-    poly = Polynomial.variable(XY, "x") * 3 + 1
-    lifted = poly.embed(big)
-    assert lifted.varset == big
-    assert lifted.evaluate({"x": 2, "y": 9, "z": -4}) == 7
-    with pytest.raises(StructuralError):
-        poly.embed(VarSet(("x", "w")))
-
-
 def test_coefficient_of_extracts_quadratic_coefficients():
     x = Polynomial.variable(XY, "x")
     y = Polynomial.variable(XY, "y")

@@ -25,16 +25,6 @@ def test_all_checks_verified():
         assert report.elapsed_ms >= 0
 
 
-def test_named_entry_points_agree_with_registry():
-    assert verifier.verify_lagrange().status == verifier.STATUS_VERIFIED
-    assert verifier.verify_key_identity().status == verifier.STATUS_VERIFIED
-    assert verifier.verify_constraint_factorization().status == verifier.STATUS_VERIFIED
-    assert verifier.verify_k_equivalence().status == verifier.STATUS_VERIFIED
-    assert verifier.verify_case_formulas().status == verifier.STATUS_VERIFIED
-    assert verifier.verify_sharpness_reduction().status == verifier.STATUS_VERIFIED
-    assert verifier.verify_weak_implication().status == verifier.STATUS_VERIFIED
-
-
 def test_unknown_check_name_is_structural():
     with pytest.raises(StructuralError):
         verifier.run_check("bogus")
