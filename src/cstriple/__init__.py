@@ -1,8 +1,10 @@
 """Exact verification toolkit for a three-factor Cauchy-Schwarz-type inequality.
 
 Everything runs on exact rational arithmetic: canonical sparse polynomials
-for the symbolic identity checks, Fractions end to end for the search and
-minimization tools.  See the README for the math and the CLI.
+for the symbolic identity checks, plain integer numerator/denominator pairs
+in the search loop (Fractions only for the reported minimum, hits and
+probes), and Fractions in the minimization tools.  See the README for the
+math and the CLI.
 """
 
 __version__ = "0.1.0"

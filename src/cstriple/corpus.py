@@ -171,11 +171,6 @@ def _macro_vars(*names: str) -> tuple[Polynomial, ...]:
     return tuple(_v(MACRO, n) for n in names)
 
 
-def c_coefficients() -> tuple[Polynomial, Polynomial, Polynomial]:
-    """The derived quadratics c1, c2, c3 as polynomials in p1, p2, p3."""
-    return c_values(*_macro_vars("p1", "p2", "p3"))
-
-
 def build_d() -> Polynomial:
     """The collapsed difference d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3."""
     return d_value(_macro_vars("p1", "p2", "p3"), _macro_vars("z1", "z2", "z3"))

@@ -19,6 +19,12 @@ Mersenne Twister, stable across platforms).  Every sampled point is a pure
 function of (seed, index), so the index space can be partitioned across
 workers with ``search_range`` and folded with ``merge_partials``; the merged
 report is bit-identical no matter how the range was split.
+
+The search loop runs on plain ints: ``sample_point`` draws each coordinate
+as a (numerator, denominator) pair, the evaluator from ``compile_evaluator``
+returns the value as such a pair, and the fold compares values by
+cross-multiplication.  Fractions are built only for the kept minimum, the
+negative hits and the probes.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import corpus
 from .poly import Polynomial, StructuralError, compile_evaluator
@@ -100,15 +106,26 @@ class SearchConfig:
         }
 
 
+def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int) -> list[int]:
+    """``count`` coordinates as the flat list n1, d1, ..., n_count, d_count:
+    (0, 1) with probability zero_probability, else num in
+    [-numerator_bound, numerator_bound] and den in [1, denominator_bound],
+    not reduced, so n_i == 0 exactly when coordinate i is 0."""
+    zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
+    nb, db = cfg.numerator_bound, cfg.denominator_bound
+    randrange = rng.randrange
+    out: list[int] = []
+    for _ in range(count):
+        if zn and randrange(zd) < zn:
+            out += (0, 1)
+        else:
+            out += (randrange(-nb, nb + 1), randrange(1, db + 1))
+    return out
+
+
 def _draw_rational(rng: random.Random, cfg: SearchConfig) -> Fraction:
-    """One coordinate: exactly 0 with probability zero_probability, else a
-    reduced +-num/den with num <= numerator_bound, den <= denominator_bound."""
-    zp = cfg.zero_probability
-    if zp.numerator and rng.randrange(zp.denominator) < zp.numerator:
-        return _ZERO
-    num = rng.randint(-cfg.numerator_bound, cfg.numerator_bound)
-    den = rng.randint(1, cfg.denominator_bound)
-    return Fraction(num, den)
+    """One coordinate of ``_draw_pairs`` as a reduced Fraction."""
+    return Fraction(*_draw_pairs(rng, cfg, 1))
 
 
 def sample_rng(seed: int, index: int) -> random.Random:
@@ -116,9 +133,14 @@ def sample_rng(seed: int, index: int) -> random.Random:
     return random.Random((seed << 64) | index)
 
 
-def sample_point(seed: int, index: int, nvars: int, cfg: SearchConfig) -> tuple[Fraction, ...]:
-    rng = sample_rng(seed, index)
-    return tuple(_draw_rational(rng, cfg) for _ in range(nvars))
+def sample_point(seed: int, index: int, nvars: int, cfg: SearchConfig) -> tuple[int, ...]:
+    """Sample ``index`` as the flat int tuple (n1, d1, ..., nk, dk) that
+    ``compile_evaluator``'s evaluators take; coordinate i is n_i/d_i."""
+    return tuple(_draw_pairs(sample_rng(seed, index), cfg, nvars))
+
+
+def _fractions(pairs: Sequence[int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
 
 
 @dataclass
@@ -134,38 +156,50 @@ class SearchPartial:
 
 
 def _fold(
-    lo: int, hi: int, results: Iterable[tuple[int, tuple[Fraction, ...], Fraction]]
+    lo: int, hi: int, results: Iterable[tuple[int, tuple[int, ...], tuple[int, int]]]
 ) -> SearchPartial:
-    """Min/argmin/negative-hit fold of (index, point, value) results given in
-    index order; ties on the minimum go to the first (smallest) index."""
-    best: Fraction | None = None
+    """Min/argmin/negative-hit fold of (index, pairs, (num, den)) results
+    given in index order, with every den > 0.  Values are compared by
+    cross-multiplication; ties on the minimum go to the first (smallest)
+    index.  Fractions are built only for the kept argmin and the hits."""
+    best_num, best_den = 0, 0
     best_index: int | None = None
-    best_point: tuple[Fraction, ...] | None = None
+    best_pairs: tuple[int, ...] = ()
     hits: list[tuple[int, tuple[Fraction, ...], Fraction]] = []
-    for index, point, value in results:
-        if best is None or value < best:
-            best, best_index, best_point = value, index, point
-        if value < 0:
-            hits.append((index, point, value))
-    return SearchPartial(lo, hi, best, best_index, best_point, hits)
+    for index, pairs, (num, den) in results:
+        if best_index is None or num * best_den < best_num * den:
+            best_num, best_den, best_index, best_pairs = num, den, index, pairs
+        if num < 0:
+            hits.append((index, _fractions(pairs), Fraction(num, den)))
+    if best_index is None:
+        return SearchPartial(lo, hi, None, None, None, hits)
+    return SearchPartial(
+        lo, hi, Fraction(best_num, best_den), best_index, _fractions(best_pairs), hits
+    )
 
 
-def search_range(poly: Polynomial, cfg: SearchConfig, lo: int, hi: int) -> SearchPartial:
-    """Evaluate samples lo..hi-1; safe to run slices concurrently."""
-    evaluate = compile_evaluator(poly)
-    nvars = len(poly.varset)
+def search_range(
+    evaluate: Callable[[Sequence[int]], tuple[int, int]],
+    nvars: int,
+    cfg: SearchConfig,
+    lo: int,
+    hi: int,
+) -> SearchPartial:
+    """Evaluate samples lo..hi-1 of ``nvars`` coordinates with ``evaluate``,
+    the ``compile_evaluator`` function of the target; safe to run slices
+    concurrently."""
 
     def results():
         for index in range(lo, hi):
-            point = sample_point(cfg.seed, index, nvars, cfg)
-            yield index, point, evaluate(point)
+            pairs = sample_point(cfg.seed, index, nvars, cfg)
+            yield index, pairs, evaluate(pairs)
 
     return _fold(lo, hi, results())
 
 
 def merge_partials(partials: Iterable[SearchPartial]) -> SearchPartial:
     """Fold slice results; ties on the minimum go to the smallest index."""
-    parts = sorted(partials, key=lambda p: p.lo)
+    parts = sorted(partials, key=lambda p: (p.lo, p.hi))
     if not parts:
         raise StructuralError("nothing to merge")
     merged = SearchPartial(parts[0].lo, parts[-1].hi, None, None, None, [])
@@ -252,10 +286,15 @@ def random_search(
     if cfg.zero_probability == 1:
         raise PreconditionError("zero_probability 1 would evaluate only the zero point")
     probe_points = [_normalize_probe(poly, p) for p in probes]
-    probe_results = [(pt, poly.evaluate(dict(zip(poly.varset.names, pt)))) for pt in probe_points]
-    n = len(probe_results)
-    probe_partial = _fold(-n, 0, ((j - n, pt, v) for j, (pt, v) in enumerate(probe_results)))
-    merged = merge_partials([probe_partial, search_range(poly, cfg, 0, cfg.sample_count)])
+    probe_pairs = [
+        tuple(x for v in pt for x in (v.numerator, v.denominator)) for pt in probe_points
+    ]
+    evaluate = compile_evaluator(poly)
+    probe_values = [evaluate(pairs) for pairs in probe_pairs]
+    n = len(probe_pairs)
+    probe_partial = _fold(-n, 0, zip(range(-n, 0), probe_pairs, probe_values))
+    samples = search_range(evaluate, len(poly.varset), cfg, 0, cfg.sample_count)
+    merged = merge_partials([probe_partial, samples])
     return SearchReport(
         target=label or str(poly)[:40],
         variables=poly.varset.names,
@@ -264,7 +303,7 @@ def random_search(
         min_value=merged.min_value,
         argmin=merged.argmin,
         counterexamples=[(pt, v) for _, pt, v in merged.counterexamples],
-        probes=probe_results,
+        probes=[(pt, Fraction(*v)) for pt, v in zip(probe_points, probe_values)],
     )
 
 

@@ -481,66 +481,64 @@ def parse_polynomial(text: str, varset: VarSet) -> Polynomial:
     return Polynomial(varset, terms)
 
 
-def compile_evaluator(poly: Polynomial) -> Callable[[Sequence[Fraction]], Fraction]:
-    """Build a fast exact evaluator taking coordinates in VarSet order.
+def _power(base: str, e: int) -> str:
+    """Name of the local holding ``base**e`` (e >= 1) in generated code."""
+    return base if e == 1 else f"{base}_{e}"
 
-    Denominators are cleared up front so the hot loop runs on plain Python
-    integers: with point coordinates n_i/d_i and per-variable maximum
-    exponents E_i,
+
+def compile_evaluator(poly: Polynomial) -> Callable[[Sequence[int]], tuple[int, int]]:
+    """Build a fast exact evaluator on integer coordinate pairs.
+
+    The evaluator takes the flat tuple ``(n1, d1, ..., nk, dk)`` of a point
+    with coordinates n_i/d_i in VarSet order, every d_i > 0, and returns
+    ``(num, den)`` with den > 0 (not reduced).  Denominators are cleared up
+    front: with per-variable maximum exponents E_i,
 
         poly(point) = sum_t  L*c_t * prod_i n_i^e_ti * d_i^(E_i - e_ti)
                       -------------------------------------------------
                               L * prod_i d_i^E_i
 
-    where L is the lcm of the coefficient denominators.  One Fraction is
-    built per call.  Results are identical to ``Polynomial.evaluate``.
+    where L is the lcm of the coefficient denominators.  The function is
+    generated once per polynomial with ``compile()`` as a straight-line
+    program: the powers of every n_i and d_i up to E_i as locals, then one
+    ``t += c*...`` statement per term (one statement each, so no expression
+    nests deeper as the polynomial grows).  Generated names are positional
+    (``n0``, ``d0``, ...) and coefficients are int literals, so no text of
+    the polynomial's VarSet reaches ``compile()``.
+    ``Fraction(*evaluate(pairs))`` equals ``Polynomial.evaluate``.
     """
     nvars = len(poly.varset)
-    if poly.is_zero():
-        def eval_zero(values: Sequence[Fraction]) -> Fraction:
-            if len(values) != nvars:
-                raise StructuralError(f"expected {nvars} coordinates, got {len(values)}")
-            return _ZERO
-
-        return eval_zero
-
-    max_exp = [0] * nvars
-    for mono in poly.terms:
-        for i, e in enumerate(mono):
-            if e > max_exp[i]:
-                max_exp[i] = e
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
-    flat_terms: list[tuple[int, Monomial]] = [
-        (int(c * scale), mono) for mono, c in poly.sorted_terms()
+    width = 2 * nvars
+    terms = poly.sorted_terms()
+    max_exp = [max((mono[i] for mono, _ in terms), default=0) for i in range(nvars)]
+    scale = lcm(*(c.denominator for _, c in terms))
+    lines = [
+        "def evaluate(v):",
+        f"    if len(v) != {width}:",
+        "        _wrong_arity(len(v))",
+        f"    {', '.join(f'n{i}, d{i}' for i in range(nvars))} = v",
     ]
-    var_range = range(nvars)
+    for i, top in enumerate(max_exp):
+        for base in (f"n{i}", f"d{i}"):
+            for e in range(2, top + 1):
+                lines.append(f"    {_power(base, e)} = {_power(base, e - 1)} * {base}")
+    lines.append("    t = 0")
+    for mono, c in terms:
+        c = int(c * scale)
+        factors = [str(abs(c))] if abs(c) != 1 else []
+        for i, e in enumerate(mono):
+            if e:
+                factors.append(_power(f"n{i}", e))
+            if max_exp[i] - e:
+                factors.append(_power(f"d{i}", max_exp[i] - e))
+        lines.append(f"    t {'-' if c < 0 else '+'}= {' * '.join(factors) or '1'}")
+    den = [str(scale)] * (scale != 1)
+    den += [_power(f"d{i}", top) for i, top in enumerate(max_exp) if top]
+    lines.append(f"    return t, {' * '.join(den) or '1'}")
 
-    def evaluate(values: Sequence[Fraction]) -> Fraction:
-        if len(values) != nvars:
-            raise StructuralError(f"expected {nvars} coordinates, got {len(values)}")
-        npow = []
-        dpow = []
-        for i in var_range:
-            v = values[i]
-            num, den = v.numerator, v.denominator
-            top = max_exp[i]
-            nrow = [1] * (top + 1)
-            drow = [1] * (top + 1)
-            for e in range(1, top + 1):
-                nrow[e] = nrow[e - 1] * num
-                drow[e] = drow[e - 1] * den
-            npow.append(nrow)
-            dpow.append(drow)
-        total = 0
-        for c, mono in flat_terms:
-            t = c
-            for i in var_range:
-                e = mono[i]
-                t *= npow[i][e] * dpow[i][max_exp[i] - e]
-            total += t
-        denom = scale
-        for i in var_range:
-            denom *= dpow[i][max_exp[i]]
-        return Fraction(total, denom)
+    def wrong_arity(got: int) -> None:
+        raise StructuralError(f"expected {width} integers ({nvars} coordinate pairs), got {got}")
 
-    return evaluate
+    namespace = {"_wrong_arity": wrong_arity}
+    exec(compile("\n".join(lines), "<compile_evaluator>", "exec"), namespace)
+    return namespace["evaluate"]

@@ -39,6 +39,12 @@ def rand_point(rng: random.Random, varset: VarSet, bound: int = 20) -> dict[str,
     return {name: rand_fraction(rng, bound) for name in varset.names}
 
 
+def pairs(values) -> tuple[int, ...]:
+    """Rational coordinates as the flat int tuple (n1, d1, ..., nk, dk) that
+    compiled evaluators take."""
+    return tuple(x for v in values for x in (Fraction(v).numerator, Fraction(v).denominator))
+
+
 def rand_substitution(rng: random.Random, source: VarSet, target: VarSet) -> Substitution:
     images = {
         name: rand_polynomial(rng, target, max_terms=3, max_exp=2, bound=10)
@@ -120,7 +126,9 @@ def check_dtilde_invariances(seed: int = 5, scalings: int = 200) -> None:
             t = rand_fraction(rng, 20)
         point = [rand_fraction(rng, 20) for _ in names]
         scaled = [t * v for v in point]
-        assert evaluate(scaled) == t**6 * evaluate(point)
+        value = Fraction(*evaluate(pairs(point)))
+        assert value == d_tilde.evaluate(dict(zip(names, point)))
+        assert Fraction(*evaluate(pairs(scaled))) == t**6 * value
 
     for perm in PERMUTATIONS:
         mapping = {}

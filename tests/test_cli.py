@@ -2,6 +2,7 @@
 manifest stability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,24 @@ def test_search_manifest_byte_identical(capsys, tmp_path):
     run(argv + ["--json", str(first)], capsys)
     run(argv + ["--json", str(second)], capsys)
     assert first.read_bytes() == second.read_bytes()
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "fixture, target",
+    [
+        ("search_dtilde_seed0.json", ["--target", "d-tilde"]),
+        ("search_dk5_seed0.json", ["--target", "d-k", "--c", "5"]),
+    ],
+)
+def test_search_manifest_matches_golden_file(capsys, tmp_path, fixture, target):
+    # Every manifest byte is pinned: the RNG stream, the argmin, the hit
+    # list and the JSON layout.  The d-k file has hits, the d-tilde one none.
+    out = tmp_path / fixture
+    run(["search", *target, "--samples", "300", "--seed", "0", "--json", str(out)], capsys)
+    assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
 
 
 def test_search_dk_counterexamples_exit_one(capsys, tmp_path):

@@ -24,7 +24,7 @@ from cstriple.explorer import (
     sharpness_witness,
     vertex_label,
 )
-from cstriple.poly import StructuralError
+from cstriple.poly import StructuralError, compile_evaluator
 
 ONES = {name: 1 for name in corpus.AB.names}
 
@@ -62,11 +62,48 @@ def test_search_config_validation():
 def test_sample_point_respects_bounds_and_zero_probability():
     cfg = SearchConfig(sample_count=1, seed=9, numerator_bound=7, denominator_bound=3)
     for index in range(200):
-        for value in sample_point(9, index, 6, cfg):
-            assert abs(value.numerator) <= 7
-            assert 1 <= value.denominator <= 3
+        pairs = sample_point(9, index, 6, cfg)
+        assert len(pairs) == 12
+        for num, den in zip(pairs[::2], pairs[1::2]):
+            assert abs(num) <= 7
+            assert 1 <= den <= 3
     always_zero = SearchConfig(sample_count=1, seed=9, zero_probability=1)
-    assert sample_point(9, 0, 6, always_zero) == (Fraction(0),) * 6
+    assert sample_point(9, 0, 6, always_zero) == (0, 1) * 6
+
+
+def _reference_point(seed, index, nvars, zero_probability, num_bound, den_bound):
+    # The documented stream, written out: one generator per sample, then per
+    # coordinate a zero test (skipped when the probability is 0), else the
+    # numerator and the denominator.
+    rng = random.Random((seed << 64) | index)
+    zn, zd = zero_probability.numerator, zero_probability.denominator
+    out = []
+    for _ in range(nvars):
+        if zn and rng.randrange(zd) < zn:
+            out += [0, 1]
+        else:
+            out += [rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"zero_probability": Fraction(0)},
+        {"zero_probability": Fraction(1, 3)},
+        {"numerator_bound": 1, "denominator_bound": 1},
+        {"numerator_bound": 7, "denominator_bound": 3},
+    ],
+)
+def test_sample_point_follows_the_pinned_rng_stream(options):
+    for seed in (0, 2**64 - 1):
+        cfg = SearchConfig(sample_count=1, seed=seed, **options)
+        for index in range(250):
+            expected = _reference_point(
+                seed, index, 6, cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
+            )
+            assert sample_point(seed, index, 6, cfg) == expected
 
 
 def test_sample_point_is_pure_in_seed_and_index():
@@ -107,17 +144,35 @@ def test_search_is_deterministic():
 
 
 def test_search_merge_is_partition_independent():
-    poly = resolve_target("d-tilde")
+    evaluate = compile_evaluator(resolve_target("d-tilde"))
     cfg = SearchConfig(sample_count=900, seed=31)
-    whole = search_range(poly, cfg, 0, 900)
+    whole = search_range(evaluate, 6, cfg, 0, 900)
     for cut in (1, 137, 450, 899):
-        left = search_range(poly, cfg, 0, cut)
-        right = search_range(poly, cfg, cut, 900)
+        left = search_range(evaluate, 6, cfg, 0, cut)
+        right = search_range(evaluate, 6, cfg, cut, 900)
         merged = merge_partials([right, left])
         assert merged.min_value == whole.min_value
         assert merged.argmin_index == whole.argmin_index
         assert merged.argmin == whole.argmin
         assert merged.counterexamples == whole.counterexamples
+
+
+def test_search_empty_slice_merges_cleanly():
+    evaluate = compile_evaluator(resolve_target("d-k", c=Fraction(5)))
+    cfg = SearchConfig(sample_count=10, seed=0)
+    empty = search_range(evaluate, 6, cfg, 5, 5)
+    assert (empty.lo, empty.hi) == (5, 5)
+    assert empty.min_value is None and empty.argmin is None
+    assert empty.counterexamples == []
+    whole = search_range(evaluate, 6, cfg, 0, 10)
+    parts = [search_range(evaluate, 6, cfg, 5, 10), empty, search_range(evaluate, 6, cfg, 0, 5)]
+    merged = merge_partials(parts)
+    assert (merged.lo, merged.hi) == (0, 10)
+    assert merged.min_value == whole.min_value
+    assert merged.argmin_index == whole.argmin_index
+    assert merged.argmin == whole.argmin
+    assert merged.counterexamples == whole.counterexamples
+    assert merge_partials([empty]).min_value is None
 
 
 def test_search_dk_above_half_finds_negative_hits():
@@ -152,6 +207,12 @@ def test_search_probes_win_ties_and_list_their_hits_first():
     report = random_search(poly, cfg, probes=[ONES])
     assert report.min_value == 0
     assert report.argmin == (1,) * 6
+    # Within one slice, too, the first of the tied samples keeps it.
+    evaluate = compile_evaluator(poly)
+    values = [Fraction(*evaluate(sample_point(4, i, 6, cfg))) for i in range(200)]
+    assert values.count(0) > 1
+    part = search_range(evaluate, 6, cfg, 0, 200)
+    assert (part.min_value, part.argmin_index) == (0, values.index(0))
     # At c = 5 about a fifth of the samples are hits; the probe's comes first.
     poly = resolve_target("d-k", c=Fraction(5))
     probe = {"k1": 0, "k2": 0, "k3": 1, "b1": 1, "b2": 1, "b3": 1}

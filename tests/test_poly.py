@@ -237,7 +237,57 @@ def test_compiled_evaluator_matches_reference():
         poly = helpers.rand_polynomial(rng)
         evaluate = compile_evaluator(poly)
         point = helpers.rand_point(rng, poly.varset)
-        ordered = [point[name] for name in poly.varset.names]
-        assert evaluate(ordered) == poly.evaluate(point)
+        num, den = evaluate(helpers.pairs(point[name] for name in poly.varset.names))
+        assert den > 0
+        assert Fraction(num, den) == poly.evaluate(point)
     with pytest.raises(StructuralError):
-        compile_evaluator(Polynomial.variable(XY, "x"))([Fraction(1)])
+        compile_evaluator(Polynomial.variable(XY, "x"))((1, 1))
+
+
+def _evaluates_exactly(poly, point):
+    num, den = compile_evaluator(poly)(helpers.pairs(point[n] for n in poly.varset.names))
+    return den > 0 and Fraction(num, den) == poly.evaluate(point)
+
+
+def test_compiled_evaluator_edge_polynomials():
+    point = {"x": Fraction(-3, 4), "y": Fraction(5, 7)}
+    zero = Polynomial.zero(XY)
+    assert _evaluates_exactly(zero, point)
+    assert compile_evaluator(zero)((1, 2, 3, 4)) == (0, 1)
+    assert _evaluates_exactly(Polynomial.constant(XY, Fraction(-7, 3)), point)
+    # y occurs in no term, yet still takes its pair of the input
+    only_x = parse_polynomial("-5/6*x^3 + 2/9*x - 4", XY)
+    assert only_x.degree_in("y") == 0
+    assert _evaluates_exactly(only_x, point)
+    assert _evaluates_exactly(only_x, {"x": Fraction(0), "y": Fraction(1, 9)})
+    # negative and non-integer coefficients, unreduced input pairs
+    mixed = parse_polynomial("-3/4*x^2*y + 5/6*x*y^3 - 7*y^2 + 1/2", XY)
+    assert _evaluates_exactly(mixed, point)
+    assert Fraction(*compile_evaluator(mixed)((-6, 8, 10, 14))) == mixed.evaluate(point)
+
+
+def test_compiled_evaluator_rejects_wrong_arity():
+    evaluate = compile_evaluator(Polynomial.variable(XY, "x"))
+    for values in ((), (1, 1), (1, 1, 2), (1, 1, 2, 3, 4, 5)):
+        with pytest.raises(StructuralError):
+            evaluate(values)
+    with pytest.raises(StructuralError):
+        compile_evaluator(Polynomial.zero(XY))((0, 1))
+
+
+def test_compiled_evaluator_handles_thousands_of_terms():
+    # 3060 terms: every monomial of total degree <= 14 in four variables.
+    # One generated statement per term keeps compile() from nesting deeply.
+    xyzw = helpers.XYZW
+    terms = {}
+    for a in range(15):
+        for b in range(15 - a):
+            for c in range(15 - a - b):
+                for d in range(15 - a - b - c):
+                    i = len(terms)
+                    terms[(a, b, c, d)] = Fraction((-1) ** i * (i + 1), i % 7 + 1)
+    poly = Polynomial(xyzw, terms)
+    assert poly.term_count == 3060
+    rng = random.Random(77)
+    for _ in range(3):
+        assert _evaluates_exactly(poly, helpers.rand_point(rng, xyzw, bound=5))

@@ -148,13 +148,15 @@ def test_numeric_cross_validation_thousand_points():
     rng = random.Random(424242)
     for check in verifier.CHECK_NAMES:
         components = [
-            (compile_evaluator(lhs), compile_evaluator(rhs), len(lhs.varset))
+            (lhs, compile_evaluator(lhs), compile_evaluator(rhs))
             for _, lhs, rhs in verifier.identity_components(check)
         ]
         for _ in range(1000):
-            for eval_lhs, eval_rhs, nvars in components:
-                point = [helpers.rand_fraction(rng, 10) for _ in range(nvars)]
-                assert eval_lhs(point) == eval_rhs(point)
+            for lhs, eval_lhs, eval_rhs in components:
+                point = [helpers.rand_fraction(rng, 10) for _ in lhs.varset.names]
+                value = Fraction(*eval_lhs(helpers.pairs(point)))
+                assert value == Fraction(*eval_rhs(helpers.pairs(point)))
+                assert value == lhs.evaluate(dict(zip(lhs.varset.names, point)))
 
 
 def test_report_serialization_schema():
