@@ -1,8 +1,8 @@
-"""Command-line front end: verify, search, minimize, sharpness.
+"""Command-line front end: verify, search, minimize, sharpness, fuzz.
 
-Exit codes: 0 when everything passed, 1 when a check was refuted or a
-counterexample was found, 2 on usage or structural errors and when the
-manifest cannot be written.
+Exit codes: 0 when everything passed, 1 when a check was refuted, a
+counterexample was found or a fuzzed state broke a guarantee, 2 on usage or
+structural errors and when the manifest cannot be written.
 
 With ``--json PATH`` each subcommand writes a run manifest whose content is
 fully determined by the arguments (including the seed); reruns produce
@@ -95,14 +95,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _finish(args, {"checks": names}, [r.to_dict() for r in reports], ok)
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    cfg = SearchConfig(
+def _sampling_config(args: argparse.Namespace) -> SearchConfig:
+    return SearchConfig(
         sample_count=args.samples,
         seed=args.seed,
         numerator_bound=args.num_bound,
         denominator_bound=args.den_bound,
         zero_probability=args.zero_prob,
     )
+
+
+def _cmd_search(args: argparse.Namespace) -> int:
+    cfg = _sampling_config(args)
     poly = explorer.resolve_target(args.target, args.c)
     # The all-ones point is a known equality case of every target; it rides
     # along as a fixed probe so each run pins the exact value 0 there.
@@ -162,6 +166,30 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     return _finish(args, {"c": str(witness.c)}, [witness.to_dict()], witness.value < 0)
 
 
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    cfg = _sampling_config(args)
+    summary = explorer.minimize_fuzz(cfg, require_negative_product=args.negative_product)
+    print(
+        f"states={summary.samples_run} seed={summary.seed} "
+        f"passed={summary.passed} failed={summary.failed}"
+    )
+    print("cases: " + " ".join(f"{k}={v}" for k, v in summary.case_counts.items()))
+    broken = [f"{k}={v}" for k, v in summary.failures.items() if v]
+    if broken:
+        print("failures: " + " ".join(broken))
+    config = cfg.to_dict()
+    config["negative_product"] = args.negative_product
+    return _finish(args, config, [summary.to_dict()], summary.failed == 0)
+
+
+def _add_sampling_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--samples", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--num-bound", type=int, default=100)
+    parser.add_argument("--den-bound", type=int, default=100)
+    parser.add_argument("--zero-prob", type=rational, default=Fraction(1, 16))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstriple",
@@ -188,11 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bracket constant for target d-k (default 1/2)",
     )
-    p_search.add_argument("--samples", type=int, required=True)
-    p_search.add_argument("--seed", type=int, required=True)
-    p_search.add_argument("--num-bound", type=int, default=100)
-    p_search.add_argument("--den-bound", type=int, default=100)
-    p_search.add_argument("--zero-prob", type=rational, default=Fraction(1, 16))
+    _add_sampling_options(p_search)
     p_search.add_argument("--json", metavar="PATH")
     p_search.set_defaults(func=_cmd_search)
 
@@ -217,6 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharp.add_argument("--c", type=rational, required=True)
     p_sharp.add_argument("--json", metavar="PATH")
     p_sharp.set_defaults(func=_cmd_sharpness)
+
+    p_fuzz = sub.add_parser(
+        "fuzz", help="run the greedy minimizer and classifier on seeded random feasible states"
+    )
+    _add_sampling_options(p_fuzz)
+    p_fuzz.add_argument(
+        "--negative-product",
+        action="store_true",
+        help="draw only states with p1*p2*p3 < 0, the case the proof has to work for",
+    )
+    p_fuzz.add_argument("--json", metavar="PATH")
+    p_fuzz.set_defaults(func=_cmd_fuzz)
 
     return parser
 

@@ -26,7 +26,7 @@ k_i = a_i/b_i whose sharpness constant can be left symbolic.
 ``c_values``, ``d_value`` and ``case_value`` are the single definition of
 c_i, d and the four vertex-case closed forms.  They are plain arithmetic
 over any ring values: the verifier applies them to MACRO polynomials and
-proves them, the explorer applies them to Fractions and runs them.
+proves them, the explorer applies them to Fractions and ints and runs them.
 
 All builders are pure and deterministic: repeated calls return identical
 canonical term maps.
@@ -183,17 +183,20 @@ def build_constraint() -> Polynomial:
     return (p1 + z1) * (p2 + z2) * (p3 + z3)
 
 
-def build_k_form(parametric: bool = False) -> Polynomial:
+def build_k_form(parametric: bool = False, c: Fraction | int | None = None) -> Polynomial:
     """Difference of the inequality rewritten in the ratios k_i = a_i/b_i.
 
         (k1^2*b1^2+b2^2+b3^2)(k2^2*b2^2+b3^2+b1^2)(k3^2*b3^2+b1^2+b2^2)
           - (k1*b1^2+k2*b2^2+k3*b3^2)^2 (b1^2+b2^2+b3^2)
-          - 1/2 * b1^2*b2^2*b3^2 [ (k1-k2)^2 + (k2-k3)^2 + (k1-k3)^2 ]
+          - c * b1^2*b2^2*b3^2 [ (k1-k2)^2 + (k2-k3)^2 + (k1-k3)^2 ]
 
-    With ``parametric`` the bracket constant 1/2 is replaced by the
-    variable C (a genuine degree-1 symbol), which turns sharpness of the
-    constant into a polynomial statement in C.
+    over KB, with the bracket constant ``c`` (default 1/2).  With
+    ``parametric`` the constant is instead the variable C of KBC (a genuine
+    degree-1 symbol), which turns sharpness of the constant into a
+    polynomial statement in C.
     """
+    if parametric and c is not None:
+        raise StructuralError("a parametric k-form takes no bracket constant")
     varset = KBC if parametric else KB
     k1, k2, k3 = (_v(varset, n) for n in ("k1", "k2", "k3"))
     b1, b2, b3 = (_v(varset, n) for n in ("b1", "b2", "b3"))
@@ -205,7 +208,7 @@ def build_k_form(parametric: bool = False) -> Polynomial:
     dot = k1 * b1**2 + k2 * b2**2 + k3 * b3**2
     bnorm = b1**2 + b2**2 + b3**2
     bracket = (k1 - k2) ** 2 + (k2 - k3) ** 2 + (k1 - k3) ** 2
-    constant = _v(KBC, "C") if parametric else Polynomial.constant(KB, HALF)
+    constant = _v(KBC, "C") if parametric else Polynomial.constant(KB, HALF if c is None else c)
     rhs = dot**2 * bnorm + constant * (b1 * b2 * b3) ** 2 * bracket
     return lhs - rhs
 

@@ -25,6 +25,16 @@ as a (numerator, denominator) pair, the evaluator from ``compile_evaluator``
 returns the value as such a pair, and the fold compares values by
 cross-multiplication.  Fractions are built only for the kept minimum, the
 negative hits and the probes.
+
+The minimizer fuzz runs on plain ints too.  ``_draw_state`` draws each
+coordinate as such a pair and multiplies the whole state by the lcm L of
+its six denominators.  That is exact: d, the feasibility product and every
+case closed form are homogeneous of degree 3 in (p, z), so they get the
+factor L^3 > 0; the greedy step's bound max(0, -p_i) and its test on the
+sign of the other two factors commute with the scaling; and every fuzz
+guarantee is a sign, equality or order test, which a positive factor does
+not change.  The scaled state therefore takes the same steps, lands on the
+same vertex and passes or fails the same guarantees as the rational one.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import corpus
@@ -59,9 +69,7 @@ def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
     if name == "d-tilde":
         return corpus.build_inequality().d_tilde
     if name == "d-k":
-        value = corpus.HALF if c is None else Fraction(c)
-        parametric = corpus.build_k_form(parametric=True)
-        return parametric.substitute(corpus.constant_substitution(value))
+        return corpus.build_k_form(c=c)
     if name == "weak":
         return corpus.build_weak_difference()
     if name == "cs":
@@ -71,6 +79,10 @@ def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
 
 def _frac(value: Fraction | int | str) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _exact(value: Fraction | int | str) -> Fraction | int:
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -121,11 +133,6 @@ def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int) -> list[int]:
         else:
             out += (randrange(-nb, nb + 1), randrange(1, db + 1))
     return out
-
-
-def _draw_rational(rng: random.Random, cfg: SearchConfig) -> Fraction:
-    """One coordinate of ``_draw_pairs`` as a reduced Fraction."""
-    return Fraction(*_draw_pairs(rng, cfg, 1))
 
 
 def sample_rng(seed: int, index: int) -> random.Random:
@@ -313,14 +320,18 @@ def random_search(
 @dataclass(frozen=True)
 class MacroState:
     """A concrete assignment of (p1, p2, p3) and nonnegative (z1, z2, z3),
-    with the derived quadratics c available as ``.c``."""
+    with the derived quadratics c available as ``.c``.
 
-    p: tuple[Fraction, Fraction, Fraction]
-    z: tuple[Fraction, Fraction, Fraction]
+    Coordinates are ints or Fractions and are kept as given (any other value,
+    such as a string, becomes a Fraction); every derived value is computed in
+    the same ring, so an all-int state, as the fuzz draws, stays on ints."""
+
+    p: tuple[Fraction | int, Fraction | int, Fraction | int]
+    z: tuple[Fraction | int, Fraction | int, Fraction | int]
 
     def __post_init__(self):
-        p = tuple(_frac(v) for v in self.p)
-        z = tuple(_frac(v) for v in self.z)
+        p = tuple(_exact(v) for v in self.p)
+        z = tuple(_exact(v) for v in self.z)
         if len(p) != 3 or len(z) != 3:
             raise PreconditionError("p and z must each have three coordinates")
         if any(v < 0 for v in z):
@@ -428,11 +439,11 @@ def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)
     steps: list[MinimizeStep] = []
     for coord in order:
         i = coord - 1
-        others = Fraction(1)
+        others = 1
         for j in range(3):
             if j != i:
                 others *= p[j] + z[j]
-        new_value = max(_ZERO, -p[i]) if others > 0 else _ZERO
+        new_value = max(0, -p[i]) if others > 0 else 0
         if new_value != z[i]:
             before = MacroState(p, tuple(z)).d_value()
             old_value = z[i]
@@ -568,22 +579,31 @@ class FuzzSummary:
 
 def _draw_state(rng: random.Random, cfg: SearchConfig, require_negative_product: bool) -> MacroState:
     """Rejection-sample a feasible MacroState with nonzero p (and, when
-    asked, p1*p2*p3 < 0) from one per-sample stream."""
+    asked, p1*p2*p3 < 0) from one per-sample stream.
+
+    Each p_i is a numerator in [-numerator_bound, numerator_bound] and then
+    a denominator in [1, denominator_bound], both drawn again while the
+    numerator is 0; the z_i are ``_draw_pairs`` coordinates with the
+    numerator made nonnegative.  The
+    state returned is the drawn rational state times the lcm of its six
+    denominators, so all its coordinates are ints (see the module
+    docstring for why that changes no outcome of the fuzz)."""
+    nb, db = cfg.numerator_bound, cfg.denominator_bound
+    randrange = rng.randrange
     for _ in range(10000):
-        p = []
+        pairs: list[int] = []
         for _ in range(3):
-            value = _ZERO
-            while value == 0:
-                value = Fraction(
-                    rng.randint(-cfg.numerator_bound, cfg.numerator_bound),
-                    rng.randint(1, cfg.denominator_bound),
-                )
-            p.append(value)
-        z = tuple(abs(_draw_rational(rng, cfg)) for _ in range(3))
-        state = MacroState(tuple(p), z)
+            num = 0
+            while num == 0:
+                num, den = randrange(-nb, nb + 1), randrange(1, db + 1)
+            pairs += (num, den)
+        pairs += _draw_pairs(rng, cfg, 3)
+        scale = lcm(*pairs[1::2])
+        values = [pairs[k] * (scale // pairs[k + 1]) for k in range(0, 12, 2)]
+        state = MacroState(tuple(values[:3]), tuple(abs(v) for v in values[3:]))
         if not state.is_feasible():
             continue
-        if require_negative_product and p[0] * p[1] * p[2] >= 0:
+        if require_negative_product and values[0] * values[1] * values[2] >= 0:
             continue
         return state
     raise PreconditionError("rejection sampling found no admissible state in 10000 draws")

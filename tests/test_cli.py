@@ -2,11 +2,12 @@
 manifest stability."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cstriple import cli
+from cstriple import cli, explorer
 
 
 def run(argv, capsys):
@@ -183,6 +184,20 @@ def test_minimize_hand_trace(capsys, tmp_path):
     assert payload["classification"]["closed_form_value"] == "2"
 
 
+@pytest.mark.parametrize(
+    "fixture, argv",
+    [
+        ("minimize_pinned.json", ["--p", "-1/2,-2/3,-3/4", "--z", "1/2,2/3,3/4"]),
+        ("minimize_lowered.json", ["--p", "3/5,-7/4,-2/9", "--z", "5/6,2,9/7", "--order", "123"]),
+    ],
+)
+def test_minimize_manifest_matches_golden_file(capsys, tmp_path, fixture, argv):
+    out = tmp_path / fixture
+    code, _, _ = run(["minimize", *argv, "--json", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
+
+
 def test_minimize_respects_order_flag(capsys):
     code, out, _ = run(["minimize", "--p", "-1,-1,-1", "--z", "1,1,1", "--order", "123"], capsys)
     assert code == 0
@@ -241,3 +256,40 @@ def test_exit_code_matches_manifest_status(capsys, tmp_path):
         assert code == expected
         manifest = json.loads(manifest_path.read_text())
         assert (manifest["overall_status"] == "pass") == (code == 0)
+
+
+FUZZ_ARGS = ["--samples", "300", "--seed", "4", "--num-bound", "9", "--den-bound", "7"]
+
+
+def test_fuzz_manifest_is_the_library_summary(capsys, tmp_path):
+    manifest_path = tmp_path / "fuzz.json"
+    argv = ["fuzz", *FUZZ_ARGS, "--zero-prob", "1/8", "--negative-product"]
+    code, out, _ = run(argv + ["--json", str(manifest_path)], capsys)
+    assert code == 0
+    assert "passed=300 failed=0" in out
+    manifest = json.loads(manifest_path.read_text())
+    cfg = explorer.SearchConfig(300, 4, 9, 7, Fraction(1, 8))
+    assert manifest["command"] == "fuzz"
+    assert manifest["config"] == {**cfg.to_dict(), "negative_product": True}
+    expected = explorer.minimize_fuzz(cfg, require_negative_product=True)
+    assert manifest["reports"] == [expected.to_dict()]
+    assert manifest["overall_status"] == "pass"
+
+
+def test_fuzz_exits_one_on_a_failed_guarantee(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(explorer, "failed_guarantees", lambda trace, result: ["closed_form"])
+    manifest_path = tmp_path / "fuzz.json"
+    code, out, _ = run(["fuzz", *FUZZ_ARGS, "--json", str(manifest_path)], capsys)
+    assert code == 1
+    assert "failures: closed_form=300" in out
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["overall_status"] == "fail"
+    assert manifest["reports"][0]["failed"] == 300
+    assert manifest["config"]["negative_product"] is False
+
+
+def test_fuzz_rejection_exhaustion_exits_two(capsys):
+    argv = ["fuzz", "--samples", "1", "--seed", "0", "--zero-prob", "1", "--negative-product"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "rejection sampling" in err

@@ -4,9 +4,12 @@ an independent hand oracle inside the test, never asserted blind."""
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import helpers
 from cstriple import corpus
-from cstriple.poly import Polynomial, parse_polynomial
+from cstriple.explorer import resolve_target
+from cstriple.poly import Polynomial, StructuralError, parse_polynomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -107,6 +110,19 @@ def test_parametric_k_form_specializes_to_plain():
     assert parametric.varset == corpus.KBC
     fixed = parametric.substitute(corpus.constant_substitution(Fraction(1, 2)))
     assert fixed == corpus.build_k_form()
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 5, Fraction(7, 3), 0, -1])
+def test_k_form_with_constant_matches_parametric_substitution(c):
+    parametric = corpus.build_k_form(parametric=True)
+    expected = parametric.substitute(corpus.constant_substitution(c))
+    assert corpus.build_k_form(c=c) == expected
+    assert resolve_target("d-k", c) == expected
+
+
+def test_parametric_k_form_takes_no_constant():
+    with pytest.raises(StructuralError):
+        corpus.build_k_form(parametric=True, c=1)
 
 
 def test_weak_difference_drops_exactly_the_bracket():

@@ -1,8 +1,11 @@
 """Tests for the exact search, the greedy minimizer, the case classifier,
 and the sharpness witness finder."""
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from cstriple.explorer import (
 from cstriple.poly import StructuralError, compile_evaluator
 
 ONES = {name: 1 for name in corpus.AB.names}
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # -- targets and config ---------------------------------------------------------
@@ -234,6 +238,25 @@ def test_macro_state_invariants():
         MacroState((1, 1, 1), (-1, 0, 0))
     with pytest.raises(PreconditionError):
         MacroState((1, 1), (0, 0))
+
+
+def test_macro_state_keeps_int_coordinates():
+    state = MacroState((-1, -2, -3), (1, 2, 3))
+    assert all(type(v) is int for v in state.p + state.z + state.c)
+    assert type(state.d_value()) is int and type(state.feasibility()) is int
+    as_fractions = MacroState(
+        tuple(Fraction(v) for v in state.p), tuple(Fraction(v) for v in state.z)
+    )
+    assert state.to_dict() == as_fractions.to_dict() == {
+        "p": ["-1", "-2", "-3"],
+        "z": ["1", "2", "3"],
+        "c": ["19", "13", "7"],
+        "d": "60",
+    }
+    mixed = MacroState(("-1/2", Fraction(2, 3), 4), (0, "3/4", Fraction(1)))
+    assert mixed.p == (Fraction(-1, 2), Fraction(2, 3), 4)
+    assert type(mixed.p[0]) is Fraction and type(mixed.p[2]) is int
+    assert type(mixed.z[0]) is int and type(mixed.z[1]) is Fraction
 
 
 def test_macro_state_d_matches_polynomial_route():
@@ -446,6 +469,122 @@ def test_fuzz_rejection_exhaustion_is_a_precondition_error():
     cfg = SearchConfig(sample_count=1, seed=0, zero_probability=Fraction(1))
     with pytest.raises(PreconditionError):
         minimize_fuzz(cfg, require_negative_product=True)
+
+
+def _reference_state(seed, index, cfg, require_negative_product):
+    # The documented fuzz draw, written out on Fractions: per p_i the
+    # numerator randint(-N, N) and the denominator randint(1, D), redrawn
+    # while the value is 0; per z_i the zero test, else the absolute value of
+    # a numerator/denominator draw; reject infeasible states and, when asked,
+    # a nonnegative p1*p2*p3.
+    rng = random.Random((seed << 64) | index)
+    nb, db = cfg.numerator_bound, cfg.denominator_bound
+    zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
+    while True:
+        p = []
+        for _ in range(3):
+            value = Fraction(0)
+            while value == 0:
+                value = Fraction(rng.randint(-nb, nb), rng.randint(1, db))
+            p.append(value)
+        z = []
+        for _ in range(3):
+            if zn and rng.randrange(zd) < zn:
+                z.append(Fraction(0))
+            else:
+                z.append(abs(Fraction(rng.randint(-nb, nb), rng.randint(1, db))))
+        if (p[0] + z[0]) * (p[1] + z[1]) * (p[2] + z[2]) < 0:
+            continue
+        if require_negative_product and p[0] * p[1] * p[2] >= 0:
+            continue
+        return p + z
+
+
+@pytest.mark.parametrize("require_negative_product", [True, False])
+def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
+    for seed in (0, 5):
+        cfg = SearchConfig(sample_count=1, seed=seed)
+        for index in range(200):
+            state = explorer._draw_state(
+                explorer.sample_rng(seed, index), cfg, require_negative_product
+            )
+            drawn = state.p + state.z
+            reference = _reference_state(seed, index, cfg, require_negative_product)
+            assert all(type(v) is int for v in drawn)
+            scale = drawn[0] / reference[0]
+            assert scale > 0
+            assert list(drawn) == [scale * v for v in reference]
+
+
+def _scaled(state):
+    scale = math.lcm(*(Fraction(v).denominator for v in state.p + state.z))
+    ints = [int(v * scale) for v in state.p + state.z]
+    return scale, MacroState(tuple(ints[:3]), tuple(ints[3:]))
+
+
+def test_greedy_and_classifier_commute_with_integer_scaling():
+    # d, the feasibility product and the case closed forms are homogeneous
+    # of degree 3 in (p, z), and the greedy bound max(0, -p_i) is of degree
+    # 1, so the lcm-scaled int copy of a state must take the same steps
+    # times L, with every d times L^3, and classify the same way.
+    rng = random.Random(2024)
+    signs = {True: 0, False: 0}
+    labels = set()
+    while min(signs.values()) < 150:
+        p = tuple(helpers.rand_fraction(rng, 12) for _ in range(3))
+        z = tuple(
+            -p[i] if p[i] < 0 and rng.random() < 0.3 else abs(helpers.rand_fraction(rng, 12))
+            for i in range(3)
+        )
+        state = MacroState(p, z)
+        if 0 in p or not state.is_feasible():
+            continue
+        signs[p[0] * p[1] * p[2] < 0] += 1
+        scale, ints = _scaled(state)
+        cube = scale**3
+        assert all(type(v) is int for v in ints.p + ints.z)
+        order = rng.choice([(3, 2, 1), (1, 2, 3), (2, 3, 1)])
+        trace, int_trace = greedy_minimize_z(state, order), greedy_minimize_z(ints, order)
+        assert int_trace.case_label == trace.case_label
+        assert int_trace.final.z == tuple(scale * v for v in trace.final.z)
+        assert int_trace.final.d_value() == cube * trace.final.d_value()
+        assert len(int_trace.steps) == len(trace.steps)
+        for step, int_step in zip(trace.steps, int_trace.steps):
+            assert int_step.coordinate == step.coordinate
+            assert int_step.old_value == scale * step.old_value
+            assert int_step.new_value == scale * step.new_value
+            assert int_step.d_before == cube * step.d_before
+            assert int_step.d_after == cube * step.d_after
+        result, int_result = case_classify(trace.final), case_classify(int_trace.final)
+        assert int_result.label == result.label
+        assert int_result.permutation == result.permutation
+        assert int_result.closed_form_value == cube * result.closed_form_value
+        assert failed_guarantees(int_trace, int_result) == failed_guarantees(trace, result)
+        # The descent only reaches cases iii and iv; pin z by hand for i and ii.
+        vertex = MacroState(p, tuple(-v if v < 0 and rng.random() < 0.7 else 0 for v in p))
+        scale, int_vertex = _scaled(vertex)
+        result, int_result = case_classify(vertex), case_classify(int_vertex)
+        labels.add(result.label)
+        assert (int_result.label, int_result.permutation) == (result.label, result.permutation)
+        assert int_result.closed_form_value == scale**3 * result.closed_form_value
+    assert labels == {"i", "ii", "iii", "iv"}
+
+
+def _fuzz_fixture_text():
+    runs = []
+    for seed in (0, 1):
+        for negative in (True, False):
+            summary = minimize_fuzz(SearchConfig(sample_count=1000, seed=seed), negative)
+            runs.append(
+                {"seed": seed, "require_negative_product": negative, "summary": summary.to_dict()}
+            )
+    return json.dumps(runs, indent=2) + "\n"
+
+
+def test_fuzz_summaries_match_golden_file():
+    # Written by the Fraction implementation of the fuzz, before the draw
+    # was scaled to ints.
+    assert _fuzz_fixture_text().encode() == (FIXTURES / "fuzz_seed0.json").read_bytes()
 
 
 def test_failed_guarantees_names_each_broken_guarantee():
