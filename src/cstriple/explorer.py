@@ -20,6 +20,12 @@ function of (seed, index), so the index space can be partitioned across
 workers with ``search_range`` and folded with ``merge_partials``; the merged
 report is bit-identical no matter how the range was split.
 
+Every uniform draw is defined in this module: an int below n is
+``rng.getrandbits(n.bit_length())``, drawn again until it is below n.  That
+is the algorithm of CPython 3.11's ``randrange``, so the stream is the one
+it gave (the tests pin it against a reference draw written with it), but it
+no longer depends on how a later interpreter implements ``randrange``.
+
 The search loop runs on plain ints: ``sample_point`` draws each coordinate
 as a (numerator, denominator) pair, the evaluator from ``compile_evaluator``
 returns the value as such a pair, and the fold compares values by
@@ -97,6 +103,10 @@ class SearchConfig:
     zero_probability: Fraction = Fraction(1, 16)
 
     def __post_init__(self):
+        for name in ("sample_count", "seed", "numerator_bound", "denominator_bound"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise PreconditionError(f"{name} must be an int, got {value!r}")
         if self.sample_count < 1:
             raise PreconditionError("sample_count must be positive")
         if not 0 <= self.seed < 2**64:
@@ -122,16 +132,36 @@ def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int) -> list[int]:
     """``count`` coordinates as the flat list n1, d1, ..., n_count, d_count:
     (0, 1) with probability zero_probability, else num in
     [-numerator_bound, numerator_bound] and den in [1, denominator_bound],
-    not reduced, so n_i == 0 exactly when coordinate i is 0."""
+    not reduced, so n_i == 0 exactly when coordinate i is 0.
+
+    Per coordinate, with zero probability zn/zd: the zero test r < zn with
+    r drawn below zd (skipped when zn is 0); else the numerator, drawn below
+    2*numerator_bound + 1 and shifted by -numerator_bound, then the
+    denominator, drawn below denominator_bound and shifted by +1.  "Drawn
+    below n" is ``getrandbits(n.bit_length())`` until the value is below n
+    (see the module docstring), written out in the loop because this is the
+    search's hot path (about 18 draws a sample)."""
     zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
     nb, db = cfg.numerator_bound, cfg.denominator_bound
-    randrange = rng.randrange
+    nw = 2 * nb + 1
+    zk, nk, dk = zd.bit_length(), nw.bit_length(), db.bit_length()
+    getrandbits = rng.getrandbits
     out: list[int] = []
     for _ in range(count):
-        if zn and randrange(zd) < zn:
-            out += (0, 1)
-        else:
-            out += (randrange(-nb, nb + 1), randrange(1, db + 1))
+        if zn:
+            r = getrandbits(zk)
+            while r >= zd:
+                r = getrandbits(zk)
+            if r < zn:
+                out += (0, 1)
+                continue
+        num = getrandbits(nk)
+        while num >= nw:
+            num = getrandbits(nk)
+        den = getrandbits(dk)
+        while den >= db:
+            den = getrandbits(dk)
+        out += (num - nb, den + 1)
     return out
 
 
@@ -445,10 +475,10 @@ def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)
                 others *= p[j] + z[j]
         new_value = max(0, -p[i]) if others > 0 else 0
         if new_value != z[i]:
-            before = MacroState(p, tuple(z)).d_value()
+            before = steps[-1].d_after if steps else corpus.d_value(p, z)
             old_value = z[i]
             z[i] = new_value
-            after = MacroState(p, tuple(z)).d_value()
+            after = corpus.d_value(p, z)
             steps.append(MinimizeStep(f"z{coord}", old_value, new_value, before, after))
     final = MacroState(p, tuple(z))
     return MinimizeTrace(state, tuple(steps), final, vertex_label(final))
@@ -583,20 +613,29 @@ def _draw_state(rng: random.Random, cfg: SearchConfig, require_negative_product:
 
     Each p_i is a numerator in [-numerator_bound, numerator_bound] and then
     a denominator in [1, denominator_bound], both drawn again while the
-    numerator is 0; the z_i are ``_draw_pairs`` coordinates with the
-    numerator made nonnegative.  The
-    state returned is the drawn rational state times the lcm of its six
-    denominators, so all its coordinates are ints (see the module
-    docstring for why that changes no outcome of the fuzz)."""
+    numerator is 0.  As in ``_draw_pairs``, the numerator is drawn below
+    2*numerator_bound + 1 and the denominator below denominator_bound, each
+    by ``getrandbits(n.bit_length())`` until the value is below n, and then
+    shifted.  The z_i are ``_draw_pairs`` coordinates with the numerator
+    made nonnegative.  The state returned is the drawn rational state times
+    the lcm of its six denominators, so all its coordinates are ints (see
+    the module docstring for why that changes no outcome of the fuzz)."""
     nb, db = cfg.numerator_bound, cfg.denominator_bound
-    randrange = rng.randrange
+    nw = 2 * nb + 1
+    nk, dk = nw.bit_length(), db.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(10000):
         pairs: list[int] = []
         for _ in range(3):
-            num = 0
-            while num == 0:
-                num, den = randrange(-nb, nb + 1), randrange(1, db + 1)
-            pairs += (num, den)
+            num = nb  # the raw draw nb is the numerator 0
+            while num == nb:
+                num = getrandbits(nk)
+                while num >= nw:
+                    num = getrandbits(nk)
+                den = getrandbits(dk)
+                while den >= db:
+                    den = getrandbits(dk)
+            pairs += (num - nb, den + 1)
         pairs += _draw_pairs(rng, cfg, 3)
         scale = lcm(*pairs[1::2])
         values = [pairs[k] * (scale // pairs[k + 1]) for k in range(0, 12, 2)]

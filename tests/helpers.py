@@ -45,6 +45,30 @@ def pairs(values) -> tuple[int, ...]:
     return tuple(x for v in values for x in (Fraction(v).numerator, Fraction(v).denominator))
 
 
+def reference_pairs(rng: random.Random, cfg, count: int, nonzero: bool = False) -> list[int]:
+    """The documented coordinate draw of ``explorer``, written with
+    ``randrange``/``randint`` so that it pins the module's own
+    ``getrandbits`` draw to the stream those give.
+
+    Per coordinate, as the flat list n1, d1, ...: the zero test
+    ``randrange(zd) < zn`` for the zero probability zn/zd (skipped when zn
+    is 0 or with ``nonzero``), then the numerator ``randint(-N, N)`` and the
+    denominator ``randint(1, D)``; with ``nonzero`` both are drawn again
+    while the numerator is 0 (the fuzz's p_i)."""
+    zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
+    nb, db = cfg.numerator_bound, cfg.denominator_bound
+    out: list[int] = []
+    for _ in range(count):
+        if not nonzero and zn and rng.randrange(zd) < zn:
+            out += [0, 1]
+            continue
+        num, den = rng.randint(-nb, nb), rng.randint(1, db)
+        while nonzero and num == 0:
+            num, den = rng.randint(-nb, nb), rng.randint(1, db)
+        out += [num, den]
+    return out
+
+
 def rand_substitution(rng: random.Random, source: VarSet, target: VarSet) -> Substitution:
     images = {
         name: rand_polynomial(rng, target, max_terms=3, max_exp=2, bound=10)

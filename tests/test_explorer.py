@@ -56,6 +56,19 @@ def test_search_config_validation():
         SearchConfig(sample_count=10, seed=1, numerator_bound=0)
     with pytest.raises(PreconditionError):
         SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(3, 2))
+    # The counts and bounds must be ints; a bool is not taken for 0 or 1.
+    for bad in (
+        {"sample_count": 10.0},
+        {"sample_count": True},
+        {"seed": 1.5},
+        {"seed": False},
+        {"numerator_bound": 2.5},
+        {"numerator_bound": True},
+        {"denominator_bound": 3.0},
+        {"denominator_bound": True},
+    ):
+        with pytest.raises(PreconditionError):
+            SearchConfig(**{"sample_count": 10, "seed": 1, **bad})
     # 1 is a valid config (the fuzz draws z with it), but a search at 1
     # would evaluate only the zero point.
     only_zero = SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(1))
@@ -75,19 +88,15 @@ def test_sample_point_respects_bounds_and_zero_probability():
     assert sample_point(9, 0, 6, always_zero) == (0, 1) * 6
 
 
-def _reference_point(seed, index, nvars, zero_probability, num_bound, den_bound):
-    # The documented stream, written out: one generator per sample, then per
-    # coordinate a zero test (skipped when the probability is 0), else the
-    # numerator and the denominator.
-    rng = random.Random((seed << 64) | index)
-    zn, zd = zero_probability.numerator, zero_probability.denominator
-    out = []
-    for _ in range(nvars):
-        if zn and rng.randrange(zd) < zn:
-            out += [0, 1]
-        else:
-            out += [rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)]
-    return tuple(out)
+# Configurations whose draw widths are a power of two (denominator 64,
+# zero tests below 2 and 4), where n.bit_length() and (n-1).bit_length()
+# differ, and one wider than a 32-bit Mersenne Twister word.
+EDGE_WIDTHS = [
+    {"denominator_bound": 64},
+    {"zero_probability": Fraction(1, 2)},
+    {"zero_probability": Fraction(1, 4)},
+    {"numerator_bound": 2**40},
+]
 
 
 @pytest.mark.parametrize(
@@ -98,15 +107,17 @@ def _reference_point(seed, index, nvars, zero_probability, num_bound, den_bound)
         {"zero_probability": Fraction(1, 3)},
         {"numerator_bound": 1, "denominator_bound": 1},
         {"numerator_bound": 7, "denominator_bound": 3},
+        *EDGE_WIDTHS,
     ],
 )
 def test_sample_point_follows_the_pinned_rng_stream(options):
+    # One generator per sample, Random((seed << 64) | index), then the
+    # documented per-coordinate draw.
     for seed in (0, 2**64 - 1):
         cfg = SearchConfig(sample_count=1, seed=seed, **options)
         for index in range(250):
-            expected = _reference_point(
-                seed, index, 6, cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
-            )
+            rng = random.Random((seed << 64) | index)
+            expected = tuple(helpers.reference_pairs(rng, cfg, 6))
             assert sample_point(seed, index, 6, cfg) == expected
 
 
@@ -472,27 +483,15 @@ def test_fuzz_rejection_exhaustion_is_a_precondition_error():
 
 
 def _reference_state(seed, index, cfg, require_negative_product):
-    # The documented fuzz draw, written out on Fractions: per p_i the
-    # numerator randint(-N, N) and the denominator randint(1, D), redrawn
-    # while the value is 0; per z_i the zero test, else the absolute value of
-    # a numerator/denominator draw; reject infeasible states and, when asked,
-    # a nonnegative p1*p2*p3.
+    # The documented fuzz draw on Fractions: three nonzero p_i, then three
+    # z_i as absolute values of search coordinates; reject infeasible states
+    # and, when asked, a nonnegative p1*p2*p3.
     rng = random.Random((seed << 64) | index)
-    nb, db = cfg.numerator_bound, cfg.denominator_bound
-    zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
     while True:
-        p = []
-        for _ in range(3):
-            value = Fraction(0)
-            while value == 0:
-                value = Fraction(rng.randint(-nb, nb), rng.randint(1, db))
-            p.append(value)
-        z = []
-        for _ in range(3):
-            if zn and rng.randrange(zd) < zn:
-                z.append(Fraction(0))
-            else:
-                z.append(abs(Fraction(rng.randint(-nb, nb), rng.randint(1, db))))
+        p = helpers.reference_pairs(rng, cfg, 3, nonzero=True)
+        z = helpers.reference_pairs(rng, cfg, 3)
+        p = [Fraction(n, d) for n, d in zip(p[::2], p[1::2])]
+        z = [abs(Fraction(n, d)) for n, d in zip(z[::2], z[1::2])]
         if (p[0] + z[0]) * (p[1] + z[1]) * (p[2] + z[2]) < 0:
             continue
         if require_negative_product and p[0] * p[1] * p[2] >= 0:
@@ -502,9 +501,10 @@ def _reference_state(seed, index, cfg, require_negative_product):
 
 @pytest.mark.parametrize("require_negative_product", [True, False])
 def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
-    for seed in (0, 5):
-        cfg = SearchConfig(sample_count=1, seed=seed)
-        for index in range(200):
+    configs = [(seed, {}, 200) for seed in (0, 5)] + [(0, edge, 100) for edge in EDGE_WIDTHS]
+    for seed, options, count in configs:
+        cfg = SearchConfig(sample_count=1, seed=seed, **options)
+        for index in range(count):
             state = explorer._draw_state(
                 explorer.sample_rng(seed, index), cfg, require_negative_product
             )
