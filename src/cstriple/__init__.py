@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .poly import (  # noqa: F401
     Polynomial,
     StructuralError,
-    Substitution,
     VarSet,
     compile_evaluator,
     format_polynomial,

@@ -23,10 +23,11 @@ and the whole pipeline stays denominator-free), the collapsed form
 the feasibility product (p1+z1)(p2+z2)(p3+z3), and the single-ratio form in
 k_i = a_i/b_i whose sharpness constant can be left symbolic.
 
-``c_values``, ``d_value`` and ``case_value`` are the single definition of
-c_i, d and the four vertex-case closed forms.  They are plain arithmetic
-over any ring values: the verifier applies them to MACRO polynomials and
-proves them, the explorer applies them to Fractions and ints and runs them.
+``c_values``, ``d_value``, ``feasibility_value`` and ``case_value`` are the
+single definition of c_i, d, the feasibility product and the four
+vertex-case closed forms.  They are plain arithmetic over any ring values:
+the verifier applies them to MACRO polynomials and proves them, the
+explorer applies them to Fractions and ints and runs them.
 
 All builders are pure and deterministic: repeated calls return identical
 canonical term maps.
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, StructuralError, Substitution, VarSet
+from .poly import Polynomial, StructuralError, VarSet
 
 AB = VarSet(("a1", "a2", "a3", "b1", "b2", "b3"))
 KB = VarSet(("k1", "k2", "k3", "b1", "b2", "b3"))
@@ -113,8 +114,9 @@ def build_lagrange_and_cs() -> LagrangeParts:
     )
 
 
-def build_macro_substitution() -> Substitution:
-    """The macro change of variables as a substitution MACRO -> AB.
+def build_macro_substitution() -> dict[str, Polynomial]:
+    """The macro change of variables MACRO -> AB, as the images that
+    ``Polynomial.substitute`` takes.
 
     With x_i and y_i rewritten as monomials (x1 = a2*a3, y1 = b2*b3,
     cyclically), the images are
@@ -129,7 +131,7 @@ def build_macro_substitution() -> Substitution:
     for i in range(3):
         images[f"p{i + 1}"] = (x[i] - y[i]) * y[i]
         images[f"z{i + 1}"] = y[i] ** 2
-    return Substitution(MACRO, AB, images)
+    return images
 
 
 def c_values(p1, p2, p3):
@@ -145,6 +147,11 @@ def d_value(p, z):
     """d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3 for triples ``p`` and ``z``."""
     c1, c2, c3 = c_values(*p)
     return p[0] * p[1] * p[2] + c1 * z[0] + c2 * z[1] + c3 * z[2]
+
+
+def feasibility_value(p, z):
+    """The feasibility product (p1+z1)(p2+z2)(p3+z3) for triples ``p`` and ``z``."""
+    return (p[0] + z[0]) * (p[1] + z[1]) * (p[2] + z[2])
 
 
 # Vertex case by the number of pinned coordinates (z_i = -p_i).
@@ -178,9 +185,7 @@ def build_d() -> Polynomial:
 
 def build_constraint() -> Polynomial:
     """The feasibility product (p1+z1)(p2+z2)(p3+z3)."""
-    p1, p2, p3 = _macro_vars("p1", "p2", "p3")
-    z1, z2, z3 = _macro_vars("z1", "z2", "z3")
-    return (p1 + z1) * (p2 + z2) * (p3 + z3)
+    return feasibility_value(_macro_vars("p1", "p2", "p3"), _macro_vars("z1", "z2", "z3"))
 
 
 def build_k_form(parametric: bool = False, c: Fraction | int | None = None) -> Polynomial:
@@ -211,13 +216,6 @@ def build_k_form(parametric: bool = False, c: Fraction | int | None = None) -> P
     constant = _v(KBC, "C") if parametric else Polynomial.constant(KB, HALF if c is None else c)
     rhs = dot**2 * bnorm + constant * (b1 * b2 * b3) ** 2 * bracket
     return lhs - rhs
-
-
-def constant_substitution(value: Fraction | int) -> Substitution:
-    """Fix the symbolic bracket constant: KBC -> KB with C -> value."""
-    images = {name: Polynomial.variable(KB, name) for name in KB}
-    images["C"] = Polynomial.constant(KB, Fraction(value))
-    return Substitution(KBC, KB, images)
 
 
 def build_weak_difference() -> Polynomial:

@@ -113,8 +113,10 @@ class SearchConfig:
             raise PreconditionError("seed must fit in 64 unsigned bits")
         if self.numerator_bound < 1 or self.denominator_bound < 1:
             raise PreconditionError("numerator and denominator bounds must be >= 1")
-        zp = _frac(self.zero_probability)
-        object.__setattr__(self, "zero_probability", zp)
+        zp = self.zero_probability
+        if not isinstance(zp, (int, Fraction)) or isinstance(zp, bool):
+            raise PreconditionError(f"zero_probability must be an int or a Fraction, got {zp!r}")
+        object.__setattr__(self, "zero_probability", Fraction(zp))
         if not 0 <= zp <= 1:
             raise PreconditionError("zero_probability must lie in [0, 1]")
 
@@ -375,8 +377,7 @@ class MacroState:
 
     def feasibility(self) -> Fraction:
         """(p1+z1)(p2+z2)(p3+z3); feasible means >= 0."""
-        p, z = self.p, self.z
-        return (p[0] + z[0]) * (p[1] + z[1]) * (p[2] + z[2])
+        return corpus.feasibility_value(self.p, self.z)
 
     def is_feasible(self) -> bool:
         return self.feasibility() >= 0
@@ -651,11 +652,12 @@ def _draw_state(rng: random.Random, cfg: SearchConfig, require_negative_product:
 GUARANTEES = ("monotonicity", "vertex", "negativity", "closed_form", "case_iv_negative_product")
 
 
-def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification) -> list[str]:
+def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification | None) -> list[str]:
     """The proof's per-trace guarantees that ``trace`` violates, in GUARANTEES
     order: the d column is non-increasing, the final state is a sound vertex,
     the final d is nonnegative when p1*p2*p3 < 0, the classifier's closed
-    form equals d, and a negative product never ends in case iv."""
+    form equals d (unless ``classification`` is None, as off a vertex), and a
+    negative product never ends in case iv."""
     p1, p2, p3 = trace.final.p
     negative_product = p1 * p2 * p3 < 0
     d = trace.final.d_value()
@@ -664,7 +666,7 @@ def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification) 
         # z >= 0, so a pinned z_i = -p_i != 0 already has -p_i > 0.
         trace.case_label != "mixed",
         not negative_product or d >= 0,
-        classification.closed_form_value == d,
+        classification is None or classification.closed_form_value == d,
         not (negative_product and trace.case_label == "iv"),
     )
     return [name for name, ok in zip(GUARANTEES, held) if not ok]
@@ -679,9 +681,10 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
     for index in range(cfg.sample_count):
         state = _draw_state(sample_rng(cfg.seed, index), cfg, require_negative_product)
         trace = greedy_minimize_z(state)
-        classification = case_classify(trace.final)
         case_counts[trace.case_label] += 1
-        failed = failed_guarantees(trace, classification)
+        # case_classify refuses a non-vertex; failed_guarantees counts it.
+        mixed = trace.case_label == "mixed"
+        failed = failed_guarantees(trace, None if mixed else case_classify(trace.final))
         for name in failed:
             failures[name] += 1
         failed_samples += bool(failed)

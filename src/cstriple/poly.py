@@ -275,27 +275,30 @@ class Polynomial:
 
     # -- structural operations ------------------------------------------------
 
-    def substitute(self, sub: "Substitution") -> "Polynomial":
-        """Compose with a substitution: replace every variable by its image.
+    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
+        """Compose with a change of variables: replace every variable by its image.
 
-        A ring homomorphism: distributes over + and *.  The polynomial must
-        live exactly on the substitution's source VarSet.
+        ``images`` maps exactly the names of this polynomial's VarSet (none
+        missing, none extra) to polynomials over one common target VarSet,
+        which the result lives on; anything else raises ``StructuralError``.
+        A ring homomorphism: distributes over + and *.
         """
-        if self.varset != sub.source:
-            raise StructuralError(
-                f"polynomial over {self.varset.names} cannot be substituted "
-                f"by a map with source {sub.source.names}"
-            )
-        target = sub.target
+        names = self.varset.names
+        if set(images) != set(names):
+            raise StructuralError(f"images given for {sorted(images)}, expected exactly {names}")
+        ordered = [images[name] for name in names]
+        target = ordered[0].varset
+        if any(image.varset != target for image in ordered):
+            targets = sorted({image.varset.names for image in ordered})
+            raise StructuralError(f"images must share one target VarSet, got {targets}")
         one = Polynomial.constant(target, 1)
         # powers[i][e] = image of variable i raised to e, built incrementally
-        powers: list[list[Polynomial]] = [[one] for _ in sub.source.names]
-        images = [sub.images[name] for name in sub.source.names]
+        powers: list[list[Polynomial]] = [[one] for _ in names]
 
         def image_power(i: int, e: int) -> Polynomial:
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(cache[-1] * images[i])
+                cache.append(cache[-1] * ordered[i])
             return cache[e]
 
         acc = Polynomial.zero(target)
@@ -357,39 +360,6 @@ def _raw(varset: VarSet, terms: dict[Monomial, Fraction]) -> Polynomial:
     poly.varset = varset
     poly.terms = terms
     return poly
-
-
-class Substitution:
-    """A map sending each source variable to a polynomial over the target VarSet."""
-
-    __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: VarSet, target: VarSet, images: Mapping[str, Polynomial]):
-        for name in source.names:
-            if name not in images:
-                raise StructuralError(f"substitution is missing an image for {name!r}")
-        for name in images:
-            if name not in source:
-                raise StructuralError(f"substitution maps unknown variable {name!r}")
-        for name, image in images.items():
-            if image.varset != target:
-                raise StructuralError(
-                    f"image of {name!r} lives on {image.varset.names}, "
-                    f"expected {target.names}"
-                )
-        self.source = source
-        self.target = target
-        self.images = {name: images[name] for name in source.names}
-
-    @classmethod
-    def identity(cls, varset: VarSet) -> "Substitution":
-        return cls(
-            varset, varset, {name: Polynomial.variable(varset, name) for name in varset}
-        )
-
-    def __repr__(self) -> str:
-        arrows = ", ".join(f"{n} -> {self.images[n]}" for n in self.source.names)
-        return f"Substitution({arrows})"
 
 
 # -- canonical text format -----------------------------------------------------

@@ -15,8 +15,10 @@ The seven checks:
   constraint-factorization  the feasibility product maps to the perfect
                             square (a1*a2*a3*b1*b2*b3)^2
   k-equivalence             d_tilde with a_i -> k_i*b_i equals the k-form
-  case-formulas             the four closed forms of the vertex case split,
-                            plus the case-(ii) discriminant
+  case-formulas             the four closed forms of the vertex case split:
+                            d evaluated at the pinned z (each z_i set to
+                            -p_i or 0), and for case (iv) the feasibility
+                            product at z = 0; plus the case-(ii) discriminant
   sharpness-reduction       specializing k1 = k2 = 0 in the C-parametric
                             k-form leaves (1-2C)*b1^2*b2^2*b3^2*k3^2 plus a
                             product of three positive factors
@@ -38,21 +40,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import corpus
-from .poly import Polynomial, StructuralError, Substitution
+from .poly import Polynomial, StructuralError
 
 STATUS_VERIFIED = "verified"
 STATUS_REFUTED = "refuted"
 STATUS_ERROR = "error"
-
-CHECK_NAMES = (
-    "lagrange",
-    "key-identity",
-    "constraint-factorization",
-    "k-equivalence",
-    "case-formulas",
-    "sharpness-reduction",
-    "weak-implication",
-)
 
 # (component name, lhs, rhs): the check asserts lhs == rhs exactly.
 Component = tuple[str, Polynomial, Polynomial]
@@ -107,16 +99,6 @@ def check_equal(check: str, components: Iterable[Component]) -> Report:
 # -- component builders -------------------------------------------------------
 
 
-def _zero_sub(zero_names: tuple[str, ...], neg_names: tuple[str, ...]) -> Substitution:
-    """MACRO -> MACRO substitution pinning each z_i to 0 or to -p_i."""
-    images = {name: Polynomial.variable(corpus.MACRO, name) for name in corpus.MACRO}
-    for name in zero_names:
-        images[name] = Polynomial.zero(corpus.MACRO)
-    for name in neg_names:
-        images[name] = -Polynomial.variable(corpus.MACRO, "p" + name[1])
-    return Substitution(corpus.MACRO, corpus.MACRO, images)
-
-
 def _lagrange_components() -> list[Component]:
     parts = corpus.build_lagrange_and_cs()
     return [("lagrange", parts.lagrange_lhs, parts.lagrange_rhs)]
@@ -137,13 +119,13 @@ def _constraint_components() -> list[Component]:
     return [("constraint-factorization", image, square)]
 
 
-def _ratio_substitution() -> Substitution:
+def _ratio_substitution() -> dict[str, Polynomial]:
     """AB -> KB with a_i -> k_i*b_i and b_i -> b_i."""
     images = {}
     for i in (1, 2, 3):
         images[f"a{i}"] = Polynomial.monomial(corpus.KB, {f"k{i}": 1, f"b{i}": 1})
         images[f"b{i}"] = Polynomial.variable(corpus.KB, f"b{i}")
-    return Substitution(corpus.AB, corpus.KB, images)
+    return images
 
 
 def _k_equivalence_components() -> list[Component]:
@@ -154,14 +136,14 @@ def _k_equivalence_components() -> list[Component]:
 
 
 def _case_formula_components() -> list[Component]:
-    d = corpus.build_d()
     p = tuple(Polynomial.variable(corpus.MACRO, n) for n in ("p1", "p2", "p3"))
-    p1, p2, _ = p
+    p1, p2, p3 = p
 
-    case_i = d.substitute(_zero_sub((), ("z1", "z2", "z3")))
-    case_ii = d.substitute(_zero_sub(("z3",), ("z1", "z2")))
-    case_iii = d.substitute(_zero_sub(("z2", "z3"), ("z1",)))
-    case_iv = corpus.build_constraint().substitute(_zero_sub(("z1", "z2", "z3"), ()))
+    # The pinned coordinates come first: z_i = -p_i for them, 0 for the rest.
+    case_i = corpus.d_value(p, (-p1, -p2, -p3))
+    case_ii = corpus.d_value(p, (-p1, -p2, 0))
+    case_iii = corpus.d_value(p, (-p1, 0, 0))
+    case_iv = corpus.feasibility_value(p, (0, 0, 0))
 
     # Case (ii) is a convex quadratic in p3; read its coefficients off the
     # expanded polynomial and form the discriminant from those.
@@ -188,7 +170,7 @@ def _sharpness_components() -> list[Component]:
     images = {name: Polynomial.variable(corpus.KBC, name) for name in corpus.KBC}
     images["k1"] = Polynomial.zero(corpus.KBC)
     images["k2"] = Polynomial.zero(corpus.KBC)
-    specialized = parametric.substitute(Substitution(corpus.KBC, corpus.KBC, images))
+    specialized = parametric.substitute(images)
 
     c = Polynomial.variable(corpus.KBC, "C")
     k3 = Polynomial.variable(corpus.KBC, "k3")
@@ -216,6 +198,7 @@ _COMPONENT_BUILDERS: dict[str, Callable[[], list[Component]]] = {
     "sharpness-reduction": _sharpness_components,
     "weak-implication": _weak_implication_components,
 }
+CHECK_NAMES = tuple(_COMPONENT_BUILDERS)
 
 
 def identity_components(check: str) -> list[Component]:

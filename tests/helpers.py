@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cstriple import corpus, verifier
-from cstriple.poly import Polynomial, Substitution, VarSet, compile_evaluator
+from cstriple import corpus, explorer, verifier
+from cstriple.poly import Polynomial, VarSet, compile_evaluator
 
 XYZW = VarSet(("x", "y", "z", "w"))
 
@@ -69,12 +69,18 @@ def reference_pairs(rng: random.Random, cfg, count: int, nonzero: bool = False) 
     return out
 
 
-def rand_substitution(rng: random.Random, source: VarSet, target: VarSet) -> Substitution:
-    images = {
+def rand_substitution(rng: random.Random, source: VarSet, target: VarSet) -> dict[str, Polynomial]:
+    return {
         name: rand_polynomial(rng, target, max_terms=3, max_exp=2, bound=10)
         for name in source.names
     }
-    return Substitution(source, target, images)
+
+
+def constant_substitution(value: Fraction | int) -> dict[str, Polynomial]:
+    """Fix the symbolic bracket constant: KBC -> KB with C -> value."""
+    images = {name: Polynomial.variable(corpus.KB, name) for name in corpus.KB}
+    images["C"] = Polynomial.constant(corpus.KB, Fraction(value))
+    return images
 
 
 def check_ring_axioms(seed: int = 2024, triples: int = 1000) -> int:
@@ -120,16 +126,15 @@ def check_eval_subst_commutation(seed: int = 7, cases: int = 500) -> int:
         p = rand_polynomial(rng, source, max_terms=4, max_exp=2, bound=20)
         sub = rand_substitution(rng, source, target)
         point = rand_point(rng, target, bound=10)
-        pulled_back = {name: sub.images[name].evaluate(point) for name in source.names}
+        pulled_back = {name: sub[name].evaluate(point) for name in source.names}
         assert p.substitute(sub).evaluate(point) == p.evaluate(pulled_back)
     return cases
 
 
-def _rename(varset: VarSet, mapping: dict[str, str]) -> Substitution:
-    images = {
+def _rename(varset: VarSet, mapping: dict[str, str]) -> dict[str, Polynomial]:
+    return {
         name: Polynomial.variable(varset, mapping.get(name, name)) for name in varset.names
     }
-    return Substitution(varset, varset, images)
 
 
 PERMUTATIONS = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
@@ -167,8 +172,7 @@ def check_dtilde_invariances(seed: int = 5, scalings: int = 200) -> None:
         }
         images[f"a{i}"] = -Polynomial.variable(corpus.AB, f"a{i}")
         images[f"b{i}"] = -Polynomial.variable(corpus.AB, f"b{i}")
-        flip = Substitution(corpus.AB, corpus.AB, images)
-        assert d_tilde.substitute(flip) == d_tilde
+        assert d_tilde.substitute(images) == d_tilde
 
 
 def check_d_permutation_invariance() -> None:
@@ -180,6 +184,13 @@ def check_d_permutation_invariance() -> None:
             mapping[f"p{i}"] = f"p{j}"
             mapping[f"z{i}"] = f"z{j}"
         assert d.substitute(_rename(corpus.MACRO, mapping)) == d
+
+
+def end_off_vertex(state: explorer.MacroState, order=(3, 2, 1)) -> explorer.MinimizeTrace:
+    """A stand-in for ``greedy_minimize_z`` that ends every descent at
+    p = (-1, 1, 1), z = (5, 0, 0): z1 is neither 0 nor -p1, so not a vertex."""
+    final = explorer.MacroState((-1, 1, 1), (5, 0, 0))
+    return explorer.MinimizeTrace(state, (), final, explorer.vertex_label(final))
 
 
 def mutate_coefficient(poly: Polynomial, term_index: int, delta: int) -> Polynomial:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from cstriple import cli, explorer
 
 
@@ -286,6 +287,14 @@ def test_fuzz_exits_one_on_a_failed_guarantee(capsys, tmp_path, monkeypatch):
     assert manifest["overall_status"] == "fail"
     assert manifest["reports"][0]["failed"] == 300
     assert manifest["config"]["negative_product"] is False
+
+
+def test_fuzz_exits_one_on_a_non_vertex_final_state(capsys, monkeypatch):
+    monkeypatch.setattr(explorer, "greedy_minimize_z", helpers.end_off_vertex)
+    code, out, _ = run(["fuzz", "--samples", "3", "--seed", "0"], capsys)
+    assert code == 1
+    assert "mixed=3" in out
+    assert "failures: vertex=3" in out
 
 
 def test_fuzz_rejection_exhaustion_exits_two(capsys):

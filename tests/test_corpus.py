@@ -53,21 +53,21 @@ def test_lagrange_identity_and_cs_difference():
 
 
 def test_macro_substitution_images():
-    sub = corpus.build_macro_substitution()
+    images = corpus.build_macro_substitution()
     # z1 -> y1^2 = (b2*b3)^2
-    assert sub.images["z1"] == Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
+    assert images["z1"] == Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
     # p1 -> (x1 - y1)*y1 = a2*a3*b2*b3 - b2^2*b3^2
     expected = Polynomial.monomial(corpus.AB, {"a2": 1, "a3": 1, "b2": 1, "b3": 1}) - (
         Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
     )
-    assert sub.images["p1"] == expected
+    assert images["p1"] == expected
     # at a=(1,2,3), b=(1,1,1): x1 = 6, y1 = 1, so p1 = (6-1)*1 = 5
-    assert sub.images["p1"].evaluate(POINT_123) == 5
+    assert images["p1"].evaluate(POINT_123) == 5
 
 
 def test_macro_images_at_123_collapse_to_known_state():
-    sub = corpus.build_macro_substitution()
-    values = {name: sub.images[name].evaluate(POINT_123) for name in corpus.MACRO.names}
+    images = corpus.build_macro_substitution()
+    values = {name: images[name].evaluate(POINT_123) for name in corpus.MACRO.names}
     # x = (6, 3, 2), y = (1, 1, 1): p = (5, 2, 1), z = (1, 1, 1)
     assert [values[f"p{i}"] for i in (1, 2, 3)] == [5, 2, 1]
     assert [values[f"z{i}"] for i in (1, 2, 3)] == [1, 1, 1]
@@ -108,14 +108,14 @@ def test_k_form_values():
 def test_parametric_k_form_specializes_to_plain():
     parametric = corpus.build_k_form(parametric=True)
     assert parametric.varset == corpus.KBC
-    fixed = parametric.substitute(corpus.constant_substitution(Fraction(1, 2)))
+    fixed = parametric.substitute(helpers.constant_substitution(Fraction(1, 2)))
     assert fixed == corpus.build_k_form()
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), 5, Fraction(7, 3), 0, -1])
 def test_k_form_with_constant_matches_parametric_substitution(c):
     parametric = corpus.build_k_form(parametric=True)
-    expected = parametric.substitute(corpus.constant_substitution(c))
+    expected = parametric.substitute(helpers.constant_substitution(c))
     assert corpus.build_k_form(c=c) == expected
     assert resolve_target("d-k", c) == expected
 
@@ -152,7 +152,8 @@ def test_builders_are_deterministic():
     assert corpus.build_k_form(True) == corpus.build_k_form(True)
     first = corpus.build_macro_substitution()
     second = corpus.build_macro_substitution()
-    assert all(first.images[n] == second.images[n] for n in corpus.MACRO.names)
+    assert set(first) == set(corpus.MACRO.names)
+    assert all(first[n] == second[n] for n in corpus.MACRO.names)
 
 
 GOLDEN = {

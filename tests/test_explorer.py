@@ -56,7 +56,9 @@ def test_search_config_validation():
         SearchConfig(sample_count=10, seed=1, numerator_bound=0)
     with pytest.raises(PreconditionError):
         SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(3, 2))
-    # The counts and bounds must be ints; a bool is not taken for 0 or 1.
+    # The counts and bounds must be ints and the zero probability an int or
+    # a Fraction; a bool is not taken for 0 or 1, nor 0.1 for its 56-bit
+    # binary value.
     for bad in (
         {"sample_count": 10.0},
         {"sample_count": True},
@@ -66,6 +68,8 @@ def test_search_config_validation():
         {"numerator_bound": True},
         {"denominator_bound": 3.0},
         {"denominator_bound": True},
+        {"zero_probability": 0.1},
+        {"zero_probability": True},
     ):
         with pytest.raises(PreconditionError):
             SearchConfig(**{"sample_count": 10, "seed": 1, **bad})
@@ -455,6 +459,15 @@ def test_minimize_fuzz_mixed_products():
     assert summary.failed == 0
     # states with p1*p2*p3 > 0 stay where the product is nonnegative at z=0
     assert summary.case_counts["mixed"] == 0
+
+
+def test_fuzz_counts_a_non_vertex_final_state(monkeypatch):
+    # case_classify refuses such a state; the fuzz counts it instead.
+    monkeypatch.setattr(explorer, "greedy_minimize_z", helpers.end_off_vertex)
+    summary = minimize_fuzz(SearchConfig(3, 0))
+    assert summary.case_counts == {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 3}
+    assert summary.failures == {**dict.fromkeys(explorer.GUARANTEES, 0), "vertex": 3}
+    assert (summary.passed, summary.failed) == (0, 3)
 
 
 def test_fuzz_is_deterministic():

@@ -9,7 +9,6 @@ import helpers
 from cstriple.poly import (
     Polynomial,
     StructuralError,
-    Substitution,
     VarSet,
     compile_evaluator,
     format_polynomial,
@@ -93,9 +92,8 @@ def test_substitute_macro_product_example():
         "x2": Polynomial.monomial(target, {"a1": 1, "a3": 1}),
         "x3": Polynomial.monomial(target, {"a1": 1, "a2": 1}),
     }
-    sub = Substitution(source, target, images)
     product = Polynomial.monomial(source, {"x1": 1, "x2": 1, "x3": 1})
-    assert product.substitute(sub) == Polynomial.monomial(
+    assert product.substitute(images) == Polynomial.monomial(
         target, {"a1": 2, "a2": 2, "a3": 2}
     )
 
@@ -104,39 +102,37 @@ def test_substitute_collapses_p_plus_z():
     source = VarSet(("p1", "z1"))
     x1 = Polynomial.variable(X1Y1, "x1")
     y1 = Polynomial.variable(X1Y1, "y1")
-    sub = Substitution(source, X1Y1, {"p1": (x1 - y1) * y1, "z1": y1**2})
+    images = {"p1": (x1 - y1) * y1, "z1": y1**2}
     p_plus_z = Polynomial.variable(source, "p1") + Polynomial.variable(source, "z1")
-    assert p_plus_z.substitute(sub) == x1 * y1
+    assert p_plus_z.substitute(images) == x1 * y1
 
 
 def test_identity_substitution_is_identity():
     rng = random.Random(11)
-    sub = Substitution.identity(helpers.XYZW)
+    identity = {name: Polynomial.variable(helpers.XYZW, name) for name in helpers.XYZW}
     for _ in range(20):
         poly = helpers.rand_polynomial(rng)
-        assert poly.substitute(sub) == poly
+        assert poly.substitute(identity) == poly
 
 
 def test_substitution_requires_every_image():
-    with pytest.raises(StructuralError):
-        Substitution(XY, XY, {"x": Polynomial.variable(XY, "x")})
-    with pytest.raises(StructuralError):
-        Substitution(
-            XY,
-            XY,
-            {
-                "x": Polynomial.variable(XY, "x"),
-                "y": Polynomial.variable(XY, "y"),
-                "extra": Polynomial.variable(XY, "x"),
-            },
-        )
+    # y does not occur in x, so only the checks on the map can refuse these.
+    x, y = Polynomial.variable(XY, "x"), Polynomial.variable(XY, "y")
+    for images in (
+        {"x": x},
+        {"x": x, "y": y, "extra": x},
+        # every image must live on one target VarSet
+        {"x": x, "y": Polynomial.variable(X1Y1, "y1")},
+    ):
+        with pytest.raises(StructuralError):
+            x.substitute(images)
 
 
 def test_substitute_requires_matching_source():
-    sub = Substitution.identity(XY)
+    identity = {name: Polynomial.variable(XY, name) for name in XY}
     poly = Polynomial.variable(X1Y1, "x1")
     with pytest.raises(StructuralError):
-        poly.substitute(sub)
+        poly.substitute(identity)
 
 
 def test_evaluate_examples():

@@ -90,7 +90,7 @@ def test_sharpness_reduction_numerics():
     assert lhs.evaluate(point) == -1
     assert rhs.evaluate(point) == -1
     # with C fixed to 1/2 the k3^2 term collapses and k3 disappears
-    fixed = rhs.substitute(corpus.constant_substitution(Fraction(1, 2)))
+    fixed = rhs.substitute(helpers.constant_substitution(Fraction(1, 2)))
     assert fixed.degree_in("k3") <= 0
 
 
@@ -135,9 +135,7 @@ def test_mutated_d_with_wrong_c1_refuted():
 
 def test_mutated_k_form_constant_refuted():
     # bracket constant 1 instead of 1/2
-    wrong = corpus.build_k_form(parametric=True).substitute(
-        corpus.constant_substitution(1)
-    )
+    wrong = corpus.build_k_form(parametric=True).substitute(helpers.constant_substitution(1))
     d_tilde = corpus.build_inequality().d_tilde
     ((name, lhs, _),) = verifier.identity_components("k-equivalence")
     report = verifier.check_equal(name, [(name, lhs, wrong)])
