@@ -5,12 +5,16 @@ for the symbolic identity checks, plain integer numerator/denominator pairs
 in the search loop (Fractions only for the reported minimum, hits and
 probes), and Fractions in the minimization tools.  See the README for the
 math and the CLI.
+
+The ``explorer`` names load on first use (PEP 562), so ``cstriple verify``
+never imports the module it does not run.
 """
 
 __version__ = "0.1.0"
 
 from .poly import (  # noqa: F401
     Polynomial,
+    PreconditionError,
     StructuralError,
     VarSet,
     compile_evaluator,
@@ -18,19 +22,22 @@ from .poly import (  # noqa: F401
     parse_polynomial,
 )
 from .verifier import Report, run_all, run_check  # noqa: F401
-from .explorer import (  # noqa: F401
-    CaseClassification,
-    FuzzSummary,
-    MacroState,
-    MinimizeTrace,
-    PreconditionError,
-    SearchConfig,
-    SearchReport,
-    SharpnessWitness,
-    case_classify,
-    greedy_minimize_z,
-    minimize_fuzz,
-    random_search,
-    resolve_target,
-    sharpness_witness,
-)
+
+# The names re-exported from ``explorer``, which loads on the first lookup.
+_EXPLORER_NAMES = {
+    "CaseClassification", "FuzzSummary", "MacroState", "MinimizeTrace", "SearchConfig",
+    "SearchReport", "SharpnessWitness", "case_classify", "greedy_minimize_z",
+    "minimize_fuzz", "random_search", "resolve_target", "sharpness_witness",
+}
+
+
+def __getattr__(name: str):
+    if name in _EXPLORER_NAMES:
+        from . import explorer
+
+        return getattr(explorer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _EXPLORER_NAMES)

@@ -29,14 +29,17 @@ vertex-case closed forms.  They are plain arithmetic over any ring values:
 the verifier applies them to MACRO polynomials and proves them, the
 explorer applies them to Fractions and ints and runs them.
 
+``TARGET_NAMES`` lists the polynomials ``cstriple search`` can sample, by
+the names ``explorer.resolve_target`` looks up.
+
 All builders are pure and deterministic: repeated calls return identical
 canonical term maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import Polynomial, StructuralError, VarSet
 
@@ -48,20 +51,20 @@ MACRO = VarSet(("p1", "p2", "p3", "z1", "z2", "z3"))
 
 HALF = Fraction(1, 2)
 
+TARGET_NAMES = ("d-tilde", "d-k", "weak", "cs")
+
 
 def _v(varset: VarSet, name: str) -> Polynomial:
     return Polynomial.variable(varset, name)
 
 
-@dataclass(frozen=True)
-class InequalityParts:
+class InequalityParts(NamedTuple):
     lhs: Polynomial
     rhs: Polynomial
     d_tilde: Polynomial
 
 
-@dataclass(frozen=True)
-class LagrangeParts:
+class LagrangeParts(NamedTuple):
     lagrange_lhs: Polynomial
     lagrange_rhs: Polynomial
     cs_diff: Polynomial

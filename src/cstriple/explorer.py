@@ -41,6 +41,10 @@ sign of the other two factors commute with the scaling; and every fuzz
 guarantee is a sign, equality or order test, which a positive factor does
 not change.  The scaled state therefore takes the same steps, lands on the
 same vertex and passes or fails the same guarantees as the rational one.
+
+``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
+``corpus``, so the CLI reaches both without importing this module; they are
+re-exported here under the same names.
 """
 
 from __future__ import annotations
@@ -52,16 +56,10 @@ from math import isqrt, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import corpus
-from .poly import Polynomial, StructuralError, compile_evaluator
-
-TARGET_NAMES = ("d-tilde", "d-k", "weak", "cs")
+from .corpus import TARGET_NAMES
+from .poly import Polynomial, PreconditionError, StructuralError, compile_evaluator
 
 _ZERO = Fraction(0)
-
-
-class PreconditionError(ValueError):
-    """Input outside an operation's stated domain (infeasible state, zero p_i,
-    constant not above 1/2, non-vertex state)."""
 
 
 def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:

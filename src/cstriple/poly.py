@@ -35,6 +35,13 @@ class StructuralError(ValueError):
     missing assignment, unparsable text."""
 
 
+class PreconditionError(ValueError):
+    """Input outside an operation's stated domain (infeasible state, zero p_i,
+    constant not above 1/2, non-vertex state).  The explorer raises it; it
+    lives here, next to ``StructuralError``, so code that catches both needs
+    no import of the explorer."""
+
+
 class VarSet:
     """An ordered, duplicate-free set of variable names.
 

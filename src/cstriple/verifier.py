@@ -36,8 +36,7 @@ runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import corpus
 from .poly import Polynomial, StructuralError
@@ -50,9 +49,8 @@ STATUS_ERROR = "error"
 Component = tuple[str, Polynomial, Polynomial]
 
 
-@dataclass
-class Report:
-    """Outcome of one identity check.
+class Report(NamedTuple):
+    """Outcome of one identity check, an immutable named tuple.
 
     ``term_count`` is the number of terms surviving in the expanded
     difference (0 exactly when verified); ``witness`` carries the surviving
@@ -66,13 +64,8 @@ class Report:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "witness": self.witness,
-            "term_count": self.term_count,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The manifest entry: every field, in field order."""
+        return self._asdict()
 
 
 def check_equal(check: str, components: Iterable[Component]) -> Report:

@@ -162,6 +162,14 @@ def test_search_c_flag_requires_dk_target(capsys):
     assert "error" in err
 
 
+def test_search_accepts_a_negative_rational_constant(capsys):
+    code, out, _ = run(
+        ["search", "--target", "d-k", "--c", "-1/3", "--samples", "50", "--seed", "1"], capsys
+    )
+    assert code == 0
+    assert "overall: pass" in out
+
+
 def test_search_rejects_bad_rational(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["search", "--target", "d-k", "--c", "0.7", "--samples", "10", "--seed", "1"])
@@ -239,6 +247,12 @@ def test_sharpness_at_half_errors(capsys):
     assert "no witness" in err
 
 
+def test_sharpness_takes_a_negative_rational(capsys):
+    code, _, err = run(["sharpness", "--c", "-1/2"], capsys)
+    assert code == 2
+    assert "no witness exists for c = -1/2" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
@@ -302,3 +316,31 @@ def test_fuzz_rejection_exhaustion_exits_two(capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "rejection sampling" in err
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_manifest_text_matches_json_dumps_on_fixtures(fixture):
+    value = json.loads((FIXTURES / fixture).read_text())
+    assert cli.manifest_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        {"a": [], "b": {}, "c": [[], [{}]], "d": {"e": {"f": []}}},
+        ["caf\u00e9 \u2264 \U0001d53c", "quote \" backslash \\ tab \t"],
+        [True, False, None, 0, -1, -(10**30), 10**30, 0.5],
+        ("tuple", ("nested",)),
+    ],
+    ids=["empty-list", "empty-dict", "nested-empties", "non-ascii", "constants-numbers", "tuples"],
+)
+def test_manifest_text_matches_json_dumps(value):
+    assert cli.manifest_text(value) == json.dumps(value, indent=2)
+
+
+def test_manifest_text_refuses_what_a_manifest_never_holds():
+    for value in (Fraction(1, 2), {1: "int key"}, {"nested": [{"a", "set"}]}):
+        with pytest.raises(TypeError):
+            cli.manifest_text(value)

@@ -1,14 +1,23 @@
-"""The names the ``cstriple`` package exports at its top level."""
+"""The names the ``cstriple`` package exports at its top level, and the
+modules each command imports."""
 
 import importlib
+import os
+import subprocess
+import sys
 from inspect import ismodule
+from pathlib import Path
+
+import pytest
 
 import cstriple
+from cstriple import cli, corpus, explorer, poly
 
 # Defining module -> the names ``cstriple`` re-exports from it.
 EXPORTS = {
     "poly": (
         "Polynomial",
+        "PreconditionError",
         "StructuralError",
         "VarSet",
         "compile_evaluator",
@@ -21,7 +30,6 @@ EXPORTS = {
         "FuzzSummary",
         "MacroState",
         "MinimizeTrace",
-        "PreconditionError",
         "SearchConfig",
         "SearchReport",
         "SharpnessWitness",
@@ -51,3 +59,52 @@ def test_no_unlisted_name_is_exported():
         if not name.startswith("_") and not ismodule(value)
     }
     assert public <= listed
+
+
+def test_moved_names_are_re_exported_by_explorer():
+    assert explorer.PreconditionError is poly.PreconditionError
+    assert explorer.TARGET_NAMES is corpus.TARGET_NAMES
+
+
+def test_search_still_refuses_an_unknown_target(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["search", "--target", "nope", "--samples", "10", "--seed", "0"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_dir_lists_every_exported_name():
+    listed = {name for names in EXPORTS.values() for name in names}
+    assert listed <= set(dir(cstriple))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cstriple.no_such_name  # noqa: B018
+
+
+# Runs in a fresh interpreter: ``verify`` must leave the explorer (and the
+# dataclasses module its records use) unimported; the first lazy name loads it.
+_COLD_VERIFY = """
+import sys
+import cstriple
+from cstriple import cli
+
+code = cli.main(["verify", "--all", "--json", sys.argv[1]])
+print(code, *sorted(m for m in ("cstriple.explorer", "dataclasses", "inspect") if m in sys.modules))
+cstriple.SearchConfig
+print("cstriple.explorer" in sys.modules)
+"""
+
+
+def test_verify_imports_no_explorer_and_no_dataclasses(tmp_path):
+    src = str(Path(cstriple.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_VERIFY, str(tmp_path / "verify.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    *_, loaded, explorer_after = result.stdout.splitlines()
+    assert loaded == "0"
+    assert explorer_after == "True"
