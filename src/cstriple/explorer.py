@@ -42,6 +42,9 @@ guarantee is a sign, equality or order test, which a positive factor does
 not change.  The scaled state therefore takes the same steps, lands on the
 same vertex and passes or fails the same guarantees as the rational one.
 
+Results are ``typing.NamedTuple`` records; the two inputs, ``SearchConfig``
+and ``MacroState``, are ``__slots__`` classes that validate in ``__init__``.
+
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
 ``corpus``, so the CLI reaches both without importing this module; they are
 re-exported here under the same names.
@@ -50,10 +53,9 @@ re-exported here under the same names.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import corpus
 from .corpus import TARGET_NAMES
@@ -73,7 +75,7 @@ def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
     if name == "d-tilde":
         return corpus.build_inequality().d_tilde
     if name == "d-k":
-        return corpus.build_k_form(c=c)
+        return corpus.build_k_form(c=None if c is None else _exact(c))
     if name == "weak":
         return corpus.build_weak_difference()
     if name == "cs":
@@ -81,51 +83,57 @@ def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
     raise StructuralError(f"unknown target {name!r}; valid: {', '.join(TARGET_NAMES)}")
 
 
-def _frac(value: Fraction | int | str) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def _exact(value: Fraction | int | str) -> Fraction | int:
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+    """An int or a Fraction as given, any other value (such as a string) as
+    a Fraction; a float or a bool is refused, not taken for its binary value
+    or for 0 or 1."""
+    # Exact type tests first: every fuzz draw candidate comes through here.
+    if type(value) is int or type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise PreconditionError(f"expected an int, a Fraction or a string, got {value!r}")
+    return Fraction(value)
 
 
-@dataclass(frozen=True)
 class SearchConfig:
     """Parameters of a seeded random search; the seed fully determines the
     sampled points."""
 
-    sample_count: int
-    seed: int
-    numerator_bound: int = 100
-    denominator_bound: int = 100
-    zero_probability: Fraction = Fraction(1, 16)
+    __slots__ = (
+        "sample_count", "seed", "numerator_bound", "denominator_bound", "zero_probability"
+    )
 
-    def __post_init__(self):
-        for name in ("sample_count", "seed", "numerator_bound", "denominator_bound"):
+    def __init__(
+        self,
+        sample_count: int,
+        seed: int,
+        numerator_bound: int = 100,
+        denominator_bound: int = 100,
+        zero_probability: Fraction | int = Fraction(1, 16),
+    ):
+        self.sample_count, self.seed = sample_count, seed
+        self.numerator_bound, self.denominator_bound = numerator_bound, denominator_bound
+        for name in self.__slots__[:4]:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise PreconditionError(f"{name} must be an int, got {value!r}")
-        if self.sample_count < 1:
+        if sample_count < 1:
             raise PreconditionError("sample_count must be positive")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise PreconditionError("seed must fit in 64 unsigned bits")
-        if self.numerator_bound < 1 or self.denominator_bound < 1:
+        if numerator_bound < 1 or denominator_bound < 1:
             raise PreconditionError("numerator and denominator bounds must be >= 1")
-        zp = self.zero_probability
+        zp = zero_probability
         if not isinstance(zp, (int, Fraction)) or isinstance(zp, bool):
             raise PreconditionError(f"zero_probability must be an int or a Fraction, got {zp!r}")
-        object.__setattr__(self, "zero_probability", Fraction(zp))
         if not 0 <= zp <= 1:
             raise PreconditionError("zero_probability must lie in [0, 1]")
+        self.zero_probability = Fraction(zp)
 
     def to_dict(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "numerator_bound": self.numerator_bound,
-            "denominator_bound": self.denominator_bound,
-            "zero_probability": str(self.zero_probability),
-        }
+        config = {name: getattr(self, name) for name in self.__slots__}
+        config["zero_probability"] = str(self.zero_probability)
+        return config
 
 
 def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int) -> list[int]:
@@ -180,8 +188,7 @@ def _fractions(pairs: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
 
 
-@dataclass
-class SearchPartial:
+class SearchPartial(NamedTuple):
     """Fold state for one slice [lo, hi) of the sample index space."""
 
     lo: int
@@ -239,23 +246,14 @@ def merge_partials(partials: Iterable[SearchPartial]) -> SearchPartial:
     parts = sorted(partials, key=lambda p: (p.lo, p.hi))
     if not parts:
         raise StructuralError("nothing to merge")
-    merged = SearchPartial(parts[0].lo, parts[-1].hi, None, None, None, [])
-    for part in parts:
-        if part.min_value is not None and (
-            merged.min_value is None
-            or part.min_value < merged.min_value
-            or (part.min_value == merged.min_value and part.argmin_index < merged.argmin_index)
-        ):
-            merged.min_value = part.min_value
-            merged.argmin_index = part.argmin_index
-            merged.argmin = part.argmin
-        merged.counterexamples.extend(part.counterexamples)
-    merged.counterexamples.sort(key=lambda item: item[0])
-    return merged
+    found = [p for p in parts if p.min_value is not None]
+    # An empty slice has no minimum: min_value, argmin_index and argmin are None.
+    best = min(found, key=lambda p: (p.min_value, p.argmin_index)) if found else parts[0]
+    hits = sorted((hit for p in parts for hit in p.counterexamples), key=lambda hit: hit[0])
+    return best._replace(lo=parts[0].lo, hi=parts[-1].hi, counterexamples=hits)
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     """Exact outcome of a random search.  ``min_value`` is always the value
     of the target at ``argmin``; ``counterexamples`` lists every point
     (probe or sample) with a strictly negative value, in evaluation order."""
@@ -293,13 +291,13 @@ class SearchReport:
 
 def _normalize_probe(
     poly: Polynomial, probe: Mapping[str, Fraction | int] | Sequence[Fraction | int]
-) -> tuple[Fraction, ...]:
+) -> tuple[Fraction | int, ...]:
     if isinstance(probe, Mapping):
         missing = [n for n in poly.varset.names if n not in probe]
         if missing:
             raise StructuralError(f"probe misses variables {missing}")
-        return tuple(_frac(probe[n]) for n in poly.varset.names)
-    values = tuple(_frac(v) for v in probe)
+        return tuple(_exact(probe[n]) for n in poly.varset.names)
+    values = tuple(map(_exact, probe))
     if len(values) != len(poly.varset):
         raise StructuralError(
             f"probe has {len(values)} coordinates, expected {len(poly.varset)}"
@@ -347,27 +345,25 @@ def random_search(
 # -- the proof's minimization over z ------------------------------------------
 
 
-@dataclass(frozen=True)
 class MacroState:
     """A concrete assignment of (p1, p2, p3) and nonnegative (z1, z2, z3),
     with the derived quadratics c available as ``.c``.
 
     Coordinates are ints or Fractions and are kept as given (any other value,
-    such as a string, becomes a Fraction); every derived value is computed in
-    the same ring, so an all-int state, as the fuzz draws, stays on ints."""
+    such as a string, becomes a Fraction; a float or a bool is refused);
+    every derived value is computed in the same ring, so an all-int state, as
+    the fuzz draws, stays on ints."""
 
-    p: tuple[Fraction | int, Fraction | int, Fraction | int]
-    z: tuple[Fraction | int, Fraction | int, Fraction | int]
+    __slots__ = ("p", "z")
 
-    def __post_init__(self):
-        p = tuple(_exact(v) for v in self.p)
-        z = tuple(_exact(v) for v in self.z)
+    def __init__(self, p: Iterable[Fraction | int | str], z: Iterable[Fraction | int | str]):
+        p = tuple(map(_exact, p))
+        z = tuple(map(_exact, z))
         if len(p) != 3 or len(z) != 3:
             raise PreconditionError("p and z must each have three coordinates")
         if any(v < 0 for v in z):
             raise PreconditionError(f"z must be nonnegative, got {z}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "z", z)
+        self.p, self.z = p, z
 
     @property
     def c(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -392,8 +388,7 @@ class MacroState:
         }
 
 
-@dataclass(frozen=True)
-class MinimizeStep:
+class MinimizeStep(NamedTuple):
     coordinate: str
     old_value: Fraction
     new_value: Fraction
@@ -401,17 +396,11 @@ class MinimizeStep:
     d_after: Fraction
 
     def to_dict(self) -> dict:
-        return {
-            "coordinate": self.coordinate,
-            "old_value": str(self.old_value),
-            "new_value": str(self.new_value),
-            "d_before": str(self.d_before),
-            "d_after": str(self.d_after),
-        }
+        """Every field as text (``coordinate`` already is)."""
+        return {name: str(value) for name, value in self._asdict().items()}
 
 
-@dataclass(frozen=True)
-class MinimizeTrace:
+class MinimizeTrace(NamedTuple):
     initial: MacroState
     steps: tuple[MinimizeStep, ...]
     final: MacroState
@@ -483,8 +472,7 @@ def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)
     return MinimizeTrace(state, tuple(steps), final, vertex_label(final))
 
 
-@dataclass(frozen=True)
-class CaseClassification:
+class CaseClassification(NamedTuple):
     """Canonical case of a vertex: label, the 1-based index permutation that
     sends the state to the canonical shape (pinned coordinates first), and
     the value of the matching closed-form formula."""
@@ -504,37 +492,26 @@ class CaseClassification:
 def case_classify(state: MacroState) -> CaseClassification:
     """Classify a vertex (every z_i in {0, -p_i}) into one of the four cases
     and evaluate its closed form ``corpus.case_value`` on the permuted p."""
-    if any(v == 0 for v in state.p):
+    p, z = state.p, state.z
+    if any(v == 0 for v in p):
         raise PreconditionError("case analysis requires nonzero p coordinates")
-    pinned: list[int] = []
-    free: list[int] = []
-    for i, (p_i, z_i) in enumerate(zip(state.p, state.z)):
-        if z_i == 0:
-            free.append(i)
-        elif z_i == -p_i:
-            if -p_i <= 0:
-                raise PreconditionError(
-                    f"invalid vertex: z{i + 1} = -p{i + 1} requires -p{i + 1} > 0"
-                )
-            pinned.append(i)
-        else:
-            raise PreconditionError(
-                f"not a vertex: z{i + 1} = {z_i} is neither 0 nor -p{i + 1} = {-p_i}"
-            )
-    perm = pinned + free
-    label = corpus.CASE_LABELS[len(pinned)]
-    value = corpus.case_value(label, *(state.p[j] for j in perm))
+    label = vertex_label(state)
+    if label == "mixed":
+        raise PreconditionError(f"not a vertex: some z_i is neither 0 nor -p_i at p={p}, z={z}")
+    # With p_i != 0 a vertex coordinate is pinned exactly when z_i != 0 (and
+    # z_i >= 0 makes -p_i > 0 there); pinned coordinates go first.
+    perm = sorted(range(3), key=lambda j: z[j] == 0)
+    value = corpus.case_value(label, *(p[j] for j in perm))
     return CaseClassification(label, tuple(j + 1 for j in perm), value)
 
 
 # -- sharpness of the constant -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SharpnessWitness:
+class SharpnessWitness(NamedTuple):
     """A point where the inequality with bracket constant c > 1/2 fails."""
 
-    c: Fraction
+    c: Fraction | int
     b: tuple[Fraction, Fraction, Fraction]
     k: tuple[Fraction, Fraction, Fraction]
     value: Fraction
@@ -556,7 +533,7 @@ def sharpness_witness(c: Fraction | int | str) -> SharpnessWitness:
     k3^2 > 8/(2c-1) already drives it negative.  The returned value is the
     actual evaluation of the parametric polynomial at that point.
     """
-    c = _frac(c)
+    c = _exact(c)
     if c <= corpus.HALF:
         raise PreconditionError(
             f"no witness exists for c = {c}: the inequality holds for c <= 1/2"
@@ -584,8 +561,7 @@ def sharpness_witness(c: Fraction | int | str) -> SharpnessWitness:
 # -- end-to-end fuzz over the proof's minimization ------------------------------
 
 
-@dataclass
-class FuzzSummary:
+class FuzzSummary(NamedTuple):
     """Pass/fail tally of minimizer runs on random feasible states."""
 
     samples_run: int
@@ -596,14 +572,8 @@ class FuzzSummary:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "samples_run": self.samples_run,
-            "passed": self.passed,
-            "failed": self.failed,
-            "failures": dict(self.failures),
-            "case_counts": dict(self.case_counts),
-            "seed": self.seed,
-        }
+        """The manifest entry: every field, in field order."""
+        return self._asdict()
 
 
 def _draw_state(rng: random.Random, cfg: SearchConfig, require_negative_product: bool) -> MacroState:

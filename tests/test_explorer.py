@@ -47,6 +47,14 @@ def test_resolve_target_names():
         resolve_target("weak", c=Fraction(1, 2))
 
 
+def test_resolve_target_refuses_a_float_or_bool_c():
+    # 0.6 is not taken for its 53-bit binary value, nor True for 1.
+    for bad in (0.6, True):
+        with pytest.raises(PreconditionError):
+            resolve_target("d-k", bad)
+    assert resolve_target("d-k", "3/5") == resolve_target("d-k", Fraction(3, 5))
+
+
 def test_search_config_validation():
     with pytest.raises(PreconditionError):
         SearchConfig(sample_count=0, seed=1)
@@ -218,6 +226,16 @@ def test_search_probe_validation():
         random_search(poly, cfg, probes=[(1, 2)])
 
 
+def test_probe_coordinates_refuse_floats_and_bools():
+    poly = resolve_target("d-tilde")
+    cfg = SearchConfig(sample_count=5, seed=3)
+    for bad in (0.5, False):
+        with pytest.raises(PreconditionError):
+            random_search(poly, cfg, probes=[{**ONES, "a2": bad}])
+        with pytest.raises(PreconditionError):
+            random_search(poly, cfg, probes=[(1, bad, 1, 1, 1, 1)])
+
+
 def test_search_probes_win_ties_and_list_their_hits_first():
     # At zero probability 1/2 some samples are the zero point, where d-tilde
     # is 0 like at the all-ones probe; the probe keeps the argmin.
@@ -272,6 +290,13 @@ def test_macro_state_keeps_int_coordinates():
     assert mixed.p == (Fraction(-1, 2), Fraction(2, 3), 4)
     assert type(mixed.p[0]) is Fraction and type(mixed.p[2]) is int
     assert type(mixed.z[0]) is int and type(mixed.z[1]) is Fraction
+
+
+def test_macro_state_refuses_floats_and_bools():
+    # At 0.1 the state would hold 3602879701896397/36028797018963968.
+    for p, z in [((0.1, 1, 1), (0, 0, 0)), ((1, 1, True), (0, 0, 0)), ((1, 1, 1), (0, 0.5, 0))]:
+        with pytest.raises(PreconditionError):
+            MacroState(p, z)
 
 
 def test_macro_state_d_matches_polynomial_route():
@@ -432,6 +457,13 @@ def test_sharpness_rejects_half_and_below():
         sharpness_witness(Fraction(1, 2))
     with pytest.raises(PreconditionError):
         sharpness_witness(Fraction(1, 4))
+
+
+def test_sharpness_refuses_a_float_or_bool_c():
+    for bad in (0.6, True):
+        with pytest.raises(PreconditionError):
+            sharpness_witness(bad)
+    assert sharpness_witness("3/5") == sharpness_witness(Fraction(3, 5))
 
 
 def test_sharpness_witness_point_is_safe_at_half():

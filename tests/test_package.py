@@ -83,8 +83,22 @@ def test_unknown_attribute_raises_attribute_error():
         cstriple.no_such_name  # noqa: B018
 
 
-# Runs in a fresh interpreter: ``verify`` must leave the explorer (and the
-# dataclasses module its records use) unimported; the first lazy name loads it.
+def _run_fresh(script, *args):
+    """The stdout lines of ``script`` run in a fresh interpreter on this
+    checkout's ``cstriple``."""
+    src = str(Path(cstriple.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+# Runs in a fresh interpreter: ``verify`` must leave the explorer, and the
+# dataclasses and inspect modules no command needs, unimported; the first
+# lazy name loads the explorer.
 _COLD_VERIFY = """
 import sys
 import cstriple
@@ -98,13 +112,27 @@ print("cstriple.explorer" in sys.modules)
 
 
 def test_verify_imports_no_explorer_and_no_dataclasses(tmp_path):
-    src = str(Path(cstriple.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", _COLD_VERIFY, str(tmp_path / "verify.json")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    *_, loaded, explorer_after = result.stdout.splitlines()
+    *_, loaded, explorer_after = _run_fresh(_COLD_VERIFY, str(tmp_path / "verify.json"))
     assert loaded == "0"
     assert explorer_after == "True"
+
+
+# The explorer's records are named tuples and slotted classes, so the other
+# four commands leave dataclasses and inspect unimported too.
+_COLD_EXPLORE = """
+import sys
+from cstriple import cli
+
+codes = [
+    cli.main(["search", "--target", "d-tilde", "--samples", "20", "--seed", "0"]),
+    cli.main(["minimize", "--p", "-1,-1,-1", "--z", "1,1,1"]),
+    cli.main(["sharpness", "--c", "1"]),
+    cli.main(["fuzz", "--samples", "20", "--seed", "0"]),
+]
+print(*codes, *sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
+
+def test_explorer_commands_import_no_dataclasses_and_no_inspect():
+    *_, loaded = _run_fresh(_COLD_EXPLORE)
+    assert loaded == "0 0 0 0"

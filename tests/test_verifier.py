@@ -114,6 +114,20 @@ def test_lagrange_perturbed_cross_term_refuted():
     assert report.term_count > 0
 
 
+def test_sides_on_different_varsets_are_an_error():
+    # The refuted first component sets a witness and a term count; the
+    # structural error in the second discards both.
+    ((name, lhs, rhs),) = verifier.identity_components("lagrange")
+    refuted = (name, lhs + Polynomial.monomial(corpus.AB, {"a1": 2, "b2": 2}), rhs)
+    a1, k1 = Polynomial.variable(corpus.AB, "a1"), Polynomial.variable(corpus.KB, "k1")
+    mismatched = ("mismatch", a1, k1)
+    assert verifier.check_equal("mixed", [refuted]).status == verifier.STATUS_REFUTED
+    report = verifier.check_equal("mixed", [refuted, mismatched])
+    assert report.status == verifier.STATUS_ERROR
+    assert report.witness is None
+    assert report.term_count == 0
+
+
 def test_mutation_suite_every_identity():
     refuted = helpers.run_mutation_suite(mutations_per_check=10)
     for check, count in refuted.items():
