@@ -19,7 +19,6 @@ from .poly import (  # noqa: F401
     VarSet,
     compile_evaluator,
     format_polynomial,
-    parse_polynomial,
 )
 from .verifier import Report, run_all, run_check  # noqa: F401
 

@@ -100,16 +100,14 @@ def build_inequality() -> InequalityParts:
 
 
 def build_lagrange_and_cs() -> LagrangeParts:
-    """The classical Lagrange identity and the Cauchy-Schwarz difference."""
+    """The classical Lagrange identity and the Cauchy-Schwarz difference;
+    the Lagrange remainder is the sum of the ``cross_products`` squared."""
     a = [_v(AB, n) for n in ("a1", "a2", "a3")]
     b = [_v(AB, n) for n in ("b1", "b2", "b3")]
     anorm = a[0] ** 2 + a[1] ** 2 + a[2] ** 2
     bnorm = b[0] ** 2 + b[1] ** 2 + b[2] ** 2
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    cross_sum = Polynomial.zero(AB)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            cross_sum = cross_sum + (a[i] * b[j] - a[j] * b[i]) ** 2
+    cross_sum = sum((cross**2 for _, cross in cross_products()), Polynomial.zero(AB))
     return LagrangeParts(
         lagrange_lhs=anorm * bnorm,
         lagrange_rhs=dot**2 + cross_sum,

@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import corpus
 from .corpus import TARGET_NAMES
-from .poly import Polynomial, PreconditionError, StructuralError, compile_evaluator
+from .poly import Polynomial, PreconditionError, StructuralError, _exact, compile_evaluator
 
 _ZERO = Fraction(0)
 
@@ -81,18 +81,6 @@ def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
     if name == "cs":
         return corpus.build_lagrange_and_cs().cs_diff
     raise StructuralError(f"unknown target {name!r}; valid: {', '.join(TARGET_NAMES)}")
-
-
-def _exact(value: Fraction | int | str) -> Fraction | int:
-    """An int or a Fraction as given, any other value (such as a string) as
-    a Fraction; a float or a bool is refused, not taken for its binary value
-    or for 0 or 1."""
-    # Exact type tests first: every fuzz draw candidate comes through here.
-    if type(value) is int or type(value) is Fraction:
-        return value
-    if isinstance(value, (float, bool)):
-        raise PreconditionError(f"expected an int, a Fraction or a string, got {value!r}")
-    return Fraction(value)
 
 
 class SearchConfig:
@@ -136,39 +124,45 @@ class SearchConfig:
         return config
 
 
-def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int) -> list[int]:
+def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int, nonzero: int = 0) -> list[int]:
     """``count`` coordinates as the flat list n1, d1, ..., n_count, d_count:
     (0, 1) with probability zero_probability, else num in
     [-numerator_bound, numerator_bound] and den in [1, denominator_bound],
-    not reduced, so n_i == 0 exactly when coordinate i is 0.
+    not reduced, so n_i == 0 exactly when coordinate i is 0.  The first
+    ``nonzero`` coordinates are never 0.
 
     Per coordinate, with zero probability zn/zd: the zero test r < zn with
-    r drawn below zd (skipped when zn is 0); else the numerator, drawn below
-    2*numerator_bound + 1 and shifted by -numerator_bound, then the
-    denominator, drawn below denominator_bound and shifted by +1.  "Drawn
-    below n" is ``getrandbits(n.bit_length())`` until the value is below n
-    (see the module docstring), written out in the loop because this is the
-    search's hot path (about 18 draws a sample)."""
+    r drawn below zd (skipped when zn is 0 and for the first ``nonzero``
+    coordinates); else the numerator, drawn below 2*numerator_bound + 1 and
+    shifted by -numerator_bound, then the denominator, drawn below
+    denominator_bound and shifted by +1, both drawn again while a first
+    ``nonzero`` coordinate has the numerator 0.  "Drawn below n" is
+    ``getrandbits(n.bit_length())`` until the value is below n (see the
+    module docstring), written out in the loop because this is the search's
+    hot path (about 18 draws a sample)."""
     zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
     nb, db = cfg.numerator_bound, cfg.denominator_bound
     nw = 2 * nb + 1
     zk, nk, dk = zd.bit_length(), nw.bit_length(), db.bit_length()
     getrandbits = rng.getrandbits
     out: list[int] = []
-    for _ in range(count):
-        if zn:
+    for k in range(count):
+        if zn and k >= nonzero:
             r = getrandbits(zk)
             while r >= zd:
                 r = getrandbits(zk)
             if r < zn:
                 out += (0, 1)
                 continue
-        num = getrandbits(nk)
-        while num >= nw:
+        while True:
             num = getrandbits(nk)
-        den = getrandbits(dk)
-        while den >= db:
+            while num >= nw:
+                num = getrandbits(nk)
             den = getrandbits(dk)
+            while den >= db:
+                den = getrandbits(dk)
+            if num != nb or k >= nonzero:  # the raw draw nb is the numerator 0
+                break
         out += (num - nb, den + 1)
     return out
 
@@ -349,9 +343,9 @@ class MacroState:
     """A concrete assignment of (p1, p2, p3) and nonnegative (z1, z2, z3),
     with the derived quadratics c available as ``.c``.
 
-    Coordinates are ints or Fractions and are kept as given (any other value,
-    such as a string, becomes a Fraction; a float or a bool is refused);
-    every derived value is computed in the same ring, so an all-int state, as
+    Coordinates pass ``poly._exact``: ints and Fractions are kept as given,
+    a rational string becomes a Fraction, anything else is refused; every
+    derived value is computed in the same ring, so an all-int state, as
     the fuzz draws, stays on ints."""
 
     __slots__ = ("p", "z")
@@ -580,32 +574,13 @@ def _draw_state(rng: random.Random, cfg: SearchConfig, require_negative_product:
     """Rejection-sample a feasible MacroState with nonzero p (and, when
     asked, p1*p2*p3 < 0) from one per-sample stream.
 
-    Each p_i is a numerator in [-numerator_bound, numerator_bound] and then
-    a denominator in [1, denominator_bound], both drawn again while the
-    numerator is 0.  As in ``_draw_pairs``, the numerator is drawn below
-    2*numerator_bound + 1 and the denominator below denominator_bound, each
-    by ``getrandbits(n.bit_length())`` until the value is below n, and then
-    shifted.  The z_i are ``_draw_pairs`` coordinates with the numerator
-    made nonnegative.  The state returned is the drawn rational state times
+    Each attempt is ``_draw_pairs(rng, cfg, 6, nonzero=3)``: p1, p2, p3 are
+    its first three coordinates, never 0, and z_i is the absolute value of
+    coordinate 3 + i.  The state returned is the drawn rational state times
     the lcm of its six denominators, so all its coordinates are ints (see
     the module docstring for why that changes no outcome of the fuzz)."""
-    nb, db = cfg.numerator_bound, cfg.denominator_bound
-    nw = 2 * nb + 1
-    nk, dk = nw.bit_length(), db.bit_length()
-    getrandbits = rng.getrandbits
     for _ in range(10000):
-        pairs: list[int] = []
-        for _ in range(3):
-            num = nb  # the raw draw nb is the numerator 0
-            while num == nb:
-                num = getrandbits(nk)
-                while num >= nw:
-                    num = getrandbits(nk)
-                den = getrandbits(dk)
-                while den >= db:
-                    den = getrandbits(dk)
-            pairs += (num - nb, den + 1)
-        pairs += _draw_pairs(rng, cfg, 3)
+        pairs = _draw_pairs(rng, cfg, 6, nonzero=3)
         scale = lcm(*pairs[1::2])
         values = [pairs[k] * (scale // pairs[k + 1]) for k in range(0, 12, 2)]
         state = MacroState(tuple(values[:3]), tuple(abs(v) for v in values[3:]))

@@ -15,6 +15,10 @@ list the largest term first.
 Operations never unify variable sets implicitly: combining polynomials over
 different VarSets raises ``StructuralError``.
 
+``evaluate`` substitutes rationals where ``substitute`` substitutes
+polynomials; both sum ``coeff * prod(value_i**e_i)`` in one loop.
+Coefficients and point values pass one exactness rule, ``_exact``.
+
 All values are immutable after construction and all operations are pure, so
 everything here may be shared freely across threads.
 """
@@ -32,14 +36,29 @@ Coeff = Union[Fraction, int]
 
 class StructuralError(ValueError):
     """Malformed or mismatched inputs: wrong VarSet, bad exponent vector,
-    missing assignment, unparsable text."""
+    missing assignment."""
 
 
 class PreconditionError(ValueError):
-    """Input outside an operation's stated domain (infeasible state, zero p_i,
-    constant not above 1/2, non-vertex state).  The explorer raises it; it
-    lives here, next to ``StructuralError``, so code that catches both needs
-    no import of the explorer."""
+    """Input outside an operation's stated domain (a value that is not an
+    exact rational, infeasible state, zero p_i, constant not above 1/2,
+    non-vertex state).  It lives here, next to ``StructuralError``, so code
+    that catches both needs no import of the explorer."""
+
+
+def _exact(value: Coeff | str) -> Coeff:
+    """An int or a Fraction as given, any other rational (such as the string
+    "1/3") as a Fraction; a float, a bool or a value that is no rational is
+    refused, not taken for its binary value or for 0 or 1."""
+    # Exact type tests first: every fuzz draw candidate comes through here.
+    if type(value) is int or type(value) is Fraction:
+        return value
+    if not isinstance(value, (float, bool)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise PreconditionError(f"expected an exact rational, got {value!r}")
 
 
 class VarSet:
@@ -106,8 +125,9 @@ class Polynomial:
 
         Like monomials are merged and zero coefficients dropped, so any two
         representations of the same polynomial over the same VarSet compare
-        equal.  Exponent tuples must match the VarSet length and be
-        nonnegative; anything else raises ``StructuralError``.
+        equal.  Exponent tuples must match the VarSet length and hold
+        nonnegative ints (not bools); anything else raises
+        ``StructuralError``.  Coefficients pass ``_exact``.
         """
         if isinstance(terms, Mapping):
             items: Iterable[tuple[Monomial, Coeff]] = terms.items()
@@ -121,10 +141,9 @@ class Polynomial:
                 raise StructuralError(
                     f"exponent vector {mono!r} has length {len(mono)}, expected {n}"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in mono):
+            if any(type(e) is not int or e < 0 for e in mono):
                 raise StructuralError(f"exponents must be nonnegative integers: {mono!r}")
-            coeff = Fraction(coeff)
-            acc = merged.get(mono, _ZERO) + coeff
+            acc = merged.get(mono, _ZERO) + _exact(coeff)
             if acc:
                 merged[mono] = acc
             elif mono in merged:
@@ -140,13 +159,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, varset: VarSet, value: Coeff) -> "Polynomial":
-        return cls(varset, {(0,) * len(varset): Fraction(value)})
+        return cls(varset, {(0,) * len(varset): value})
 
     @classmethod
     def variable(cls, varset: VarSet, name: str) -> "Polynomial":
         exps = [0] * len(varset)
         exps[varset.index(name)] = 1
-        return cls(varset, {tuple(exps): Fraction(1)})
+        return cls(varset, {tuple(exps): 1})
 
     @classmethod
     def monomial(
@@ -156,7 +175,7 @@ class Polynomial:
         exps = [0] * len(varset)
         for name, power in powers.items():
             exps[varset.index(name)] = power
-        return cls(varset, {tuple(exps): Fraction(coeff)})
+        return cls(varset, {tuple(exps): coeff})
 
     # -- basic queries ------------------------------------------------------
 
@@ -298,39 +317,33 @@ class Polynomial:
         if any(image.varset != target for image in ordered):
             targets = sorted({image.varset.names for image in ordered})
             raise StructuralError(f"images must share one target VarSet, got {targets}")
-        one = Polynomial.constant(target, 1)
-        # powers[i][e] = image of variable i raised to e, built incrementally
-        powers: list[list[Polynomial]] = [[one] for _ in names]
+        return self._compose(ordered, Polynomial.zero(target))
 
-        def image_power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * ordered[i])
-            return cache[e]
-
-        acc = Polynomial.zero(target)
-        for mono, coeff in self.terms.items():
-            term = Polynomial.constant(target, coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * image_power(i, e)
-            acc = acc + term
-        return acc
-
-    def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:
-        """Exact value at a rational point assigning every variable."""
+    def evaluate(self, point: Mapping[str, Coeff | str]) -> Fraction:
+        """Exact value at a rational point assigning every variable; the
+        values pass ``_exact``."""
         values = []
         for name in self.varset.names:
             if name not in point:
                 raise StructuralError(f"no value assigned to variable {name!r}")
-            values.append(Fraction(point[name]))
-        total = _ZERO
+            values.append(_exact(point[name]))
+        return self._compose(values, _ZERO)
+
+    def _compose(self, values: list, zero):
+        """``zero`` plus the sum over the terms of ``coeff * prod(values[i]**e_i)``,
+        in any ring that takes Fraction coefficients; each power of each
+        value is computed once, by one product with the power below it."""
+        powers = [[v] for v in values]  # powers[i][e - 1] == values[i]**e
+        total = zero
         for mono, coeff in self.terms.items():
             term = coeff
-            for e, v in zip(mono, values):
+            for i, e in enumerate(mono):
                 if e:
-                    term *= v**e
-            total += term
+                    cache = powers[i]
+                    while len(cache) < e:
+                        cache.append(cache[-1] * values[i])
+                    term = term * cache[e - 1]
+            total = total + term
         return total
 
     def coefficient_of(self, name: str, power: int) -> "Polynomial":
@@ -373,8 +386,8 @@ def _raw(varset: VarSet, terms: dict[Monomial, Fraction]) -> Polynomial:
 #
 # Terms in canonical order, coefficients as "num/den" (den omitted when 1,
 # the coefficient 1 itself omitted before a variable), "^" powers and "*"
-# products: "3*a1^2*b2^2 - 1/2*b3^4".  parse_polynomial reads the same
-# format back, so fixtures round-trip exactly.
+# products: "3*a1^2*b2^2 - 1/2*b3^4".  Distinct polynomials over one VarSet
+# print differently, so golden fixtures are compared as this text.
 
 
 def _format_monomial(varset: VarSet, mono: Monomial) -> str:
@@ -405,57 +418,6 @@ def format_polynomial(poly: Polynomial) -> str:
         else:
             pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
     return " ".join(pieces)
-
-
-_COEFF_RE = re.compile(r"\d+(?:/\d+)?")
-_FACTOR_RE = re.compile(r"([A-Za-z_]\w*)(?:\^(\d+))?")
-
-
-def parse_polynomial(text: str, varset: VarSet) -> Polynomial:
-    """Parse the canonical text format back into a Polynomial.
-
-    Accepts any whitespace around "+"/"-" and an optional explicit "1*"
-    coefficient; raises StructuralError on anything unrecognized.
-    """
-    stripped = text.strip()
-    if not stripped:
-        raise StructuralError("empty polynomial text")
-    if stripped == "0":
-        return Polynomial.zero(varset)
-    terms: list[tuple[Monomial, Fraction]] = []
-    pos = 0
-    sign = 1
-    # Leading sign is optional; between terms one of +/- is required.
-    if stripped[0] in "+-":
-        sign = -1 if stripped[0] == "-" else 1
-        pos = 1
-    while pos < len(stripped):
-        next_break = len(stripped)
-        for i in range(pos, len(stripped)):
-            if stripped[i] in "+-":
-                next_break = i
-                break
-        chunk = stripped[pos:next_break].strip()
-        if not chunk:
-            raise StructuralError(f"dangling sign in {text!r}")
-        coeff = Fraction(sign)
-        exps = [0] * len(varset)
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if _COEFF_RE.fullmatch(factor):
-                coeff *= Fraction(factor)
-            else:
-                m = _FACTOR_RE.fullmatch(factor)
-                if not m:
-                    raise StructuralError(f"unparsable factor {factor!r} in {text!r}")
-                name, power = m.group(1), m.group(2)
-                exps[varset.index(name)] += int(power) if power else 1
-        terms.append((tuple(exps), coeff))
-        if next_break == len(stripped):
-            break
-        sign = -1 if stripped[next_break] == "-" else 1
-        pos = next_break + 1
-    return Polynomial(varset, terms)
 
 
 def _power(base: str, e: int) -> str:

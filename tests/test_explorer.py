@@ -299,6 +299,14 @@ def test_macro_state_refuses_floats_and_bools():
             MacroState(p, z)
 
 
+def test_macro_state_refuses_strings_that_are_not_rationals():
+    # "1/0" is not a ZeroDivisionError and "abc" not a bare ValueError.
+    for p, z in [(("1/0", 1, 1), (0, 0, 0)), (("abc", 1, 1), (0, 0, 0)), ((1, 1, 1), (0, "x", 0))]:
+        with pytest.raises(PreconditionError):
+            MacroState(p, z)
+    assert MacroState(("-1/2", 1, 1), (0, "3", 0)).p[0] == Fraction(-1, 2)
+
+
 def test_macro_state_d_matches_polynomial_route():
     d = corpus.build_d()
     rng = random.Random(55)

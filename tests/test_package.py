@@ -22,7 +22,6 @@ EXPORTS = {
         "VarSet",
         "compile_evaluator",
         "format_polynomial",
-        "parse_polynomial",
     ),
     "verifier": ("Report", "run_all", "run_check"),
     "explorer": (

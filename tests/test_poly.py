@@ -8,11 +8,11 @@ import pytest
 import helpers
 from cstriple.poly import (
     Polynomial,
+    PreconditionError,
     StructuralError,
     VarSet,
     compile_evaluator,
     format_polynomial,
-    parse_polynomial,
 )
 
 XY = VarSet(("x", "y"))
@@ -49,6 +49,38 @@ def test_constructor_rejects_bad_exponent_vectors():
         Polynomial(XY, [((1, 0, 0), 1)])
     with pytest.raises(StructuralError):
         Polynomial(XY, [((-1, 0), 1)])
+
+
+def test_constructor_refuses_exponents_that_are_not_ints():
+    x = VarSet(("x",))
+    # The string is not compared with 0 first (a TypeError), and True is
+    # not taken for the exponent 1.
+    for mono in (("1",), (True,), (1.0,), (None,)):
+        with pytest.raises(StructuralError):
+            Polynomial(x, {mono: 1})
+
+
+def test_coefficients_refuse_what_is_not_an_exact_rational():
+    # 0.1 is not taken for 3602879701896397/36028797018963968, True not for 1.
+    for bad in (0.1, True, "abc", "1/0", None):
+        with pytest.raises(PreconditionError):
+            Polynomial.constant(XY, bad)
+        with pytest.raises(PreconditionError):
+            Polynomial(XY, {(1, 0): bad})
+        with pytest.raises(PreconditionError):
+            Polynomial.monomial(XY, {"x": 1}, bad)
+    assert Polynomial.constant(XY, "-3/7") == Polynomial.constant(XY, Fraction(-3, 7))
+    assert Polynomial.constant(XY, 2).terms == {(0, 0): Fraction(2)}
+
+
+def test_evaluate_refuses_what_is_not_an_exact_rational():
+    x = Polynomial.variable(XY, "x")
+    for bad in (0.1, False, "abc", "1/0"):
+        with pytest.raises(PreconditionError):
+            x.evaluate({"x": bad, "y": 1})
+    value = x.evaluate({"x": "1/10", "y": 0})
+    assert value == Fraction(1, 10) and type(value) is Fraction
+    assert type(x.evaluate({"x": 3, "y": 0})) is Fraction
 
 
 def test_difference_of_squares():
@@ -175,29 +207,19 @@ def test_format_examples():
     assert str(-x) == "-a1"
 
 
-def test_parse_examples():
-    varset = VarSet(("a1", "b2", "b3"))
-    parsed = parse_polynomial("3*a1^2*b2^2 - 1/2*b3^4", varset)
-    expected = Polynomial.monomial(varset, {"a1": 2, "b2": 2}, 3) + Polynomial.monomial(
-        varset, {"b3": 4}, Fraction(-1, 2)
-    )
-    assert parsed == expected
-    assert parse_polynomial("0", varset).is_zero()
-    assert parse_polynomial("1*a1 + 1", varset) == Polynomial.variable(varset, "a1") + 1
-    assert parse_polynomial("a1*a1", varset) == Polynomial.monomial(varset, {"a1": 2})
-    with pytest.raises(StructuralError):
-        parse_polynomial("a1 + q7", varset)
-    with pytest.raises(StructuralError):
-        parse_polynomial("a1 ++ 1", varset)
-    with pytest.raises(StructuralError):
-        parse_polynomial("", varset)
-
-
-def test_format_parse_round_trip_random():
+def test_canonical_text_is_injective_random():
+    # Golden files are compared as text, so distinct polynomials must print
+    # differently and equal ones, however built, the same.
     rng = random.Random(321)
-    for _ in range(200):
-        poly = helpers.rand_polynomial(rng)
-        assert parse_polynomial(format_polynomial(poly), poly.varset) == poly
+    polys = [helpers.rand_polynomial(rng) for _ in range(200)]
+    for p in polys:
+        reversed_terms = Polynomial(p.varset, list(p.terms.items())[::-1])
+        assert reversed_terms == p and str(reversed_terms) == str(p)
+    texts = [format_polynomial(p) for p in polys]
+    assert any(p == q for i, p in enumerate(polys) for q in polys[:i])
+    for p, p_text in zip(polys, texts):
+        for q, q_text in zip(polys, texts):
+            assert (p_text == q_text) == (p == q)
 
 
 def test_sorted_terms_graded_lex_descending():
@@ -252,12 +274,15 @@ def test_compiled_evaluator_edge_polynomials():
     assert compile_evaluator(zero)((1, 2, 3, 4)) == (0, 1)
     assert _evaluates_exactly(Polynomial.constant(XY, Fraction(-7, 3)), point)
     # y occurs in no term, yet still takes its pair of the input
-    only_x = parse_polynomial("-5/6*x^3 + 2/9*x - 4", XY)
+    x, y = Polynomial.variable(XY, "x"), Polynomial.variable(XY, "y")
+    only_x = Fraction(-5, 6) * x**3 + Fraction(2, 9) * x - 4
+    assert str(only_x) == "-5/6*x^3 + 2/9*x - 4"
     assert only_x.degree_in("y") == 0
     assert _evaluates_exactly(only_x, point)
     assert _evaluates_exactly(only_x, {"x": Fraction(0), "y": Fraction(1, 9)})
     # negative and non-integer coefficients, unreduced input pairs
-    mixed = parse_polynomial("-3/4*x^2*y + 5/6*x*y^3 - 7*y^2 + 1/2", XY)
+    mixed = Fraction(-3, 4) * x**2 * y + Fraction(5, 6) * x * y**3 - 7 * y**2 + Fraction(1, 2)
+    assert str(mixed) == "5/6*x*y^3 - 3/4*x^2*y - 7*y^2 + 1/2"
     assert _evaluates_exactly(mixed, point)
     assert Fraction(*compile_evaluator(mixed)((-6, 8, 10, 14))) == mixed.evaluate(point)
 
