@@ -1,12 +1,19 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial is stored in canonical sparse form: a fixed, ordered variable
-set plus a map from exponent tuples to nonzero ``Fraction`` coefficients.
-Canonical form makes identity testing a dictionary comparison, so "this
-difference is the zero polynomial" is decidable with no tolerance at all.
+set plus a map from exponent tuples to nonzero coefficients.  Canonical form
+makes identity testing a dictionary comparison, so "this difference is the
+zero polynomial" is decidable with no tolerance at all.
 
   Monomial   = tuple[int, ...]     one exponent per variable, in VarSet order
-  Polynomial = VarSet + dict[Monomial, Fraction]   (no zero coefficients)
+  Coeff      = int | Fraction
+  Polynomial = VarSet + dict[Monomial, Coeff]   (no zero coefficients)
+
+Sums start from the int 0, so arithmetic on ``int`` coefficients stays in
+``int``; a ``Fraction`` coefficient comes only from a ``Fraction`` operand,
+and may have denominator 1.  Since ``3 == Fraction(3)``, with the same hash
+and the same text, the type that holds a coefficient changes neither
+canonical form nor canonical text.
 
 Terms are ordered graded-lexicographically with respect to the VarSet order
 (total degree first, then the exponent tuple); printing and ``sorted_terms``
@@ -28,6 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -112,7 +120,9 @@ def _grlex_key(mono: Monomial) -> tuple[int, Monomial]:
 
 
 class Polynomial:
-    """Canonical sparse multivariate polynomial with Fraction coefficients."""
+    """Canonical sparse multivariate polynomial with ``int`` or ``Fraction``
+    coefficients (``Coeff``); arithmetic on ``int`` coefficients stays in
+    ``int``."""
 
     __slots__ = ("varset", "terms")
 
@@ -134,7 +144,7 @@ class Polynomial:
         else:
             items = terms
         n = len(varset)
-        merged: dict[Monomial, Fraction] = {}
+        merged: dict[Monomial, Coeff] = {}
         for mono, coeff in items:
             mono = tuple(mono)
             if len(mono) != n:
@@ -143,13 +153,13 @@ class Polynomial:
                 )
             if any(type(e) is not int or e < 0 for e in mono):
                 raise StructuralError(f"exponents must be nonnegative integers: {mono!r}")
-            acc = merged.get(mono, _ZERO) + _exact(coeff)
+            acc = merged.get(mono, 0) + _exact(coeff)
             if acc:
                 merged[mono] = acc
             elif mono in merged:
                 del merged[mono]
         self.varset = varset
-        self.terms: dict[Monomial, Fraction] = merged
+        self.terms: dict[Monomial, Coeff] = merged
 
     # -- constructors ------------------------------------------------------
 
@@ -186,30 +196,9 @@ class Polynomial:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def total_degree(self) -> int:
-        """Maximum total degree of any term; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of ``name``; -1 for the zero polynomial."""
-        i = self.varset.index(name)
-        return max((m[i] for m in self.terms), default=-1)
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in canonical order: graded lex, largest first."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
-    def homogeneous_degree(self) -> int | None:
-        """Common total degree of all terms, or None if degrees differ.
-
-        The zero polynomial has no well-defined degree and raises.
-        """
-        if not self.terms:
-            raise StructuralError("zero polynomial has no homogeneous degree")
-        degrees = {sum(m) for m in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -233,7 +222,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in rhs.terms.items():
-            acc = out.get(mono, _ZERO) + coeff
+            acc = out.get(mono, 0) + coeff
             if acc:
                 out[mono] = acc
             elif mono in out:
@@ -263,11 +252,11 @@ class Polynomial:
             return NotImplemented
         # Naive sparse product; the largest expansion needed here stays in
         # the low thousands of terms, far below where clever algorithms pay.
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for ma, ca in self.terms.items():
             for mb, cb in rhs.terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                acc = out.get(mono, _ZERO) + ca * cb
+                mono = tuple(map(add, ma, mb))
+                acc = out.get(mono, 0) + ca * cb
                 if acc:
                     out[mono] = acc
                 elif mono in out:
@@ -279,14 +268,21 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise StructuralError(f"polynomial power must be a nonnegative integer, got {n!r}")
-        result = Polynomial.constant(self.varset, 1)
+        if not n:
+            return Polynomial.constant(self.varset, 1)
+        # Square up to the lowest set bit of n, which starts the result, so
+        # no product is by the constant 1.
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
             n >>= 1
-            if n:
-                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -331,8 +327,8 @@ class Polynomial:
 
     def _compose(self, values: list, zero):
         """``zero`` plus the sum over the terms of ``coeff * prod(values[i]**e_i)``,
-        in any ring that takes Fraction coefficients; each power of each
-        value is computed once, by one product with the power below it."""
+        in any ring that takes int and Fraction coefficients; each power of
+        each value is computed once, by one product with the power below it."""
         powers = [[v] for v in values]  # powers[i][e - 1] == values[i]**e
         total = zero
         for mono, coeff in self.terms.items():
@@ -354,7 +350,7 @@ class Polynomial:
         univariate in ``name``.
         """
         i = self.varset.index(name)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for mono, coeff in self.terms.items():
             if mono[i] == power:
                 reduced = list(mono)
@@ -371,10 +367,12 @@ class Polynomial:
         return f"Polynomial({self.varset.names!r}, {format_polynomial(self)!r})"
 
 
+# The start of ``evaluate``'s sum, so that it returns a Fraction even at an
+# all-int point.
 _ZERO = Fraction(0)
 
 
-def _raw(varset: VarSet, terms: dict[Monomial, Fraction]) -> Polynomial:
+def _raw(varset: VarSet, terms: dict[Monomial, Coeff]) -> Polynomial:
     """Internal: wrap an already-canonical term dict without re-validating."""
     poly = Polynomial.__new__(Polynomial)
     poly.varset = varset

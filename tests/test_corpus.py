@@ -73,6 +73,18 @@ def test_macro_images_at_123_collapse_to_known_state():
     assert [values[f"z{i}"] for i in (1, 2, 3)] == [1, 1, 1]
 
 
+def test_proof_polynomials_have_int_coefficients():
+    lagrange = corpus.build_lagrange_and_cs()
+    polys = [
+        corpus.build_d(),
+        corpus.build_constraint(),
+        *corpus.build_macro_substitution().values(),
+        lagrange.lagrange_lhs,
+        lagrange.lagrange_rhs,
+    ]
+    assert all(type(c) is int for poly in polys for c in poly.terms.values())
+
+
 def test_d_values():
     d = corpus.build_d()
     assert d.evaluate({"p1": 0, "p2": 0, "p3": 0, "z1": 1, "z2": 1, "z3": 1}) == 0
