@@ -60,6 +60,13 @@ def coordinate_order(text: str) -> tuple[int, int, int]:
     return tuple(int(ch) for ch in text)
 
 
+def manifest_path(text: str) -> str:
+    """argparse type for ``--json``: an empty path would write no manifest."""
+    if not text:
+        raise argparse.ArgumentTypeError("the manifest path is empty")
+    return text
+
+
 def _json_text(value, indent: str, out: list[str]) -> None:
     """Append to ``out`` the text of ``json.dumps(value, indent=2)`` for
     ``value`` nested at ``indent``; dict keys must be str.
@@ -256,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--check", choices=verifier.CHECK_NAMES, help="run one named check")
     group.add_argument("--all", action="store_true", help="run every check (default)")
-    p_verify.add_argument("--json", metavar="PATH", help="write the run manifest as JSON")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_search = sub.add_parser("search", help="seeded exact-rational counterexample search")
@@ -268,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bracket constant for target d-k (default 1/2)",
     )
     _add_sampling_options(p_search)
-    p_search.add_argument("--json", metavar="PATH")
     p_search.set_defaults(func=_cmd_search)
 
     p_min = sub.add_parser("minimize", help="replay the greedy z-minimization on one state")
@@ -280,14 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=(3, 2, 1),
         help="coordinate lowering order, e.g. 321 (default) or 123",
     )
-    p_min.add_argument("--json", metavar="PATH")
     p_min.set_defaults(func=_cmd_minimize)
 
     p_sharp = sub.add_parser(
         "sharpness", help="exhibit a counterexample for a bracket constant above 1/2"
     )
     p_sharp.add_argument("--c", type=rational, required=True)
-    p_sharp.add_argument("--json", metavar="PATH")
     p_sharp.set_defaults(func=_cmd_sharpness)
 
     p_fuzz = sub.add_parser(
@@ -299,10 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="draw only states with p1*p2*p3 < 0, the case the proof has to work for",
     )
-    p_fuzz.add_argument("--json", metavar="PATH")
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
     for subparser in sub.choices.values():
+        subparser.add_argument(
+            "--json", type=manifest_path, metavar="PATH", help="write the run manifest as JSON"
+        )
         subparser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 

@@ -16,9 +16,7 @@ Four tools, all exact (no floating point anywhere):
 Randomness is reproducible by construction: sample ``i`` of a run with seed
 ``s`` is drawn from its own ``random.Random((s << 64) | i)`` (CPython's
 Mersenne Twister, stable across platforms).  Every sampled point is a pure
-function of (seed, index), so the index space can be partitioned across
-workers with ``search_range`` and folded with ``merge_partials``; the merged
-report is bit-identical no matter how the range was split.
+function of (seed, index).
 
 Every uniform draw is defined in this module: an int below n is
 ``rng.getrandbits(n.bit_length())``, drawn again until it is below n.  That
@@ -28,9 +26,10 @@ no longer depends on how a later interpreter implements ``randrange``.
 
 The search loop runs on plain ints: ``sample_point`` draws each coordinate
 as a (numerator, denominator) pair, the evaluator from ``compile_evaluator``
-returns the value as such a pair, and the fold compares values by
-cross-multiplication.  Fractions are built only for the kept minimum, the
-negative hits and the probes.
+returns the value as such a pair, and ``search_range`` folds the probes
+and then the samples in one pass, comparing values by cross-multiplication.
+Fractions are built only for the kept minimum, the negative hits and the
+probes.
 
 The minimizer fuzz runs on plain ints too.  ``_draw_state`` draws each
 coordinate as such a pair and multiplies the whole state by the lcm L of
@@ -182,71 +181,6 @@ def _fractions(pairs: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
 
 
-class SearchPartial(NamedTuple):
-    """Fold state for one slice [lo, hi) of the sample index space."""
-
-    lo: int
-    hi: int
-    min_value: Fraction | None
-    argmin_index: int | None
-    argmin: tuple[Fraction, ...] | None
-    counterexamples: list[tuple[int, tuple[Fraction, ...], Fraction]]
-
-
-def _fold(
-    lo: int, hi: int, results: Iterable[tuple[int, tuple[int, ...], tuple[int, int]]]
-) -> SearchPartial:
-    """Min/argmin/negative-hit fold of (index, pairs, (num, den)) results
-    given in index order, with every den > 0.  Values are compared by
-    cross-multiplication; ties on the minimum go to the first (smallest)
-    index.  Fractions are built only for the kept argmin and the hits."""
-    best_num, best_den = 0, 0
-    best_index: int | None = None
-    best_pairs: tuple[int, ...] = ()
-    hits: list[tuple[int, tuple[Fraction, ...], Fraction]] = []
-    for index, pairs, (num, den) in results:
-        if best_index is None or num * best_den < best_num * den:
-            best_num, best_den, best_index, best_pairs = num, den, index, pairs
-        if num < 0:
-            hits.append((index, _fractions(pairs), Fraction(num, den)))
-    if best_index is None:
-        return SearchPartial(lo, hi, None, None, None, hits)
-    return SearchPartial(
-        lo, hi, Fraction(best_num, best_den), best_index, _fractions(best_pairs), hits
-    )
-
-
-def search_range(
-    evaluate: Callable[[Sequence[int]], tuple[int, int]],
-    nvars: int,
-    cfg: SearchConfig,
-    lo: int,
-    hi: int,
-) -> SearchPartial:
-    """Evaluate samples lo..hi-1 of ``nvars`` coordinates with ``evaluate``,
-    the ``compile_evaluator`` function of the target; safe to run slices
-    concurrently."""
-
-    def results():
-        for index in range(lo, hi):
-            pairs = sample_point(cfg.seed, index, nvars, cfg)
-            yield index, pairs, evaluate(pairs)
-
-    return _fold(lo, hi, results())
-
-
-def merge_partials(partials: Iterable[SearchPartial]) -> SearchPartial:
-    """Fold slice results; ties on the minimum go to the smallest index."""
-    parts = sorted(partials, key=lambda p: (p.lo, p.hi))
-    if not parts:
-        raise StructuralError("nothing to merge")
-    found = [p for p in parts if p.min_value is not None]
-    # An empty slice has no minimum: min_value, argmin_index and argmin are None.
-    best = min(found, key=lambda p: (p.min_value, p.argmin_index)) if found else parts[0]
-    hits = sorted((hit for p in parts for hit in p.counterexamples), key=lambda hit: hit[0])
-    return best._replace(lo=parts[0].lo, hi=parts[-1].hi, counterexamples=hits)
-
-
 class SearchReport(NamedTuple):
     """Exact outcome of a random search.  ``min_value`` is always the value
     of the target at ``argmin``; ``counterexamples`` lists every point
@@ -283,20 +217,65 @@ class SearchReport(NamedTuple):
         }
 
 
-def _normalize_probe(
+def _probe_pairs(
     poly: Polynomial, probe: Mapping[str, Fraction | int] | Sequence[Fraction | int]
-) -> tuple[Fraction | int, ...]:
+) -> tuple[int, ...]:
+    """A probe as the flat int tuple (n1, d1, ..., nk, dk) of ``sample_point``."""
     if isinstance(probe, Mapping):
         missing = [n for n in poly.varset.names if n not in probe]
         if missing:
             raise StructuralError(f"probe misses variables {missing}")
-        return tuple(_exact(probe[n]) for n in poly.varset.names)
-    values = tuple(map(_exact, probe))
+        values = tuple(_exact(probe[n]) for n in poly.varset.names)
+    else:
+        values = tuple(map(_exact, probe))
     if len(values) != len(poly.varset):
         raise StructuralError(
             f"probe has {len(values)} coordinates, expected {len(poly.varset)}"
         )
-    return values
+    return tuple(x for v in values for x in (v.numerator, v.denominator))
+
+
+def search_range(
+    evaluate: Callable[[Sequence[int]], tuple[int, int]],
+    variables: tuple[str, ...],
+    cfg: SearchConfig,
+    head: Sequence[tuple[tuple[int, ...], tuple[int, int]]],
+    label: str,
+) -> SearchReport:
+    """Fold the ``head`` results, each (pairs, (num, den)), then samples
+    0..sample_count-1 over ``variables``, evaluated with ``evaluate`` (the
+    target's ``compile_evaluator`` function), in one ordered pass.
+
+    Values are compared by cross-multiplication, with every den > 0.  The
+    minimum starts at 1/0, above every value, and only a strictly smaller
+    value replaces it, so a tie goes to the first result and the head comes
+    first.  Fractions are built only for the kept argmin, the hits and the
+    head."""
+    nvars, seed = len(variables), cfg.seed
+
+    def results():
+        yield from head
+        for index in range(cfg.sample_count):
+            pairs = sample_point(seed, index, nvars, cfg)
+            yield pairs, evaluate(pairs)
+
+    best_num, best_den, best_pairs = 1, 0, ()
+    hits: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    for pairs, (num, den) in results():
+        if num * best_den < best_num * den:
+            best_num, best_den, best_pairs = num, den, pairs
+        if num < 0:
+            hits.append((_fractions(pairs), Fraction(num, den)))
+    return SearchReport(
+        target=label,
+        variables=variables,
+        samples_run=cfg.sample_count,
+        seed=seed,
+        min_value=Fraction(best_num, best_den),
+        argmin=_fractions(best_pairs),
+        counterexamples=hits,
+        probes=[(_fractions(pairs), Fraction(*value)) for pairs, value in head],
+    )
 
 
 def random_search(
@@ -306,34 +285,15 @@ def random_search(
     label: str = "",
 ) -> SearchReport:
     """Search ``poly`` at ``cfg.sample_count`` seeded points plus the fixed
-    ``probes`` (evaluated first, before sample 0, and counted for the
-    minimum and for counterexamples but not in ``samples_run``).
-
-    Probe ``j`` of ``n`` is folded as index ``j - n``, so a probe wins a tie
-    on the minimum and probe hits are listed first.
-    """
+    ``probes``, evaluated first and counted for the minimum and for
+    counterexamples but not in ``samples_run``: a probe wins a tie on the
+    minimum and probe hits are listed first."""
     if cfg.zero_probability == 1:
         raise PreconditionError("zero_probability 1 would evaluate only the zero point")
-    probe_points = [_normalize_probe(poly, p) for p in probes]
-    probe_pairs = [
-        tuple(x for v in pt for x in (v.numerator, v.denominator)) for pt in probe_points
-    ]
+    probe_pairs = [_probe_pairs(poly, p) for p in probes]
     evaluate = compile_evaluator(poly)
-    probe_values = [evaluate(pairs) for pairs in probe_pairs]
-    n = len(probe_pairs)
-    probe_partial = _fold(-n, 0, zip(range(-n, 0), probe_pairs, probe_values))
-    samples = search_range(evaluate, len(poly.varset), cfg, 0, cfg.sample_count)
-    merged = merge_partials([probe_partial, samples])
-    return SearchReport(
-        target=label or str(poly)[:40],
-        variables=poly.varset.names,
-        samples_run=cfg.sample_count,
-        seed=cfg.seed,
-        min_value=merged.min_value,
-        argmin=merged.argmin,
-        counterexamples=[(pt, v) for _, pt, v in merged.counterexamples],
-        probes=[(pt, Fraction(*v)) for pt, v in zip(probe_points, probe_values)],
-    )
+    head = [(pairs, evaluate(pairs)) for pairs in probe_pairs]
+    return search_range(evaluate, poly.varset.names, cfg, head, label or str(poly)[:40])
 
 
 # -- the proof's minimization over z ------------------------------------------

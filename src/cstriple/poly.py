@@ -266,7 +266,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise StructuralError(f"polynomial power must be a nonnegative integer, got {n!r}")
         if not n:
             return Polynomial.constant(self.varset, 1)

@@ -8,7 +8,8 @@ coefficient leaves a nonzero term behind and flips the status to
 
 The seven checks:
 
-  lagrange                  classical Lagrange identity in six variables
+  lagrange                  classical Lagrange identity in six variables,
+                            and the search target cs_diff as sum cross_i^2
   key-identity              (b1*b2*b3)^2 * d_tilde  ==  d composed with the
                             macro substitution (the collapse that makes the
                             minimization tractable)
@@ -94,7 +95,11 @@ def check_equal(check: str, components: Iterable[Component]) -> Report:
 
 def _lagrange_components() -> list[Component]:
     parts = corpus.build_lagrange_and_cs()
-    return [("lagrange", parts.lagrange_lhs, parts.lagrange_rhs)]
+    cross_sum = sum((cross**2 for _, cross in corpus.cross_products()), Polynomial.zero(corpus.AB))
+    return [
+        ("lagrange", parts.lagrange_lhs, parts.lagrange_rhs),
+        ("cs-difference", parts.cs_diff, cross_sum),
+    ]
 
 
 def _key_identity_components() -> list[Component]:

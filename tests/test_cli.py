@@ -156,6 +156,23 @@ def test_unwritable_json_path_exits_two(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_json_path_exits_two_before_running(capsys):
+    # An empty path would run, print "overall: pass" and write nothing.
+    for argv in (
+        ["verify", "--check", "lagrange"],
+        ["search", "--target", "d-tilde", "--samples", "10", "--seed", "1"],
+        ["minimize", "--p", "-1,-1,-1", "--z", "1,1,1"],
+        ["sharpness", "--c", "1"],
+        ["fuzz", "--samples", "10", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--json", ""])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --json: the manifest path is empty" in err
+
+
 def test_search_c_flag_requires_dk_target(capsys):
     code, _, err = run(["search", "--target", "weak", "--c", "1", "--samples", "10", "--seed", "1"], capsys)
     assert code == 2

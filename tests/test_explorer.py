@@ -18,12 +18,10 @@ from cstriple.explorer import (
     case_classify,
     failed_guarantees,
     greedy_minimize_z,
-    merge_partials,
     minimize_fuzz,
     random_search,
     resolve_target,
     sample_point,
-    search_range,
     sharpness_witness,
     vertex_label,
 )
@@ -170,38 +168,6 @@ def test_search_is_deterministic():
     assert first.to_dict() == second.to_dict()
 
 
-def test_search_merge_is_partition_independent():
-    evaluate = compile_evaluator(resolve_target("d-tilde"))
-    cfg = SearchConfig(sample_count=900, seed=31)
-    whole = search_range(evaluate, 6, cfg, 0, 900)
-    for cut in (1, 137, 450, 899):
-        left = search_range(evaluate, 6, cfg, 0, cut)
-        right = search_range(evaluate, 6, cfg, cut, 900)
-        merged = merge_partials([right, left])
-        assert merged.min_value == whole.min_value
-        assert merged.argmin_index == whole.argmin_index
-        assert merged.argmin == whole.argmin
-        assert merged.counterexamples == whole.counterexamples
-
-
-def test_search_empty_slice_merges_cleanly():
-    evaluate = compile_evaluator(resolve_target("d-k", c=Fraction(5)))
-    cfg = SearchConfig(sample_count=10, seed=0)
-    empty = search_range(evaluate, 6, cfg, 5, 5)
-    assert (empty.lo, empty.hi) == (5, 5)
-    assert empty.min_value is None and empty.argmin is None
-    assert empty.counterexamples == []
-    whole = search_range(evaluate, 6, cfg, 0, 10)
-    parts = [search_range(evaluate, 6, cfg, 5, 10), empty, search_range(evaluate, 6, cfg, 0, 5)]
-    merged = merge_partials(parts)
-    assert (merged.lo, merged.hi) == (0, 10)
-    assert merged.min_value == whole.min_value
-    assert merged.argmin_index == whole.argmin_index
-    assert merged.argmin == whole.argmin
-    assert merged.counterexamples == whole.counterexamples
-    assert merge_partials([empty]).min_value is None
-
-
 def test_search_dk_above_half_finds_negative_hits():
     poly = resolve_target("d-k", c=Fraction(3, 5))
     cfg = SearchConfig(sample_count=2000, seed=1)
@@ -244,12 +210,16 @@ def test_search_probes_win_ties_and_list_their_hits_first():
     report = random_search(poly, cfg, probes=[ONES])
     assert report.min_value == 0
     assert report.argmin == (1,) * 6
-    # Within one slice, too, the first of the tied samples keeps it.
+    # Among the samples, too, the first of the tied ones keeps it.
     evaluate = compile_evaluator(poly)
-    values = [Fraction(*evaluate(sample_point(4, i, 6, cfg))) for i in range(200)]
+    points = [sample_point(4, i, 6, cfg) for i in range(200)]
+    values = [Fraction(*evaluate(pt)) for pt in points]
     assert values.count(0) > 1
-    part = search_range(evaluate, 6, cfg, 0, 200)
-    assert (part.min_value, part.argmin_index) == (0, values.index(0))
+    first = points[values.index(0)]
+    assert first != points[len(values) - 1 - values[::-1].index(0)]
+    report = random_search(poly, cfg)
+    assert report.min_value == 0
+    assert report.argmin == tuple(Fraction(first[k], first[k + 1]) for k in range(0, 12, 2))
     # At c = 5 about a fifth of the samples are hits; the probe's comes first.
     poly = resolve_target("d-k", c=Fraction(5))
     probe = {"k1": 0, "k2": 0, "k3": 1, "b1": 1, "b2": 1, "b3": 1}

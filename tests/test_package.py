@@ -1,6 +1,8 @@
-"""The names the ``cstriple`` package exports at its top level, and the
-modules each command imports."""
+"""The names the ``cstriple`` package exports at its top level, the
+modules each command imports, and that it imports only the standard
+library."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -135,3 +137,23 @@ print(*codes, *sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
 def test_explorer_commands_import_no_dataclasses_and_no_inspect():
     *_, loaded = _run_fresh(_COLD_EXPLORE)
     assert loaded == "0 0 0 0"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # The package has no runtime dependencies: every absolute import in
+    # src/cstriple names a standard-library module.
+    foreign = []
+    for path in sorted(Path(cstriple.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []

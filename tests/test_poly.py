@@ -97,6 +97,15 @@ def test_binomial_square_and_power_zero():
         (x + 1) ** -1
 
 
+def test_power_refuses_a_bool_exponent():
+    # As the constructor refuses the exponent (True,), x ** True is not x
+    # and x ** False is not 1.
+    x = Polynomial.variable(XY, "x")
+    for bad in (True, False):
+        with pytest.raises(StructuralError):
+            x**bad
+
+
 def test_power_is_the_repeated_product_and_never_multiplies_by_one(monkeypatch):
     x = Polynomial.variable(XY, "x")
     y = Polynomial.variable(XY, "y")

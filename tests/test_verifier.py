@@ -105,7 +105,7 @@ def test_weak_implication_numerics():
 
 
 def test_lagrange_perturbed_cross_term_refuted():
-    ((name, lhs, rhs),) = verifier.identity_components("lagrange")
+    (name, lhs, rhs), _ = verifier.identity_components("lagrange")
     # double the a1^2*b2^2 coefficient on the left side
     mutated = lhs + Polynomial.monomial(corpus.AB, {"a1": 2, "b2": 2})
     report = verifier.check_equal("lagrange", [(name, mutated, rhs)])
@@ -114,10 +114,21 @@ def test_lagrange_perturbed_cross_term_refuted():
     assert report.term_count > 0
 
 
+def test_mutated_cs_difference_refuted(monkeypatch):
+    # The search target cs_diff is proved, not only the Lagrange identity.
+    parts = corpus.build_lagrange_and_cs()
+    assert verifier.run_check("lagrange").status == verifier.STATUS_VERIFIED
+    mutated = parts._replace(cs_diff=parts.cs_diff + 1)
+    monkeypatch.setattr(corpus, "build_lagrange_and_cs", lambda: mutated)
+    report = verifier.run_check("lagrange")
+    assert report.status == verifier.STATUS_REFUTED
+    assert report.witness == "cs-difference: 1"
+
+
 def test_sides_on_different_varsets_are_an_error():
     # The refuted first component sets a witness and a term count; the
     # structural error in the second discards both.
-    ((name, lhs, rhs),) = verifier.identity_components("lagrange")
+    (name, lhs, rhs), _ = verifier.identity_components("lagrange")
     refuted = (name, lhs + Polynomial.monomial(corpus.AB, {"a1": 2, "b2": 2}), rhs)
     a1, k1 = Polynomial.variable(corpus.AB, "a1"), Polynomial.variable(corpus.KB, "k1")
     mismatched = ("mismatch", a1, k1)
