@@ -320,7 +320,3 @@ def main(argv: list[str] | None = None) -> int:
     except (StructuralError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

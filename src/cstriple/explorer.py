@@ -14,9 +14,9 @@ Four tools, all exact (no floating point anywhere):
                      point where the C-version of the inequality fails
 
 Randomness is reproducible by construction: sample ``i`` of a run with seed
-``s`` is drawn from its own ``random.Random((s << 64) | i)`` (CPython's
-Mersenne Twister, stable across platforms).  Every sampled point is a pure
-function of (seed, index).
+``s`` is drawn from the stream of ``random.Random((s << 64) | i)`` (CPython's
+Mersenne Twister, stable across platforms) on one generator a run, reseeded
+per sample, so each sampled point is a pure function of (seed, index).
 
 Every uniform draw is defined in this module: an int below n is
 ``rng.getrandbits(n.bit_length())``, drawn again until it is below n.  That
@@ -52,6 +52,7 @@ re-exported here under the same names.
 from __future__ import annotations
 
 import random
+from _random import Random as _CRandom
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -166,15 +167,16 @@ def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int, nonzero: int 
     return out
 
 
-def sample_rng(seed: int, index: int) -> random.Random:
-    """The dedicated generator for sample ``index`` of a run with ``seed``."""
-    return random.Random((seed << 64) | index)
+def _reseed(rng: random.Random, seed: int, index: int) -> None:
+    _CRandom.seed(rng, (seed << 64) | index)  # what random.Random((seed << 64) | index) runs
 
 
-def sample_point(seed: int, index: int, nvars: int, cfg: SearchConfig) -> tuple[int, ...]:
-    """Sample ``index`` as the flat int tuple (n1, d1, ..., nk, dk) that
-    ``compile_evaluator``'s evaluators take; coordinate i is n_i/d_i."""
-    return tuple(_draw_pairs(sample_rng(seed, index), cfg, nvars))
+def sample_point(
+    rng: random.Random, seed: int, index: int, nvars: int, cfg: SearchConfig
+) -> tuple[int, ...]:
+    """Sample ``index`` of run ``seed`` on ``rng``, reseeded, as ``compile_evaluator``'s pairs."""
+    _reseed(rng, seed, index)
+    return tuple(_draw_pairs(rng, cfg, nvars))
 
 
 def _fractions(pairs: Sequence[int]) -> tuple[Fraction, ...]:
@@ -250,13 +252,14 @@ def search_range(
     minimum starts at 1/0, above every value, and only a strictly smaller
     value replaces it, so a tie goes to the first result and the head comes
     first.  Fractions are built only for the kept argmin, the hits and the
-    head."""
+    head.  The samples share one generator, which ``sample_point`` reseeds."""
     nvars, seed = len(variables), cfg.seed
+    rng = random.Random(0)
 
     def results():
         yield from head
         for index in range(cfg.sample_count):
-            pairs = sample_point(seed, index, nvars, cfg)
+            pairs = sample_point(rng, seed, index, nvars, cfg)
             yield pairs, evaluate(pairs)
 
     best_num, best_den, best_pairs = 1, 0, ()
@@ -581,8 +584,10 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
     failures = dict.fromkeys(GUARANTEES, 0)
     case_counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 0}
     failed_samples = 0
+    rng = random.Random(0)
     for index in range(cfg.sample_count):
-        state = _draw_state(sample_rng(cfg.seed, index), cfg, require_negative_product)
+        _reseed(rng, cfg.seed, index)
+        state = _draw_state(rng, cfg, require_negative_product)
         trace = greedy_minimize_z(state)
         case_counts[trace.case_label] += 1
         # case_classify refuses a non-vertex; failed_guarantees counts it.

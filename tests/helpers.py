@@ -8,6 +8,8 @@ state.
 
 from __future__ import annotations
 
+import dis
+import math
 import random
 from fractions import Fraction
 
@@ -69,6 +71,12 @@ def pairs(values) -> tuple[int, ...]:
     return tuple(x for v in values for x in (Fraction(v).numerator, Fraction(v).denominator))
 
 
+def sample_rng(seed: int, index: int) -> random.Random:
+    """The reference generator of sample ``index`` of a run with ``seed``;
+    ``explorer`` reseeds one generator a run to the state of this one."""
+    return random.Random((seed << 64) | index)
+
+
 def reference_pairs(rng: random.Random, cfg, count: int, nonzero: bool = False) -> list[int]:
     """The documented coordinate draw of ``explorer``, written with
     ``randrange``/``randint`` so that it pins the module's own
@@ -91,6 +99,34 @@ def reference_pairs(rng: random.Random, cfg, count: int, nonzero: bool = False) 
             num, den = rng.randint(-nb, nb), rng.randint(1, db)
         out += [num, den]
     return out
+
+
+def per_term_pair(poly: Polynomial, values) -> tuple[int, int]:
+    """The pair ``compile_evaluator`` returns, summed term by term: with
+    per-variable maximum exponents E_i and L the lcm of the coefficient
+    denominators, (sum_t L*c_t * prod_i n_i^e_ti * d_i^(E_i - e_ti),
+    L * prod_i d_i^E_i) at the flat int tuple (n1, d1, ..., nk, dk)."""
+    nums, dens = values[::2], values[1::2]
+    top = [max((mono[i] for mono in poly.terms), default=0) for i in range(len(nums))]
+    scale = math.lcm(*(Fraction(c).denominator for c in poly.terms.values()))
+    num = 0
+    for mono, c in poly.terms.items():
+        term = int(c * scale)
+        for n, d, e, e_max in zip(nums, dens, mono, top):
+            term *= n**e * d ** (e_max - e)
+        num += term
+    return num, math.prod(d**e_max for d, e_max in zip(dens, top)) * scale
+
+
+def multiplications(function) -> int:
+    """The multiplications in ``function``'s bytecode, spelled
+    BINARY_MULTIPLY/INPLACE_MULTIPLY up to Python 3.10 and BINARY_OP with
+    ``*``/``*=`` from 3.11 on."""
+    return sum(
+        ins.opname in ("BINARY_MULTIPLY", "INPLACE_MULTIPLY")
+        or (ins.opname == "BINARY_OP" and ins.argrepr in ("*", "*="))
+        for ins in dis.get_instructions(function)
+    )
 
 
 def rand_substitution(rng: random.Random, source: VarSet, target: VarSet) -> dict[str, Polynomial]:

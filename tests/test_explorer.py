@@ -88,14 +88,15 @@ def test_search_config_validation():
 
 def test_sample_point_respects_bounds_and_zero_probability():
     cfg = SearchConfig(sample_count=1, seed=9, numerator_bound=7, denominator_bound=3)
+    rng = random.Random(0)
     for index in range(200):
-        pairs = sample_point(9, index, 6, cfg)
+        pairs = sample_point(rng, 9, index, 6, cfg)
         assert len(pairs) == 12
         for num, den in zip(pairs[::2], pairs[1::2]):
             assert abs(num) <= 7
             assert 1 <= den <= 3
     always_zero = SearchConfig(sample_count=1, seed=9, zero_probability=1)
-    assert sample_point(9, 0, 6, always_zero) == (0, 1) * 6
+    assert sample_point(rng, 9, 0, 6, always_zero) == (0, 1) * 6
 
 
 # Configurations whose draw widths are a power of two (denominator 64,
@@ -108,6 +109,12 @@ EDGE_WIDTHS = [
     {"numerator_bound": 2**40},
 ]
 
+# Drawn on the same generator before every pinned draw of the "interleave"
+# case: another seed, another index and wider draws.
+INTERLEAVED = SearchConfig(
+    sample_count=1, seed=2**64 - 1, numerator_bound=2**40, zero_probability=Fraction(1, 4)
+)
+
 
 @pytest.mark.parametrize(
     "options",
@@ -118,23 +125,30 @@ EDGE_WIDTHS = [
         {"numerator_bound": 1, "denominator_bound": 1},
         {"numerator_bound": 7, "denominator_bound": 3},
         *EDGE_WIDTHS,
+        {"interleave": True},
     ],
 )
 def test_sample_point_follows_the_pinned_rng_stream(options):
-    # One generator per sample, Random((seed << 64) | index), then the
-    # documented per-coordinate draw.
+    # The stream of a fresh Random((seed << 64) | index), then the documented
+    # per-coordinate draw, on one generator that has drawn the samples before
+    # (as in a search run, which reseeds one generator for every sample).
+    options = dict(options)
+    interleave = options.pop("interleave", False)
+    rng = random.Random(0)
     for seed in (0, 2**64 - 1):
         cfg = SearchConfig(sample_count=1, seed=seed, **options)
         for index in range(250):
-            rng = random.Random((seed << 64) | index)
-            expected = tuple(helpers.reference_pairs(rng, cfg, 6))
-            assert sample_point(seed, index, 6, cfg) == expected
+            if interleave:
+                sample_point(rng, 2**64 - 1 - seed, index + 1, 6, INTERLEAVED)
+            expected = tuple(helpers.reference_pairs(helpers.sample_rng(seed, index), cfg, 6))
+            assert sample_point(rng, seed, index, 6, cfg) == expected
 
 
 def test_sample_point_is_pure_in_seed_and_index():
     cfg = SearchConfig(sample_count=1, seed=123)
-    assert sample_point(123, 5, 6, cfg) == sample_point(123, 5, 6, cfg)
-    assert sample_point(123, 5, 6, cfg) != sample_point(124, 5, 6, cfg)
+    rng = random.Random(0)
+    assert sample_point(rng, 123, 5, 6, cfg) == sample_point(random.Random(1), 123, 5, 6, cfg)
+    assert sample_point(rng, 123, 5, 6, cfg) != sample_point(rng, 124, 5, 6, cfg)
 
 
 # -- random search ---------------------------------------------------------------
@@ -202,6 +216,27 @@ def test_probe_coordinates_refuse_floats_and_bools():
             random_search(poly, cfg, probes=[(1, bad, 1, 1, 1, 1)])
 
 
+@pytest.mark.parametrize(
+    "target, c",
+    [("d-tilde", None), ("d-k", Fraction(5)), ("d-k", Fraction(1, 3)), ("weak", None), ("cs", None)],
+)
+def test_compiled_target_returns_the_per_term_pair(target, c):
+    # The nested Horner form only regroups the per-term sum: the same two
+    # ints, not just an equal Fraction (c = 1/3 gives Fraction coefficients).
+    poly = resolve_target(target, c)
+    evaluate = compile_evaluator(poly)
+    cfg = SearchConfig(sample_count=1, seed=11)
+    rng = random.Random(0)
+    for index in range(300):
+        pairs = sample_point(rng, 11, index, len(poly.varset), cfg)
+        assert evaluate(pairs) == helpers.per_term_pair(poly, pairs)
+
+
+def test_compiled_d_tilde_makes_at_most_110_multiplications():
+    # One product of powers per term took 205.
+    assert 0 < helpers.multiplications(compile_evaluator(resolve_target("d-tilde"))) <= 110
+
+
 def test_search_probes_win_ties_and_list_their_hits_first():
     # At zero probability 1/2 some samples are the zero point, where d-tilde
     # is 0 like at the all-ones probe; the probe keeps the argmin.
@@ -212,7 +247,8 @@ def test_search_probes_win_ties_and_list_their_hits_first():
     assert report.argmin == (1,) * 6
     # Among the samples, too, the first of the tied ones keeps it.
     evaluate = compile_evaluator(poly)
-    points = [sample_point(4, i, 6, cfg) for i in range(200)]
+    rng = random.Random(0)
+    points = [sample_point(rng, 4, i, 6, cfg) for i in range(200)]
     values = [Fraction(*evaluate(pt)) for pt in points]
     assert values.count(0) > 1
     first = points[values.index(0)]
@@ -509,7 +545,7 @@ def _reference_state(seed, index, cfg, require_negative_product):
     # The documented fuzz draw on Fractions: three nonzero p_i, then three
     # z_i as absolute values of search coordinates; reject infeasible states
     # and, when asked, a nonnegative p1*p2*p3.
-    rng = random.Random((seed << 64) | index)
+    rng = helpers.sample_rng(seed, index)
     while True:
         p = helpers.reference_pairs(rng, cfg, 3, nonzero=True)
         z = helpers.reference_pairs(rng, cfg, 3)
@@ -527,10 +563,10 @@ def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
     configs = [(seed, {}, 200) for seed in (0, 5)] + [(0, edge, 100) for edge in EDGE_WIDTHS]
     for seed, options, count in configs:
         cfg = SearchConfig(sample_count=1, seed=seed, **options)
+        rng = random.Random(0)  # reseeded for every state, as in minimize_fuzz
         for index in range(count):
-            state = explorer._draw_state(
-                explorer.sample_rng(seed, index), cfg, require_negative_product
-            )
+            explorer._reseed(rng, seed, index)
+            state = explorer._draw_state(rng, cfg, require_negative_product)
             drawn = state.p + state.z
             reference = _reference_state(seed, index, cfg, require_negative_product)
             assert all(type(v) is int for v in drawn)

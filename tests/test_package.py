@@ -84,17 +84,29 @@ def test_unknown_attribute_raises_attribute_error():
         cstriple.no_such_name  # noqa: B018
 
 
-def _run_fresh(script, *args):
-    """The stdout lines of ``script`` run in a fresh interpreter on this
-    checkout's ``cstriple``."""
+def _python(*args):
+    """``python *args`` in a fresh interpreter on this checkout's ``cstriple``."""
     src = str(Path(cstriple.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def _run_fresh(script, *args):
+    """The stdout lines of ``script`` run in a fresh interpreter."""
+    result = _python("-c", script, *args)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
+
+
+def test_python_m_cstriple_runs_the_command_line():
+    result = _python("-m", "cstriple", "verify", "--check", "lagrange")
+    assert result.returncode == 0, result.stderr
+    assert "overall: pass" in result.stdout
+    result = _python("-m", "cstriple", "search", "--target", "nope", "--samples", "1", "--seed", "0")
+    assert result.returncode == 2
+    assert "invalid choice" in result.stderr and "nope" in result.stderr
 
 
 # Runs in a fresh interpreter: ``verify`` must leave the explorer, and the

@@ -349,7 +349,8 @@ def test_compiled_evaluator_rejects_wrong_arity():
 
 def test_compiled_evaluator_handles_thousands_of_terms():
     # 3060 terms: every monomial of total degree <= 14 in four variables.
-    # One generated statement per term keeps compile() from nesting deeply.
+    # Each sum is its own generated statement (one per trie edge where the
+    # terms split), which keeps compile() from nesting deeply.
     xyzw = helpers.XYZW
     terms = {}
     for a in range(15):
