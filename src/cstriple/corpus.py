@@ -29,6 +29,9 @@ vertex-case closed forms.  They are plain arithmetic over any ring values:
 the verifier applies them to MACRO polynomials and proves them, the
 explorer applies them to Fractions and ints and runs them.
 
+Each builder unpacks ``variables(varset)``, the variables in VarSet order.
+``InequalityParts.weak`` drops the bracket, read off d_tilde's own build.
+
 ``TARGET_NAMES`` lists the polynomials ``cstriple search`` can sample, by
 the names ``explorer.resolve_target`` looks up.
 
@@ -54,14 +57,16 @@ HALF = Fraction(1, 2)
 TARGET_NAMES = ("d-tilde", "d-k", "weak", "cs")
 
 
-def _v(varset: VarSet, name: str) -> Polynomial:
-    return Polynomial.variable(varset, name)
+def variables(varset: VarSet) -> tuple[Polynomial, ...]:
+    """Every variable of ``varset`` as a Polynomial, in VarSet order."""
+    return tuple(Polynomial.variable(varset, name) for name in varset.names)
 
 
 class InequalityParts(NamedTuple):
     lhs: Polynomial
     rhs: Polynomial
     d_tilde: Polynomial
+    weak: Polynomial
 
 
 class LagrangeParts(NamedTuple):
@@ -76,8 +81,7 @@ def cross_products() -> list[tuple[Polynomial, Polynomial]]:
     cross_1 = a2*b3 - a3*b2 and cyclically; the bracket of the inequality
     is (1/2) * sum b_i^2 * cross_i^2.
     """
-    a1, a2, a3 = (_v(AB, n) for n in ("a1", "a2", "a3"))
-    b1, b2, b3 = (_v(AB, n) for n in ("b1", "b2", "b3"))
+    a1, a2, a3, b1, b2, b3 = variables(AB)
     return [
         (b1, a2 * b3 - a3 * b2),
         (b2, a3 * b1 - a1 * b3),
@@ -86,27 +90,27 @@ def cross_products() -> list[tuple[Polynomial, Polynomial]]:
 
 
 def build_inequality() -> InequalityParts:
-    """Left side, right side, and difference of the three-factor inequality."""
-    a1, a2, a3 = (_v(AB, n) for n in ("a1", "a2", "a3"))
-    b1, b2, b3 = (_v(AB, n) for n in ("b1", "b2", "b3"))
+    """Left side, right side, and difference of the three-factor inequality,
+    and ``weak``: lhs - (a1*b1+a2*b2+a3*b3)^2 (b1^2+b2^2+b3^2), no bracket."""
+    a1, a2, a3, b1, b2, b3 = variables(AB)
     lhs = (a1**2 + b2**2 + b3**2) * (a2**2 + b3**2 + b1**2) * (a3**2 + b1**2 + b2**2)
     dot = a1 * b1 + a2 * b2 + a3 * b3
     bnorm = b1**2 + b2**2 + b3**2
     bracket = Polynomial.zero(AB)
     for b, cross in cross_products():
         bracket = bracket + b**2 * cross**2
-    rhs = dot**2 * bnorm + HALF * bracket
-    return InequalityParts(lhs=lhs, rhs=rhs, d_tilde=lhs - rhs)
+    cs_rhs = dot**2 * bnorm
+    rhs = cs_rhs + HALF * bracket
+    return InequalityParts(lhs=lhs, rhs=rhs, d_tilde=lhs - rhs, weak=lhs - cs_rhs)
 
 
 def build_lagrange_and_cs() -> LagrangeParts:
     """The classical Lagrange identity and the Cauchy-Schwarz difference;
     the Lagrange remainder is the sum of the ``cross_products`` squared."""
-    a = [_v(AB, n) for n in ("a1", "a2", "a3")]
-    b = [_v(AB, n) for n in ("b1", "b2", "b3")]
-    anorm = a[0] ** 2 + a[1] ** 2 + a[2] ** 2
-    bnorm = b[0] ** 2 + b[1] ** 2 + b[2] ** 2
-    dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    a1, a2, a3, b1, b2, b3 = variables(AB)
+    anorm = a1**2 + a2**2 + a3**2
+    bnorm = b1**2 + b2**2 + b3**2
+    dot = a1 * b1 + a2 * b2 + a3 * b3
     cross_sum = sum((cross**2 for _, cross in cross_products()), Polynomial.zero(AB))
     return LagrangeParts(
         lagrange_lhs=anorm * bnorm,
@@ -124,8 +128,7 @@ def build_macro_substitution() -> dict[str, Polynomial]:
 
         p_i -> (x_i - y_i)*y_i      z_i -> y_i^2.
     """
-    a1, a2, a3 = (_v(AB, n) for n in ("a1", "a2", "a3"))
-    b1, b2, b3 = (_v(AB, n) for n in ("b1", "b2", "b3"))
+    a1, a2, a3, b1, b2, b3 = variables(AB)
     x = [a2 * a3, a1 * a3, a1 * a2]
     y = [b2 * b3, b1 * b3, b1 * b2]
     images = {}
@@ -175,18 +178,16 @@ def case_value(label: str, q1, q2, q3):
     raise StructuralError(f"unknown case {label!r}; valid: {', '.join(CASE_LABELS)}")
 
 
-def _macro_vars(*names: str) -> tuple[Polynomial, ...]:
-    return tuple(_v(MACRO, n) for n in names)
-
-
 def build_d() -> Polynomial:
     """The collapsed difference d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3."""
-    return d_value(_macro_vars("p1", "p2", "p3"), _macro_vars("z1", "z2", "z3"))
+    p1, p2, p3, z1, z2, z3 = variables(MACRO)
+    return d_value((p1, p2, p3), (z1, z2, z3))
 
 
 def build_constraint() -> Polynomial:
     """The feasibility product (p1+z1)(p2+z2)(p3+z3)."""
-    return feasibility_value(_macro_vars("p1", "p2", "p3"), _macro_vars("z1", "z2", "z3"))
+    p1, p2, p3, z1, z2, z3 = variables(MACRO)
+    return feasibility_value((p1, p2, p3), (z1, z2, z3))
 
 
 def build_k_form(parametric: bool = False, c: Fraction | int | None = None) -> Polynomial:
@@ -203,9 +204,7 @@ def build_k_form(parametric: bool = False, c: Fraction | int | None = None) -> P
     """
     if parametric and c is not None:
         raise StructuralError("a parametric k-form takes no bracket constant")
-    varset = KBC if parametric else KB
-    k1, k2, k3 = (_v(varset, n) for n in ("k1", "k2", "k3"))
-    b1, b2, b3 = (_v(varset, n) for n in ("b1", "b2", "b3"))
+    k1, k2, k3, b1, b2, b3, *symbol = variables(KBC if parametric else KB)
     lhs = (
         (k1**2 * b1**2 + b2**2 + b3**2)
         * (k2**2 * b2**2 + b3**2 + b1**2)
@@ -214,18 +213,7 @@ def build_k_form(parametric: bool = False, c: Fraction | int | None = None) -> P
     dot = k1 * b1**2 + k2 * b2**2 + k3 * b3**2
     bnorm = b1**2 + b2**2 + b3**2
     bracket = (k1 - k2) ** 2 + (k2 - k3) ** 2 + (k1 - k3) ** 2
-    constant = _v(KBC, "C") if parametric else Polynomial.constant(KB, HALF if c is None else c)
+    constant = symbol[0] if parametric else Polynomial.constant(KB, HALF if c is None else c)
     rhs = dot**2 * bnorm + constant * (b1 * b2 * b3) ** 2 * bracket
     return lhs - rhs
 
-
-def build_weak_difference() -> Polynomial:
-    """Difference of the weaker inequality obtained by dropping the bracket:
-    three-factor left side minus (a1*b1+a2*b2+a3*b3)^2 (b1^2+b2^2+b3^2).
-    """
-    parts = build_inequality()
-    a1, a2, a3 = (_v(AB, n) for n in ("a1", "a2", "a3"))
-    b1, b2, b3 = (_v(AB, n) for n in ("b1", "b2", "b3"))
-    dot = a1 * b1 + a2 * b2 + a3 * b3
-    bnorm = b1**2 + b2**2 + b3**2
-    return parts.lhs - dot**2 * bnorm

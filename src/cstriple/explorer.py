@@ -77,7 +77,7 @@ def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
     if name == "d-k":
         return corpus.build_k_form(c=None if c is None else _exact(c))
     if name == "weak":
-        return corpus.build_weak_difference()
+        return corpus.build_inequality().weak
     if name == "cs":
         return corpus.build_lagrange_and_cs().cs_diff
     raise StructuralError(f"unknown target {name!r}; valid: {', '.join(TARGET_NAMES)}")
@@ -401,7 +401,7 @@ def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)
     recorded only when the value actually changes.  Requires nonzero p_i and
     a feasible starting state.
     """
-    if sorted(order) != [1, 2, 3]:
+    if list(map(type, order)) != [int, int, int] or sorted(order) != [1, 2, 3]:
         raise PreconditionError(f"order must be a permutation of (1, 2, 3), got {order!r}")
     if any(v == 0 for v in state.p):
         raise PreconditionError("greedy minimization requires nonzero p coordinates")

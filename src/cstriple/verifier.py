@@ -119,11 +119,8 @@ def _constraint_components() -> list[Component]:
 
 def _ratio_substitution() -> dict[str, Polynomial]:
     """AB -> KB with a_i -> k_i*b_i and b_i -> b_i."""
-    images = {}
-    for i in (1, 2, 3):
-        images[f"a{i}"] = Polynomial.monomial(corpus.KB, {f"k{i}": 1, f"b{i}": 1})
-        images[f"b{i}"] = Polynomial.variable(corpus.KB, f"b{i}")
-    return images
+    k1, k2, k3, b1, b2, b3 = corpus.variables(corpus.KB)
+    return dict(zip(corpus.AB.names, (k1 * b1, k2 * b2, k3 * b3, b1, b2, b3)))
 
 
 def _k_equivalence_components() -> list[Component]:
@@ -134,8 +131,8 @@ def _k_equivalence_components() -> list[Component]:
 
 
 def _case_formula_components() -> list[Component]:
-    p = tuple(Polynomial.variable(corpus.MACRO, n) for n in ("p1", "p2", "p3"))
-    p1, p2, p3 = p
+    p1, p2, p3, _, _, _ = corpus.variables(corpus.MACRO)
+    p = (p1, p2, p3)
 
     # The pinned coordinates come first: z_i = -p_i for them, 0 for the rest.
     case_i = corpus.d_value(p, (-p1, -p2, -p3))
@@ -165,14 +162,12 @@ def _case_formula_components() -> list[Component]:
 
 def _sharpness_components() -> list[Component]:
     parametric = corpus.build_k_form(parametric=True)
-    images = {name: Polynomial.variable(corpus.KBC, name) for name in corpus.KBC}
-    images["k1"] = Polynomial.zero(corpus.KBC)
-    images["k2"] = Polynomial.zero(corpus.KBC)
-    specialized = parametric.substitute(images)
+    _, _, k3, b1, b2, b3, c = corpus.variables(corpus.KBC)
+    zero = Polynomial.zero(corpus.KBC)
+    specialized = parametric.substitute(
+        dict(zip(corpus.KBC.names, (zero, zero, k3, b1, b2, b3, c)))
+    )
 
-    c = Polynomial.variable(corpus.KBC, "C")
-    k3 = Polynomial.variable(corpus.KBC, "k3")
-    b1, b2, b3 = (Polynomial.variable(corpus.KBC, n) for n in ("b1", "b2", "b3"))
     expected = (1 - 2 * c) * (b1 * b2 * b3) ** 2 * k3**2 + (b1**2 + b2**2) * (
         b1**2 + b3**2
     ) * (b2**2 + b3**2)
@@ -180,11 +175,11 @@ def _sharpness_components() -> list[Component]:
 
 
 def _weak_implication_components() -> list[Component]:
-    dropped = corpus.build_weak_difference() - corpus.build_inequality().d_tilde
+    parts = corpus.build_inequality()
     half_square_sum = Polynomial.zero(corpus.AB)
     for b, cross in corpus.cross_products():
         half_square_sum = half_square_sum + corpus.HALF * b**2 * cross**2
-    return [("weak-implication", dropped, half_square_sum)]
+    return [("weak-implication", parts.weak - parts.d_tilde, half_square_sum)]
 
 
 _COMPONENT_BUILDERS: dict[str, Callable[[], list[Component]]] = {

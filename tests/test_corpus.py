@@ -75,12 +75,15 @@ def test_macro_images_at_123_collapse_to_known_state():
 
 def test_proof_polynomials_have_int_coefficients():
     lagrange = corpus.build_lagrange_and_cs()
+    inequality = corpus.build_inequality()
     polys = [
         corpus.build_d(),
         corpus.build_constraint(),
         *corpus.build_macro_substitution().values(),
         lagrange.lagrange_lhs,
         lagrange.lagrange_rhs,
+        inequality.lhs,
+        inequality.weak,
     ]
     assert all(type(c) is int for poly in polys for c in poly.terms.values())
 
@@ -138,8 +141,8 @@ def test_parametric_k_form_takes_no_constant():
 
 
 def test_weak_difference_drops_exactly_the_bracket():
-    weak = corpus.build_weak_difference()
-    d_tilde = corpus.build_inequality().d_tilde
+    parts = corpus.build_inequality()
+    weak, d_tilde = parts.weak, parts.d_tilde
     bracket = Polynomial.zero(corpus.AB)
     for b, cross in corpus.cross_products():
         bracket = bracket + Fraction(1, 2) * b**2 * cross**2
@@ -174,7 +177,7 @@ GOLDEN = {
     "constraint.txt": (corpus.build_constraint, corpus.MACRO),
     "d_k.txt": (corpus.build_k_form, corpus.KB),
     "d_k_parametric.txt": (lambda: corpus.build_k_form(True), corpus.KBC),
-    "weak_difference.txt": (corpus.build_weak_difference, corpus.AB),
+    "weak_difference.txt": (lambda: corpus.build_inequality().weak, corpus.AB),
 }
 
 

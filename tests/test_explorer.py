@@ -36,7 +36,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_resolve_target_names():
     assert resolve_target("d-tilde") == corpus.build_inequality().d_tilde
-    assert resolve_target("weak") == corpus.build_weak_difference()
+    assert resolve_target("weak") == corpus.build_inequality().weak
     assert resolve_target("cs") == corpus.build_lagrange_and_cs().cs_diff
     assert resolve_target("d-k") == corpus.build_k_form()
     with pytest.raises(StructuralError):
@@ -366,6 +366,10 @@ def test_greedy_preconditions():
         greedy_minimize_z(MacroState((-2, 1, 1), (1, 0, 0)))  # product (-1)(1)(1) < 0
     with pytest.raises(PreconditionError):
         greedy_minimize_z(MacroState((1, 1, 1), (0, 0, 0)), order=(1, 1, 3))
+    # A bool or a float equal to 1 is no coordinate number.
+    for order in ((True, 2, 3), (1.0, 2, 3)):
+        with pytest.raises(PreconditionError):
+            greedy_minimize_z(MacroState((1, 1, 1), (0, 0, 0)), order=order)
 
 
 def test_greedy_custom_order_lands_on_vertex_too():
