@@ -61,9 +61,12 @@ def coordinate_order(text: str) -> tuple[int, int, int]:
 
 
 def manifest_path(text: str) -> str:
-    """argparse type for ``--json``: an empty path would write no manifest."""
+    """argparse type for ``--json``: an empty path would write no manifest,
+    and one whose last component is empty ("/", ".") names no file."""
     if not text:
         raise argparse.ArgumentTypeError("the manifest path is empty")
+    if not Path(text).name:
+        raise argparse.ArgumentTypeError(f"the manifest path {text!r} names no file")
     return text
 
 
@@ -137,7 +140,7 @@ def _finish(args: argparse.Namespace, config: dict, reports: list[dict], ok: boo
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = [args.check] if args.check else list(verifier.CHECK_NAMES)
-    reports = [verifier.run_check(name) for name in names]
+    reports = verifier.run_all(names)
     for report in reports:
         line = f"{report.check:26s} {report.status:9s} terms={report.term_count}"
         if report.witness:

@@ -124,7 +124,30 @@ class SearchConfig:
         return config
 
 
-def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int, nonzero: int = 0) -> list[int]:
+class _DrawWidths(NamedTuple):
+    """What ``_draw_pairs`` draws with: the zero probability zn/zd and
+    zk = zd.bit_length(), the numerator bound nb, nw = 2*nb + 1 and
+    nk = nw.bit_length(), the denominator bound db and dk = db.bit_length()."""
+
+    zn: int
+    zd: int
+    zk: int
+    nb: int
+    nw: int
+    nk: int
+    db: int
+    dk: int
+
+
+def _draw_widths(cfg: SearchConfig) -> _DrawWidths:
+    """``cfg``'s draw widths, computed once a run."""
+    zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
+    nb, db = cfg.numerator_bound, cfg.denominator_bound
+    nw = 2 * nb + 1
+    return _DrawWidths(zn, zd, zd.bit_length(), nb, nw, nw.bit_length(), db, db.bit_length())
+
+
+def _draw_pairs(rng: random.Random, widths: _DrawWidths, count: int, nonzero: int = 0) -> list[int]:
     """``count`` coordinates as the flat list n1, d1, ..., n_count, d_count:
     (0, 1) with probability zero_probability, else num in
     [-numerator_bound, numerator_bound] and den in [1, denominator_bound],
@@ -139,11 +162,8 @@ def _draw_pairs(rng: random.Random, cfg: SearchConfig, count: int, nonzero: int 
     ``nonzero`` coordinate has the numerator 0.  "Drawn below n" is
     ``getrandbits(n.bit_length())`` until the value is below n (see the
     module docstring), written out in the loop because this is the search's
-    hot path (about 18 draws a sample)."""
-    zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
-    nb, db = cfg.numerator_bound, cfg.denominator_bound
-    nw = 2 * nb + 1
-    zk, nk, dk = zd.bit_length(), nw.bit_length(), db.bit_length()
+    hot path (about 18 draws a sample).  ``widths`` is ``_draw_widths(cfg)``."""
+    zn, zd, zk, nb, nw, nk, db, dk = widths
     getrandbits = rng.getrandbits
     out: list[int] = []
     for k in range(count):
@@ -172,11 +192,12 @@ def _reseed(rng: random.Random, seed: int, index: int) -> None:
 
 
 def sample_point(
-    rng: random.Random, seed: int, index: int, nvars: int, cfg: SearchConfig
+    rng: random.Random, seed: int, index: int, nvars: int, widths: _DrawWidths
 ) -> tuple[int, ...]:
-    """Sample ``index`` of run ``seed`` on ``rng``, reseeded, as ``compile_evaluator``'s pairs."""
+    """Sample ``index`` of run ``seed`` on ``rng``, reseeded, as ``compile_evaluator``'s
+    pairs; ``widths`` is the run's ``_draw_widths(cfg)``."""
     _reseed(rng, seed, index)
-    return tuple(_draw_pairs(rng, cfg, nvars))
+    return tuple(_draw_pairs(rng, widths, nvars))
 
 
 def _fractions(pairs: Sequence[int]) -> tuple[Fraction, ...]:
@@ -253,13 +274,13 @@ def search_range(
     value replaces it, so a tie goes to the first result and the head comes
     first.  Fractions are built only for the kept argmin, the hits and the
     head.  The samples share one generator, which ``sample_point`` reseeds."""
-    nvars, seed = len(variables), cfg.seed
+    nvars, seed, widths = len(variables), cfg.seed, _draw_widths(cfg)
     rng = random.Random(0)
 
     def results():
         yield from head
         for index in range(cfg.sample_count):
-            pairs = sample_point(rng, seed, index, nvars, cfg)
+            pairs = sample_point(rng, seed, index, nvars, widths)
             yield pairs, evaluate(pairs)
 
     best_num, best_den, best_pairs = 1, 0, ()
@@ -533,17 +554,20 @@ class FuzzSummary(NamedTuple):
         return self._asdict()
 
 
-def _draw_state(rng: random.Random, cfg: SearchConfig, require_negative_product: bool) -> MacroState:
+def _draw_state(
+    rng: random.Random, widths: _DrawWidths, require_negative_product: bool
+) -> MacroState:
     """Rejection-sample a feasible MacroState with nonzero p (and, when
     asked, p1*p2*p3 < 0) from one per-sample stream.
 
-    Each attempt is ``_draw_pairs(rng, cfg, 6, nonzero=3)``: p1, p2, p3 are
+    Each attempt is ``_draw_pairs(rng, widths, 6, nonzero=3)``: p1, p2, p3 are
     its first three coordinates, never 0, and z_i is the absolute value of
     coordinate 3 + i.  The state returned is the drawn rational state times
     the lcm of its six denominators, so all its coordinates are ints (see
-    the module docstring for why that changes no outcome of the fuzz)."""
+    the module docstring for why that changes no outcome of the fuzz).
+    ``widths`` is the run's ``_draw_widths(cfg)``."""
     for _ in range(10000):
-        pairs = _draw_pairs(rng, cfg, 6, nonzero=3)
+        pairs = _draw_pairs(rng, widths, 6, nonzero=3)
         scale = lcm(*pairs[1::2])
         values = [pairs[k] * (scale // pairs[k + 1]) for k in range(0, 12, 2)]
         state = MacroState(tuple(values[:3]), tuple(abs(v) for v in values[3:]))
@@ -584,10 +608,10 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
     failures = dict.fromkeys(GUARANTEES, 0)
     case_counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 0}
     failed_samples = 0
-    rng = random.Random(0)
+    rng, widths = random.Random(0), _draw_widths(cfg)
     for index in range(cfg.sample_count):
         _reseed(rng, cfg.seed, index)
-        state = _draw_state(rng, cfg, require_negative_product)
+        state = _draw_state(rng, widths, require_negative_product)
         trace = greedy_minimize_z(state)
         case_counts[trace.case_label] += 1
         # case_classify refuses a non-vertex; failed_guarantees counts it.

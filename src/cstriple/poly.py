@@ -24,7 +24,9 @@ different VarSets raises ``StructuralError``.
 
 ``evaluate`` substitutes rationals where ``substitute`` substitutes
 polynomials; both sum ``coeff * prod(value_i**e_i)`` in one loop.
-Coefficients and point values pass one exactness rule, ``_exact``.
+Coefficients and point values pass one exactness rule, ``_exact``.  An int
+or Fraction operand of ``+``, ``-`` or ``*`` passes it too and becomes the
+one constant term (no term for 0) without the validating constructor.
 
 All values are immutable after construction and all operations are pure, so
 everything here may be shared freely across threads.
@@ -33,11 +35,12 @@ everything here may be shared freely across threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Union
 
 Monomial = tuple[int, ...]
 Coeff = Union[Fraction, int]
@@ -204,7 +207,7 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same_varset(self, other: "Polynomial") -> None:
-        if self.varset != other.varset:
+        if self.varset is not other.varset and self.varset != other.varset:
             raise StructuralError(
                 f"VarSet mismatch: {self.varset.names} vs {other.varset.names}"
             )
@@ -214,7 +217,8 @@ class Polynomial:
             self._check_same_varset(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.varset, other)
+            value = _exact(other)  # refuses a bool
+            return _raw(self.varset, {(0,) * len(self.varset.names): value} if value else {})
         return None
 
     def __add__(self, other: object) -> "Polynomial":

@@ -30,6 +30,18 @@ Note on key-identity: the raw change of variables only makes sense where
 all b_i are nonzero, but after clearing y1*y2*y3 = (b1*b2*b3)^2 the claim
 becomes a polynomial identity valid everywhere, which is what gets checked.
 
+A replay builds each corpus polynomial it shares once: ``run_all`` hands
+every check one memo of the corpus builds (``_Builds``), so d_tilde, the
+macro substitution and the cross products are each built once per replay,
+not once per check that reads them.  Only repeated builds of one object are
+shared; each side of a check is still formed on its own (weak-implication
+sums its 1/2 * sum b_i^2 * cross_i^2, not the bracket inside d_tilde).  No
+build outlives its replay: the memo looks each builder up on ``corpus`` when
+it is first asked for it, and ``run_check`` and ``identity_components`` each
+make a fresh one, so a formula swapped into ``corpus`` between two replays
+(the source-mutation gate in tests/test_corpus_mutants.py does exactly
+that) is built and checked by the next replay, never a stale copy.
+
 All checks are pure and deterministic; only ``elapsed_ms`` varies between
 runs.
 """
@@ -93,24 +105,33 @@ def check_equal(check: str, components: Iterable[Component]) -> Report:
 # -- component builders -------------------------------------------------------
 
 
-def _lagrange_components() -> list[Component]:
+class _Builds(dict):
+    """One replay's corpus builds by builder name: ``builds["build_d"]`` calls
+    ``corpus.build_d()``, looked up on ``corpus`` then, on first use only."""
+
+    def __missing__(self, name: str):
+        built = self[name] = getattr(corpus, name)()
+        return built
+
+
+def _lagrange_components(builds: _Builds) -> list[Component]:
     parts = corpus.build_lagrange_and_cs()
-    cross_sum = sum((cross**2 for _, cross in corpus.cross_products()), Polynomial.zero(corpus.AB))
+    cross_sum = sum((cross**2 for _, cross in builds["cross_products"]), Polynomial.zero(corpus.AB))
     return [
         ("lagrange", parts.lagrange_lhs, parts.lagrange_rhs),
         ("cs-difference", parts.cs_diff, cross_sum),
     ]
 
 
-def _key_identity_components() -> list[Component]:
-    d_tilde = corpus.build_inequality().d_tilde
+def _key_identity_components(builds: _Builds) -> list[Component]:
+    d_tilde = builds["build_inequality"].d_tilde
     y_product = Polynomial.monomial(corpus.AB, {"b1": 2, "b2": 2, "b3": 2})
-    collapsed = corpus.build_d().substitute(corpus.build_macro_substitution())
+    collapsed = corpus.build_d().substitute(builds["build_macro_substitution"])
     return [("key-identity", y_product * d_tilde, collapsed)]
 
 
-def _constraint_components() -> list[Component]:
-    image = corpus.build_constraint().substitute(corpus.build_macro_substitution())
+def _constraint_components(builds: _Builds) -> list[Component]:
+    image = corpus.build_constraint().substitute(builds["build_macro_substitution"])
     square = Polynomial.monomial(
         corpus.AB, {"a1": 2, "a2": 2, "a3": 2, "b1": 2, "b2": 2, "b3": 2}
     )
@@ -123,14 +144,14 @@ def _ratio_substitution() -> dict[str, Polynomial]:
     return dict(zip(corpus.AB.names, (k1 * b1, k2 * b2, k3 * b3, b1, b2, b3)))
 
 
-def _k_equivalence_components() -> list[Component]:
-    d_tilde = corpus.build_inequality().d_tilde
+def _k_equivalence_components(builds: _Builds) -> list[Component]:
+    d_tilde = builds["build_inequality"].d_tilde
     return [
         ("k-equivalence", d_tilde.substitute(_ratio_substitution()), corpus.build_k_form())
     ]
 
 
-def _case_formula_components() -> list[Component]:
+def _case_formula_components(builds: _Builds) -> list[Component]:
     p1, p2, p3, _, _, _ = corpus.variables(corpus.MACRO)
     p = (p1, p2, p3)
 
@@ -160,7 +181,7 @@ def _case_formula_components() -> list[Component]:
     ]
 
 
-def _sharpness_components() -> list[Component]:
+def _sharpness_components(builds: _Builds) -> list[Component]:
     parametric = corpus.build_k_form(parametric=True)
     _, _, k3, b1, b2, b3, c = corpus.variables(corpus.KBC)
     zero = Polynomial.zero(corpus.KBC)
@@ -174,15 +195,15 @@ def _sharpness_components() -> list[Component]:
     return [("sharpness-reduction", specialized, expected)]
 
 
-def _weak_implication_components() -> list[Component]:
-    parts = corpus.build_inequality()
+def _weak_implication_components(builds: _Builds) -> list[Component]:
+    parts = builds["build_inequality"]
     half_square_sum = Polynomial.zero(corpus.AB)
-    for b, cross in corpus.cross_products():
+    for b, cross in builds["cross_products"]:
         half_square_sum = half_square_sum + corpus.HALF * b**2 * cross**2
     return [("weak-implication", parts.weak - parts.d_tilde, half_square_sum)]
 
 
-_COMPONENT_BUILDERS: dict[str, Callable[[], list[Component]]] = {
+_COMPONENT_BUILDERS: dict[str, Callable[[_Builds], list[Component]]] = {
     "lagrange": _lagrange_components,
     "key-identity": _key_identity_components,
     "constraint-factorization": _constraint_components,
@@ -194,21 +215,23 @@ _COMPONENT_BUILDERS: dict[str, Callable[[], list[Component]]] = {
 CHECK_NAMES = tuple(_COMPONENT_BUILDERS)
 
 
-def identity_components(check: str) -> list[Component]:
-    """The exact (lhs, rhs) pairs whose equality the named check asserts."""
+def identity_components(check: str, builds: _Builds | None = None) -> list[Component]:
+    """The exact (lhs, rhs) pairs whose equality the named check asserts,
+    built from ``builds`` (a fresh memo when None)."""
     try:
         builder = _COMPONENT_BUILDERS[check]
     except KeyError:
         raise StructuralError(
             f"unknown check {check!r}; valid names: {', '.join(CHECK_NAMES)}"
         ) from None
-    return builder()
+    return builder(_Builds() if builds is None else builds)
 
 
-def run_check(check: str) -> Report:
-    return check_equal(check, identity_components(check))
+def run_check(check: str, builds: _Builds | None = None) -> Report:
+    return check_equal(check, identity_components(check, builds))
 
 
-def run_all() -> list[Report]:
-    return [run_check(name) for name in CHECK_NAMES]
-
+def run_all(checks: Iterable[str] = CHECK_NAMES) -> list[Report]:
+    """Run ``checks`` in order on one memo of the corpus builds."""
+    builds = _Builds()
+    return [run_check(name, builds) for name in checks]

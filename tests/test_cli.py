@@ -157,7 +157,9 @@ def test_unwritable_json_path_exits_two(capsys, tmp_path):
 
 
 def test_empty_json_path_exits_two_before_running(capsys):
-    # An empty path would run, print "overall: pass" and write nothing.
+    # An empty path would run, print "overall: pass" and write nothing; a
+    # path whose last component is empty ("/", ".") used to die in a
+    # traceback with exit code 1, the "refuted" code.
     for argv in (
         ["verify", "--check", "lagrange"],
         ["search", "--target", "d-tilde", "--samples", "10", "--seed", "1"],
@@ -165,12 +167,18 @@ def test_empty_json_path_exits_two_before_running(capsys):
         ["sharpness", "--c", "1"],
         ["fuzz", "--samples", "10", "--seed", "1"],
     ):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(argv + ["--json", ""])
-        assert excinfo.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "argument --json: the manifest path is empty" in err
+        for path, message in (
+            ("", "the manifest path is empty"),
+            ("/", "the manifest path '/' names no file"),
+            (".", "the manifest path '.' names no file"),
+            ("./", "the manifest path './' names no file"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv + ["--json", path])
+            assert excinfo.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"argument --json: {message}" in err
 
 
 def test_search_c_flag_requires_dk_target(capsys):

@@ -90,13 +90,13 @@ def test_sample_point_respects_bounds_and_zero_probability():
     cfg = SearchConfig(sample_count=1, seed=9, numerator_bound=7, denominator_bound=3)
     rng = random.Random(0)
     for index in range(200):
-        pairs = sample_point(rng, 9, index, 6, cfg)
+        pairs = sample_point(rng, 9, index, 6, explorer._draw_widths(cfg))
         assert len(pairs) == 12
         for num, den in zip(pairs[::2], pairs[1::2]):
             assert abs(num) <= 7
             assert 1 <= den <= 3
     always_zero = SearchConfig(sample_count=1, seed=9, zero_probability=1)
-    assert sample_point(rng, 9, 0, 6, always_zero) == (0, 1) * 6
+    assert sample_point(rng, 9, 0, 6, explorer._draw_widths(always_zero)) == (0, 1) * 6
 
 
 # Configurations whose draw widths are a power of two (denominator 64,
@@ -114,6 +114,7 @@ EDGE_WIDTHS = [
 INTERLEAVED = SearchConfig(
     sample_count=1, seed=2**64 - 1, numerator_bound=2**40, zero_probability=Fraction(1, 4)
 )
+INTERLEAVED_WIDTHS = explorer._draw_widths(INTERLEAVED)
 
 
 @pytest.mark.parametrize(
@@ -139,16 +140,28 @@ def test_sample_point_follows_the_pinned_rng_stream(options):
         cfg = SearchConfig(sample_count=1, seed=seed, **options)
         for index in range(250):
             if interleave:
-                sample_point(rng, 2**64 - 1 - seed, index + 1, 6, INTERLEAVED)
+                sample_point(rng, 2**64 - 1 - seed, index + 1, 6, INTERLEAVED_WIDTHS)
             expected = tuple(helpers.reference_pairs(helpers.sample_rng(seed, index), cfg, 6))
-            assert sample_point(rng, seed, index, 6, cfg) == expected
+            assert sample_point(rng, seed, index, 6, explorer._draw_widths(cfg)) == expected
+
+
+def test_a_run_computes_the_draw_widths_once(monkeypatch):
+    widths = []
+    original = explorer._draw_widths
+    monkeypatch.setattr(explorer, "_draw_widths", lambda cfg: widths.append(cfg) or original(cfg))
+    search_cfg = SearchConfig(sample_count=50, seed=3)
+    random_search(resolve_target("d-tilde"), search_cfg, probes=[ONES])
+    assert widths == [search_cfg]
+    fuzz_cfg = SearchConfig(sample_count=20, seed=3)
+    minimize_fuzz(fuzz_cfg, require_negative_product=True)
+    assert widths == [search_cfg, fuzz_cfg]
 
 
 def test_sample_point_is_pure_in_seed_and_index():
-    cfg = SearchConfig(sample_count=1, seed=123)
+    widths = explorer._draw_widths(SearchConfig(sample_count=1, seed=123))
     rng = random.Random(0)
-    assert sample_point(rng, 123, 5, 6, cfg) == sample_point(random.Random(1), 123, 5, 6, cfg)
-    assert sample_point(rng, 123, 5, 6, cfg) != sample_point(rng, 124, 5, 6, cfg)
+    assert sample_point(rng, 123, 5, 6, widths) == sample_point(random.Random(1), 123, 5, 6, widths)
+    assert sample_point(rng, 123, 5, 6, widths) != sample_point(rng, 124, 5, 6, widths)
 
 
 # -- random search ---------------------------------------------------------------
@@ -228,7 +241,7 @@ def test_compiled_target_returns_the_per_term_pair(target, c):
     cfg = SearchConfig(sample_count=1, seed=11)
     rng = random.Random(0)
     for index in range(300):
-        pairs = sample_point(rng, 11, index, len(poly.varset), cfg)
+        pairs = sample_point(rng, 11, index, len(poly.varset), explorer._draw_widths(cfg))
         assert evaluate(pairs) == helpers.per_term_pair(poly, pairs)
 
 
@@ -248,7 +261,7 @@ def test_search_probes_win_ties_and_list_their_hits_first():
     # Among the samples, too, the first of the tied ones keeps it.
     evaluate = compile_evaluator(poly)
     rng = random.Random(0)
-    points = [sample_point(rng, 4, i, 6, cfg) for i in range(200)]
+    points = [sample_point(rng, 4, i, 6, explorer._draw_widths(cfg)) for i in range(200)]
     values = [Fraction(*evaluate(pt)) for pt in points]
     assert values.count(0) > 1
     first = points[values.index(0)]
@@ -570,7 +583,7 @@ def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
         rng = random.Random(0)  # reseeded for every state, as in minimize_fuzz
         for index in range(count):
             explorer._reseed(rng, seed, index)
-            state = explorer._draw_state(rng, cfg, require_negative_product)
+            state = explorer._draw_state(rng, explorer._draw_widths(cfg), require_negative_product)
             drawn = state.p + state.z
             reference = _reference_state(seed, index, cfg, require_negative_product)
             assert all(type(v) is int for v in drawn)

@@ -165,6 +165,44 @@ def test_arith_rejects_varset_mismatch():
         p + q
     with pytest.raises(StructuralError):
         p * q
+    # An equal VarSet that is another object is the same variable set.
+    twin = Polynomial.variable(VarSet(("x", "y")), "y")
+    assert p * twin == Polynomial.monomial(XY, {"x": 1, "y": 1})
+
+
+def test_scalar_operands_act_as_the_constant_polynomial():
+    rng = random.Random(1515)
+    for _ in range(300):
+        p = helpers.rand_polynomial(rng)
+        for c in (rng.randint(-9, 9), helpers.rand_fraction(rng, 9)):
+            const = Polynomial.constant(p.varset, c)
+            assert p * c == p * const
+            assert c * p == const * p
+            assert p + c == p + const
+            assert c + p == const + p
+            assert p - c == p - const
+            assert c - p == const - p
+        for zero in (0, Fraction(0)):
+            assert (p * zero).terms == {}
+            assert (zero * p).terms == {}
+            assert p + zero == p
+            assert zero - p == -p
+
+
+def test_scalar_operands_refuse_bools_and_floats():
+    x = Polynomial.variable(XY, "x")
+    for combine in (
+        lambda: x * True,
+        lambda: True * x,
+        lambda: x + True,
+        lambda: x - False,
+        lambda: False - x,
+    ):
+        with pytest.raises(PreconditionError):
+            combine()
+    for combine in (lambda: x * 1.5, lambda: 1.5 * x, lambda: x + 0.5):
+        with pytest.raises(TypeError):
+            combine()
 
 
 def test_substitute_macro_product_example():

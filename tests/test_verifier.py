@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from cstriple import corpus, verifier
+from cstriple import cli, corpus, verifier
 from cstriple.poly import Polynomial, StructuralError, compile_evaluator
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -23,6 +23,28 @@ def test_all_checks_verified():
         assert report.term_count == 0
         assert report.witness is None
         assert report.elapsed_ms >= 0
+
+
+def test_a_replay_builds_each_shared_polynomial_once(monkeypatch, capsys):
+    calls = {"build_inequality": 0, "build_macro_substitution": 0}
+    for name in calls:
+        def counted(name=name, original=getattr(corpus, name)):
+            calls[name] += 1
+            return original()
+
+        monkeypatch.setattr(corpus, name, counted)
+    replays = (verifier.run_all, lambda: cli.main(["verify", "--all"]))
+    for replay in replays:
+        for rounds in (1, 2):
+            replay()
+            # No build outlives its replay: the next one builds again.
+            assert calls == dict.fromkeys(calls, rounds)
+        calls.update(dict.fromkeys(calls, 0))
+    capsys.readouterr()
+    # One check on its own builds what it reads and is still verified.
+    for check in verifier.CHECK_NAMES:
+        assert verifier.run_check(check).status == verifier.STATUS_VERIFIED
+    assert calls == {"build_inequality": 3, "build_macro_substitution": 2}
 
 
 def test_unknown_check_name_is_structural():
