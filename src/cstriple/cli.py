@@ -13,6 +13,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -62,11 +63,16 @@ def coordinate_order(text: str) -> tuple[int, int, int]:
 
 def manifest_path(text: str) -> str:
     """argparse type for ``--json``: an empty path would write no manifest,
-    and one whose last component is empty ("/", ".") names no file."""
+    and one whose last component is empty ("/", ".") names no file; nor can
+    an existing directory ("..", "src") be written, so each exits before
+    the command runs."""
     if not text:
         raise argparse.ArgumentTypeError("the manifest path is empty")
     if not Path(text).name:
         raise argparse.ArgumentTypeError(f"the manifest path {text!r} names no file")
+    with contextlib.suppress(OSError):  # e.g. a name too long: the write reports it
+        if Path(text).is_dir():
+            raise argparse.ArgumentTypeError(f"the manifest path {text!r} is a directory")
     return text
 
 
@@ -132,7 +138,8 @@ def _finish(args: argparse.Namespace, config: dict, reports: list[dict], ok: boo
             tmp.write_text(manifest_text(manifest) + "\n", encoding="utf-8")
             os.replace(tmp, path)
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # not there, or its name too long
+                tmp.unlink()
             print(f"error: cannot write {args.json}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     return 0 if ok else 1

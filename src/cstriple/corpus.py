@@ -1,4 +1,4 @@
-"""Constructors for every polynomial the toolkit reasons about.
+"""Every formula the toolkit reasons about, as plain arithmetic over any ring.
 
 The central object is the difference polynomial of the three-factor
 inequality
@@ -14,28 +14,30 @@ macro change of variables
     x_i = a1*a2*a3/a_i,  y_i = b1*b2*b3/b_i,
     p_i = (x_i - y_i)*y_i,  z_i = y_i^2
 
-(each quotient is a monomial, so every image below is an honest polynomial
-and the whole pipeline stays denominator-free), the collapsed form
+(each quotient is a monomial, so every image is an honest polynomial and
+the whole pipeline stays denominator-free), the collapsed form
 
     d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3,
     c1 = p2^2 + p2*p3 + p3^2   (and cyclically),
 
 the feasibility product (p1+z1)(p2+z2)(p3+z3), and the single-ratio form in
-k_i = a_i/b_i whose sharpness constant can be left symbolic.
+k_i = a_i/b_i whose bracket constant may be a number or a variable.
 
+``cross_products``, ``inequality``, ``lagrange``, ``macro``, ``k_form``,
 ``c_values``, ``d_value``, ``feasibility_value`` and ``case_value`` are the
-single definition of c_i, d, the feasibility product and the four
-vertex-case closed forms.  They are plain arithmetic over any ring values:
-the verifier applies them to MACRO polynomials and proves them, the
-explorer applies them to Fractions and ints and runs them.
+single definition of each formula.  They take their variables as arguments
+and use only ``+``, ``-``, ``*`` and ``**``, so they run on any ring values:
+the verifier applies them to Polynomials and proves them, the explorer
+applies them to Fractions and ints.  A change of variables is function
+application: ``d_value(*macro(*ab))`` is d in the a's and b's.
 
-Each builder unpacks ``variables(varset)``, the variables in VarSet order.
-``InequalityParts.weak`` drops the bracket, read off d_tilde's own build.
+The ``build_*`` functions apply a formula to ``variables(varset)``, the
+variables of a VarSet in order; ``explorer.resolve_target`` and the
+verifier's replay read these builds.  ``TARGET_NAMES`` lists the
+polynomials ``cstriple search`` can sample, by the names
+``explorer.resolve_target`` looks up.
 
-``TARGET_NAMES`` lists the polynomials ``cstriple search`` can sample, by
-the names ``explorer.resolve_target`` looks up.
-
-All builders are pure and deterministic: repeated calls return identical
+All formulas are pure and deterministic: repeated builds return identical
 canonical term maps.
 """
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import Polynomial, StructuralError, VarSet
+from .poly import Polynomial, StructuralError, VarSet, _exact
 
 AB = VarSet(("a1", "a2", "a3", "b1", "b2", "b3"))
 KB = VarSet(("k1", "k2", "k3", "b1", "b2", "b3"))
@@ -75,43 +77,38 @@ class LagrangeParts(NamedTuple):
     cs_diff: Polynomial
 
 
-def cross_products() -> list[tuple[Polynomial, Polynomial]]:
+def cross_products(a1, a2, a3, b1, b2, b3):
     """The three (b_i, cross_i) pairs of the bracket term.
 
     cross_1 = a2*b3 - a3*b2 and cyclically; the bracket of the inequality
     is (1/2) * sum b_i^2 * cross_i^2.
     """
-    a1, a2, a3, b1, b2, b3 = variables(AB)
-    return [
+    return (
         (b1, a2 * b3 - a3 * b2),
         (b2, a3 * b1 - a1 * b3),
         (b3, a1 * b2 - a2 * b1),
-    ]
+    )
 
 
-def build_inequality() -> InequalityParts:
+def inequality(a1, a2, a3, b1, b2, b3) -> InequalityParts:
     """Left side, right side, and difference of the three-factor inequality,
     and ``weak``: lhs - (a1*b1+a2*b2+a3*b3)^2 (b1^2+b2^2+b3^2), no bracket."""
-    a1, a2, a3, b1, b2, b3 = variables(AB)
     lhs = (a1**2 + b2**2 + b3**2) * (a2**2 + b3**2 + b1**2) * (a3**2 + b1**2 + b2**2)
     dot = a1 * b1 + a2 * b2 + a3 * b3
     bnorm = b1**2 + b2**2 + b3**2
-    bracket = Polynomial.zero(AB)
-    for b, cross in cross_products():
-        bracket = bracket + b**2 * cross**2
+    bracket = sum(b**2 * cross**2 for b, cross in cross_products(a1, a2, a3, b1, b2, b3))
     cs_rhs = dot**2 * bnorm
     rhs = cs_rhs + HALF * bracket
     return InequalityParts(lhs=lhs, rhs=rhs, d_tilde=lhs - rhs, weak=lhs - cs_rhs)
 
 
-def build_lagrange_and_cs() -> LagrangeParts:
+def lagrange(a1, a2, a3, b1, b2, b3) -> LagrangeParts:
     """The classical Lagrange identity and the Cauchy-Schwarz difference;
     the Lagrange remainder is the sum of the ``cross_products`` squared."""
-    a1, a2, a3, b1, b2, b3 = variables(AB)
     anorm = a1**2 + a2**2 + a3**2
     bnorm = b1**2 + b2**2 + b3**2
     dot = a1 * b1 + a2 * b2 + a3 * b3
-    cross_sum = sum((cross**2 for _, cross in cross_products()), Polynomial.zero(AB))
+    cross_sum = sum(cross**2 for _, cross in cross_products(a1, a2, a3, b1, b2, b3))
     return LagrangeParts(
         lagrange_lhs=anorm * bnorm,
         lagrange_rhs=dot**2 + cross_sum,
@@ -119,23 +116,15 @@ def build_lagrange_and_cs() -> LagrangeParts:
     )
 
 
-def build_macro_substitution() -> dict[str, Polynomial]:
-    """The macro change of variables MACRO -> AB, as the images that
-    ``Polynomial.substitute`` takes.
+def macro(a1, a2, a3, b1, b2, b3):
+    """The macro change of variables as the triples ``(p, z)``.
 
     With x_i and y_i rewritten as monomials (x1 = a2*a3, y1 = b2*b3,
-    cyclically), the images are
-
-        p_i -> (x_i - y_i)*y_i      z_i -> y_i^2.
+    cyclically), p_i = (x_i - y_i)*y_i and z_i = y_i^2.
     """
-    a1, a2, a3, b1, b2, b3 = variables(AB)
-    x = [a2 * a3, a1 * a3, a1 * a2]
-    y = [b2 * b3, b1 * b3, b1 * b2]
-    images = {}
-    for i in range(3):
-        images[f"p{i + 1}"] = (x[i] - y[i]) * y[i]
-        images[f"z{i + 1}"] = y[i] ** 2
-    return images
+    x = (a2 * a3, a1 * a3, a1 * a2)
+    y = (b2 * b3, b1 * b3, b1 * b2)
+    return tuple((xi - yi) * yi for xi, yi in zip(x, y)), tuple(yi**2 for yi in y)
 
 
 def c_values(p1, p2, p3):
@@ -178,33 +167,16 @@ def case_value(label: str, q1, q2, q3):
     raise StructuralError(f"unknown case {label!r}; valid: {', '.join(CASE_LABELS)}")
 
 
-def build_d() -> Polynomial:
-    """The collapsed difference d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3."""
-    p1, p2, p3, z1, z2, z3 = variables(MACRO)
-    return d_value((p1, p2, p3), (z1, z2, z3))
-
-
-def build_constraint() -> Polynomial:
-    """The feasibility product (p1+z1)(p2+z2)(p3+z3)."""
-    p1, p2, p3, z1, z2, z3 = variables(MACRO)
-    return feasibility_value((p1, p2, p3), (z1, z2, z3))
-
-
-def build_k_form(parametric: bool = False, c: Fraction | int | None = None) -> Polynomial:
-    """Difference of the inequality rewritten in the ratios k_i = a_i/b_i.
+def k_form(k1, k2, k3, b1, b2, b3, c=HALF):
+    """Difference of the inequality rewritten in the ratios k_i = a_i/b_i,
 
         (k1^2*b1^2+b2^2+b3^2)(k2^2*b2^2+b3^2+b1^2)(k3^2*b3^2+b1^2+b2^2)
           - (k1*b1^2+k2*b2^2+k3*b3^2)^2 (b1^2+b2^2+b3^2)
           - c * b1^2*b2^2*b3^2 [ (k1-k2)^2 + (k2-k3)^2 + (k1-k3)^2 ]
 
-    over KB, with the bracket constant ``c`` (default 1/2).  With
-    ``parametric`` the constant is instead the variable C of KBC (a genuine
-    degree-1 symbol), which turns sharpness of the constant into a
-    polynomial statement in C.
+    with the bracket constant ``c``: a number, or the variable C of KBC,
+    which turns sharpness of the constant into a polynomial statement in C.
     """
-    if parametric and c is not None:
-        raise StructuralError("a parametric k-form takes no bracket constant")
-    k1, k2, k3, b1, b2, b3, *symbol = variables(KBC if parametric else KB)
     lhs = (
         (k1**2 * b1**2 + b2**2 + b3**2)
         * (k2**2 * b2**2 + b3**2 + b1**2)
@@ -213,7 +185,21 @@ def build_k_form(parametric: bool = False, c: Fraction | int | None = None) -> P
     dot = k1 * b1**2 + k2 * b2**2 + k3 * b3**2
     bnorm = b1**2 + b2**2 + b3**2
     bracket = (k1 - k2) ** 2 + (k2 - k3) ** 2 + (k1 - k3) ** 2
-    constant = symbol[0] if parametric else Polynomial.constant(KB, HALF if c is None else c)
-    rhs = dot**2 * bnorm + constant * (b1 * b2 * b3) ** 2 * bracket
-    return lhs - rhs
+    return lhs - (dot**2 * bnorm + c * (b1 * b2 * b3) ** 2 * bracket)
 
+
+def build_inequality() -> InequalityParts:
+    return inequality(*variables(AB))
+
+
+def build_lagrange_and_cs() -> LagrangeParts:
+    return lagrange(*variables(AB))
+
+
+def build_macro() -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    return macro(*variables(AB))
+
+
+def build_k_form(c: Fraction | int | str = HALF) -> Polynomial:
+    """The k-form over KB; ``c`` passes ``poly._exact``."""
+    return k_form(*variables(KB), _exact(c))

@@ -75,7 +75,7 @@ def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
     if name == "d-tilde":
         return corpus.build_inequality().d_tilde
     if name == "d-k":
-        return corpus.build_k_form(c=None if c is None else _exact(c))
+        return corpus.build_k_form(corpus.HALF if c is None else c)
     if name == "weak":
         return corpus.build_inequality().weak
     if name == "cs":
@@ -509,7 +509,7 @@ def sharpness_witness(c: Fraction | int | str) -> SharpnessWitness:
     At b = (1,1,1) and k = (0, 0, k3) the difference collapses to
     (1-2c)*k3^2 + 8, so the smallest positive integer k3 with
     k3^2 > 8/(2c-1) already drives it negative.  The returned value is the
-    actual evaluation of the parametric polynomial at that point.
+    value of ``corpus.k_form`` at that point.
     """
     c = _exact(c)
     if c <= corpus.HALF:
@@ -520,16 +520,7 @@ def sharpness_witness(c: Fraction | int | str) -> SharpnessWitness:
     k3 = isqrt(threshold.numerator // threshold.denominator)
     while Fraction(k3 * k3) <= threshold:
         k3 += 1
-    point = {
-        "k1": 0,
-        "k2": 0,
-        "k3": k3,
-        "b1": 1,
-        "b2": 1,
-        "b3": 1,
-        "C": c,
-    }
-    value = corpus.build_k_form(parametric=True).evaluate(point)
+    value = Fraction(corpus.k_form(0, 0, k3, 1, 1, 1, c))
     one = Fraction(1)
     return SharpnessWitness(
         c=c, b=(one, one, one), k=(_ZERO, _ZERO, Fraction(k3)), value=value

@@ -23,7 +23,11 @@ Operations never unify variable sets implicitly: combining polynomials over
 different VarSets raises ``StructuralError``.
 
 ``evaluate`` substitutes rationals where ``substitute`` substitutes
-polynomials; both sum ``coeff * prod(value_i**e_i)`` in one loop.
+polynomials; both sum ``coeff * prod(value_i**e_i)`` in one loop.  The
+package itself changes variables by calling a ``corpus`` formula on the
+images, so ``substitute`` has no caller in it; it stays as library API,
+as the reference the tests check the corpus symmetries with, and as a
+layer that perfbench/tracing.py hooks.
 Coefficients and point values pass one exactness rule, ``_exact``.  An int
 or Fraction operand of ``+``, ``-`` or ``*`` passes it too and becomes the
 one constant term (no term for 0) without the validating constructor.
@@ -275,19 +279,9 @@ class Polynomial:
             raise StructuralError(f"polynomial power must be a nonnegative integer, got {n!r}")
         if not n:
             return Polynomial.constant(self.varset, 1)
-        # Square up to the lowest set bit of n, which starts the result, so
-        # no product is by the constant 1.
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                result = result * base
-            n >>= 1
+        result = self  # so no product is by the constant 1
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def __eq__(self, other: object) -> bool:

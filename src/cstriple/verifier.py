@@ -10,19 +10,19 @@ The seven checks:
 
   lagrange                  classical Lagrange identity in six variables,
                             and the search target cs_diff as sum cross_i^2
-  key-identity              (b1*b2*b3)^2 * d_tilde  ==  d composed with the
-                            macro substitution (the collapse that makes the
-                            minimization tractable)
-  constraint-factorization  the feasibility product maps to the perfect
-                            square (a1*a2*a3*b1*b2*b3)^2
-  k-equivalence             d_tilde with a_i -> k_i*b_i equals the k-form
+  key-identity              (b1*b2*b3)^2 * d_tilde  ==  d_value(*macro(*ab)),
+                            d of the macro variables (the collapse that
+                            makes the minimization tractable)
+  constraint-factorization  the feasibility product of the macro variables
+                            is the perfect square (a1*a2*a3*b1*b2*b3)^2
+  k-equivalence             d_tilde at a_i = k_i*b_i equals the k-form
   case-formulas             the four closed forms of the vertex case split:
                             d evaluated at the pinned z (each z_i set to
                             -p_i or 0), and for case (iv) the feasibility
                             product at z = 0; plus the case-(ii) discriminant
-  sharpness-reduction       specializing k1 = k2 = 0 in the C-parametric
-                            k-form leaves (1-2C)*b1^2*b2^2*b3^2*k3^2 plus a
-                            product of three positive factors
+  sharpness-reduction       the k-form at k1 = k2 = 0, with the variable C
+                            as bracket constant, is (1-2C)*b1^2*b2^2*b3^2*k3^2
+                            plus a product of three positive factors
   weak-implication          the dropped bracket is exhibited as
                             1/2 * sum b_i^2 * cross_i^2
 
@@ -30,17 +30,14 @@ Note on key-identity: the raw change of variables only makes sense where
 all b_i are nonzero, but after clearing y1*y2*y3 = (b1*b2*b3)^2 the claim
 becomes a polynomial identity valid everywhere, which is what gets checked.
 
-A replay builds each corpus polynomial it shares once: ``run_all`` hands
-every check one memo of the corpus builds (``_Builds``), so d_tilde, the
-macro substitution and the cross products are each built once per replay,
-not once per check that reads them.  Only repeated builds of one object are
-shared; each side of a check is still formed on its own (weak-implication
-sums its 1/2 * sum b_i^2 * cross_i^2, not the bracket inside d_tilde).  No
-build outlives its replay: the memo looks each builder up on ``corpus`` when
-it is first asked for it, and ``run_check`` and ``identity_components`` each
-make a fresh one, so a formula swapped into ``corpus`` between two replays
-(the source-mutation gate in tests/test_corpus_mutants.py does exactly
-that) is built and checked by the next replay, never a stale copy.
+Each change of variables is function application: a check calls the
+corpus formula on the images of its variables.  ``run_all`` hands every
+check one memo of the corpus builds (``_Builds``), so d_tilde and the macro
+images are built once per replay, not once per check that reads them; each
+side of a check is still formed on its own.  No build outlives its replay,
+so a formula swapped into ``corpus`` between two replays (the
+source-mutation gate in tests/test_corpus_mutants.py does exactly that) is
+built and checked by the next replay, never a stale copy.
 
 All checks are pure and deterministic; only ``elapsed_ms`` varies between
 runs.
@@ -106,8 +103,9 @@ def check_equal(check: str, components: Iterable[Component]) -> Report:
 
 
 class _Builds(dict):
-    """One replay's corpus builds by builder name: ``builds["build_d"]`` calls
-    ``corpus.build_d()``, looked up on ``corpus`` then, on first use only."""
+    """One replay's corpus builds by builder name: ``builds["build_macro"]``
+    calls ``corpus.build_macro()``, looked up on ``corpus`` then, on first
+    use only."""
 
     def __missing__(self, name: str):
         built = self[name] = getattr(corpus, name)()
@@ -116,7 +114,8 @@ class _Builds(dict):
 
 def _lagrange_components(builds: _Builds) -> list[Component]:
     parts = corpus.build_lagrange_and_cs()
-    cross_sum = sum((cross**2 for _, cross in builds["cross_products"]), Polynomial.zero(corpus.AB))
+    crosses = corpus.cross_products(*corpus.variables(corpus.AB))
+    cross_sum = sum((cross**2 for _, cross in crosses), Polynomial.zero(corpus.AB))
     return [
         ("lagrange", parts.lagrange_lhs, parts.lagrange_rhs),
         ("cs-difference", parts.cs_diff, cross_sum),
@@ -126,29 +125,21 @@ def _lagrange_components(builds: _Builds) -> list[Component]:
 def _key_identity_components(builds: _Builds) -> list[Component]:
     d_tilde = builds["build_inequality"].d_tilde
     y_product = Polynomial.monomial(corpus.AB, {"b1": 2, "b2": 2, "b3": 2})
-    collapsed = corpus.build_d().substitute(builds["build_macro_substitution"])
-    return [("key-identity", y_product * d_tilde, collapsed)]
+    return [("key-identity", y_product * d_tilde, corpus.d_value(*builds["build_macro"]))]
 
 
 def _constraint_components(builds: _Builds) -> list[Component]:
-    image = corpus.build_constraint().substitute(builds["build_macro_substitution"])
+    image = corpus.feasibility_value(*builds["build_macro"])
     square = Polynomial.monomial(
         corpus.AB, {"a1": 2, "a2": 2, "a3": 2, "b1": 2, "b2": 2, "b3": 2}
     )
     return [("constraint-factorization", image, square)]
 
 
-def _ratio_substitution() -> dict[str, Polynomial]:
-    """AB -> KB with a_i -> k_i*b_i and b_i -> b_i."""
-    k1, k2, k3, b1, b2, b3 = corpus.variables(corpus.KB)
-    return dict(zip(corpus.AB.names, (k1 * b1, k2 * b2, k3 * b3, b1, b2, b3)))
-
-
 def _k_equivalence_components(builds: _Builds) -> list[Component]:
-    d_tilde = builds["build_inequality"].d_tilde
-    return [
-        ("k-equivalence", d_tilde.substitute(_ratio_substitution()), corpus.build_k_form())
-    ]
+    k1, k2, k3, b1, b2, b3 = corpus.variables(corpus.KB)
+    d_tilde = corpus.inequality(k1 * b1, k2 * b2, k3 * b3, b1, b2, b3).d_tilde
+    return [("k-equivalence", d_tilde, corpus.build_k_form())]
 
 
 def _case_formula_components(builds: _Builds) -> list[Component]:
@@ -182,13 +173,8 @@ def _case_formula_components(builds: _Builds) -> list[Component]:
 
 
 def _sharpness_components(builds: _Builds) -> list[Component]:
-    parametric = corpus.build_k_form(parametric=True)
     _, _, k3, b1, b2, b3, c = corpus.variables(corpus.KBC)
-    zero = Polynomial.zero(corpus.KBC)
-    specialized = parametric.substitute(
-        dict(zip(corpus.KBC.names, (zero, zero, k3, b1, b2, b3, c)))
-    )
-
+    specialized = corpus.k_form(0, 0, k3, b1, b2, b3, c)
     expected = (1 - 2 * c) * (b1 * b2 * b3) ** 2 * k3**2 + (b1**2 + b2**2) * (
         b1**2 + b3**2
     ) * (b2**2 + b3**2)
@@ -198,7 +184,7 @@ def _sharpness_components(builds: _Builds) -> list[Component]:
 def _weak_implication_components(builds: _Builds) -> list[Component]:
     parts = builds["build_inequality"]
     half_square_sum = Polynomial.zero(corpus.AB)
-    for b, cross in builds["cross_products"]:
+    for b, cross in corpus.cross_products(*corpus.variables(corpus.AB)):
         half_square_sum = half_square_sum + corpus.HALF * b**2 * cross**2
     return [("weak-implication", parts.weak - parts.d_tilde, half_square_sum)]
 

@@ -143,6 +143,13 @@ def constant_substitution(value: Fraction | int) -> dict[str, Polynomial]:
     return images
 
 
+def macro_triples() -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """The MACRO variables as the triples (p, z) that ``corpus.d_value`` and
+    ``corpus.feasibility_value`` take."""
+    p1, p2, p3, z1, z2, z3 = corpus.variables(corpus.MACRO)
+    return (p1, p2, p3), (z1, z2, z3)
+
+
 def check_ring_axioms(seed: int = 2024, triples: int = 1000) -> int:
     """Commutativity, associativity, distributivity and additive inverse on
     random polynomial triples; returns the number of triples checked."""
@@ -237,7 +244,7 @@ def check_dtilde_invariances(seed: int = 5, scalings: int = 200) -> None:
 
 def check_d_permutation_invariance() -> None:
     """d is symmetric under simultaneous permutation of the p and z indices."""
-    d = corpus.build_d()
+    d = corpus.d_value(*macro_triples())
     for perm in PERMUTATIONS:
         mapping = {}
         for i, j in enumerate(perm, start=1):

@@ -149,17 +149,34 @@ def test_unwritable_json_path_exits_two(capsys, tmp_path):
     assert code == 2
     assert "overall: pass" in out
     assert err.startswith(f"error: cannot write {target}: ")
-    # a directory in the way fails the replace; no temporary file is left
-    code, _, err = run(["verify", "--check", "lagrange", "--json", str(tmp_path)], capsys)
+    # a name too long to stat is not refused while parsing; the write is
+    code, out, err = run(
+        ["verify", "--check", "lagrange", "--json", str(tmp_path / ("a" * 300 + ".json"))],
+        capsys,
+    )
     assert code == 2
+    assert "overall: pass" in out
     assert "cannot write" in err
+
+
+def test_failed_replace_exits_two_and_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    target = tmp_path / "verify.json"
+    code, out, err = run(["verify", "--check", "lagrange", "--json", str(target)], capsys)
+    assert code == 2
+    assert "overall: pass" in out
+    assert err == f"error: cannot write {target}: Permission denied\n"
     assert list(tmp_path.iterdir()) == []
 
 
-def test_empty_json_path_exits_two_before_running(capsys):
+def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
     # An empty path would run, print "overall: pass" and write nothing; a
     # path whose last component is empty ("/", ".") used to die in a
-    # traceback with exit code 1, the "refuted" code.
+    # traceback with exit code 1, the "refuted" code; an existing directory
+    # ("..", tmp_path) used to run the command first and fail on the write.
     for argv in (
         ["verify", "--check", "lagrange"],
         ["search", "--target", "d-tilde", "--samples", "10", "--seed", "1"],
@@ -172,6 +189,8 @@ def test_empty_json_path_exits_two_before_running(capsys):
             ("/", "the manifest path '/' names no file"),
             (".", "the manifest path '.' names no file"),
             ("./", "the manifest path './' names no file"),
+            ("..", "the manifest path '..' is a directory"),
+            (str(tmp_path), f"the manifest path {str(tmp_path)!r} is a directory"),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 cli.main(argv + ["--json", path])

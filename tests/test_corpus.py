@@ -1,6 +1,7 @@
 """Tests for the expression builders: every stated value is recomputed from
 an independent hand oracle inside the test, never asserted blind."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import helpers
 from cstriple import corpus
 from cstriple.explorer import resolve_target
-from cstriple.poly import Polynomial, StructuralError
+from cstriple.poly import Polynomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -53,33 +54,35 @@ def test_lagrange_identity_and_cs_difference():
 
 
 def test_macro_substitution_images():
-    images = corpus.build_macro_substitution()
-    # z1 -> y1^2 = (b2*b3)^2
-    assert images["z1"] == Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
-    # p1 -> (x1 - y1)*y1 = a2*a3*b2*b3 - b2^2*b3^2
+    p, z = corpus.build_macro()
+    # z1 = y1^2 = (b2*b3)^2
+    assert z[0] == Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
+    # p1 = (x1 - y1)*y1 = a2*a3*b2*b3 - b2^2*b3^2
     expected = Polynomial.monomial(corpus.AB, {"a2": 1, "a3": 1, "b2": 1, "b3": 1}) - (
         Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
     )
-    assert images["p1"] == expected
+    assert p[0] == expected
     # at a=(1,2,3), b=(1,1,1): x1 = 6, y1 = 1, so p1 = (6-1)*1 = 5
-    assert images["p1"].evaluate(POINT_123) == 5
+    assert p[0].evaluate(POINT_123) == 5
 
 
 def test_macro_images_at_123_collapse_to_known_state():
-    images = corpus.build_macro_substitution()
-    values = {name: images[name].evaluate(POINT_123) for name in corpus.MACRO.names}
+    p, z = corpus.build_macro()
     # x = (6, 3, 2), y = (1, 1, 1): p = (5, 2, 1), z = (1, 1, 1)
-    assert [values[f"p{i}"] for i in (1, 2, 3)] == [5, 2, 1]
-    assert [values[f"z{i}"] for i in (1, 2, 3)] == [1, 1, 1]
+    assert [image.evaluate(POINT_123) for image in p] == [5, 2, 1]
+    assert [image.evaluate(POINT_123) for image in z] == [1, 1, 1]
+    assert corpus.macro(*POINT_123.values()) == ((5, 2, 1), (1, 1, 1))
 
 
 def test_proof_polynomials_have_int_coefficients():
     lagrange = corpus.build_lagrange_and_cs()
     inequality = corpus.build_inequality()
+    p, z = corpus.build_macro()
     polys = [
-        corpus.build_d(),
-        corpus.build_constraint(),
-        *corpus.build_macro_substitution().values(),
+        corpus.d_value(*helpers.macro_triples()),
+        corpus.feasibility_value(*helpers.macro_triples()),
+        *p,
+        *z,
         lagrange.lagrange_lhs,
         lagrange.lagrange_rhs,
         inequality.lhs,
@@ -89,7 +92,7 @@ def test_proof_polynomials_have_int_coefficients():
 
 
 def test_d_values():
-    d = corpus.build_d()
+    d = corpus.d_value(*helpers.macro_triples())
     assert d.evaluate({"p1": 0, "p2": 0, "p3": 0, "z1": 1, "z2": 1, "z3": 1}) == 0
     # c1 = 4+2+1 = 7, c2 = 25+5+1 = 31, c3 = 4+10+25 = 39; 10+7+31+39 = 87,
     # matching d_tilde at a=(1,2,3), b=(1,1,1) where y1*y2*y3 = 1
@@ -99,17 +102,20 @@ def test_d_values():
 
 
 def test_constraint_values_and_factorization():
-    constraint = corpus.build_constraint()
+    constraint = corpus.feasibility_value(*helpers.macro_triples())
     assert (
         constraint.evaluate({"p1": -1, "p2": -1, "p3": -1, "z1": 1, "z2": 1, "z3": 1})
         == 0
     )
     assert constraint.evaluate({"p1": 1, "p2": 1, "p3": 1, "z1": 0, "z2": 0, "z3": 0}) == 1
-    image = constraint.substitute(corpus.build_macro_substitution())
+    p, z = corpus.build_macro()
+    image = corpus.feasibility_value(p, z)
     square = Polynomial.monomial(
         corpus.AB, {"a1": 2, "a2": 2, "a3": 2, "b1": 2, "b2": 2, "b3": 2}
     )
     assert image == square
+    # function application is the change of variables substitute makes
+    assert constraint.substitute(dict(zip(corpus.MACRO.names, p + z))) == image
 
 
 def test_k_form_values():
@@ -121,7 +127,7 @@ def test_k_form_values():
 
 
 def test_parametric_k_form_specializes_to_plain():
-    parametric = corpus.build_k_form(parametric=True)
+    parametric = corpus.k_form(*corpus.variables(corpus.KBC))
     assert parametric.varset == corpus.KBC
     fixed = parametric.substitute(helpers.constant_substitution(Fraction(1, 2)))
     assert fixed == corpus.build_k_form()
@@ -129,22 +135,26 @@ def test_parametric_k_form_specializes_to_plain():
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), 5, Fraction(7, 3), 0, -1])
 def test_k_form_with_constant_matches_parametric_substitution(c):
-    parametric = corpus.build_k_form(parametric=True)
+    parametric = corpus.k_form(*corpus.variables(corpus.KBC))
     expected = parametric.substitute(helpers.constant_substitution(c))
     assert corpus.build_k_form(c=c) == expected
     assert resolve_target("d-k", c) == expected
 
 
 def test_parametric_k_form_takes_no_constant():
-    with pytest.raises(StructuralError):
-        corpus.build_k_form(parametric=True, c=1)
+    # The variable C is the constant of the parametric k-form: there is no
+    # seventh slot left for a number, and no parametric switch.
+    with pytest.raises(TypeError):
+        corpus.k_form(*corpus.variables(corpus.KBC), 1)
+    with pytest.raises(TypeError):
+        corpus.build_k_form(parametric=True)
 
 
 def test_weak_difference_drops_exactly_the_bracket():
     parts = corpus.build_inequality()
     weak, d_tilde = parts.weak, parts.d_tilde
     bracket = Polynomial.zero(corpus.AB)
-    for b, cross in corpus.cross_products():
+    for b, cross in corpus.cross_products(*corpus.variables(corpus.AB)):
         bracket = bracket + Fraction(1, 2) * b**2 * cross**2
     assert weak - d_tilde == bracket
     # 198 - 108 = 90 and the all-ones equality point
@@ -162,21 +172,20 @@ def test_d_macro_permutation_invariance():
 
 def test_builders_are_deterministic():
     assert corpus.build_inequality().d_tilde == corpus.build_inequality().d_tilde
-    assert corpus.build_d() == corpus.build_d()
-    assert corpus.build_constraint() == corpus.build_constraint()
-    assert corpus.build_k_form(True) == corpus.build_k_form(True)
-    first = corpus.build_macro_substitution()
-    second = corpus.build_macro_substitution()
-    assert set(first) == set(corpus.MACRO.names)
-    assert all(first[n] == second[n] for n in corpus.MACRO.names)
+    assert corpus.d_value(*helpers.macro_triples()) == corpus.d_value(*helpers.macro_triples())
+    assert corpus.build_k_form() == corpus.build_k_form()
+    assert corpus.build_lagrange_and_cs() == corpus.build_lagrange_and_cs()
+    first, second = corpus.build_macro(), corpus.build_macro()
+    assert [len(triple) for triple in first] == [3, 3]
+    assert first == second
 
 
 GOLDEN = {
     "d_tilde.txt": (lambda: corpus.build_inequality().d_tilde, corpus.AB),
-    "d.txt": (corpus.build_d, corpus.MACRO),
-    "constraint.txt": (corpus.build_constraint, corpus.MACRO),
+    "d.txt": (lambda: corpus.d_value(*helpers.macro_triples()), corpus.MACRO),
+    "constraint.txt": (lambda: corpus.feasibility_value(*helpers.macro_triples()), corpus.MACRO),
     "d_k.txt": (corpus.build_k_form, corpus.KB),
-    "d_k_parametric.txt": (lambda: corpus.build_k_form(True), corpus.KBC),
+    "d_k_parametric.txt": (lambda: corpus.k_form(*corpus.variables(corpus.KBC)), corpus.KBC),
     "weak_difference.txt": (lambda: corpus.build_inequality().weak, corpus.AB),
 }
 
@@ -187,3 +196,36 @@ def test_golden_polynomial_fixtures():
         text = (FIXTURES / filename).read_text(encoding="utf-8").strip()
         assert str(poly) == text, f"{filename} drifted"
         assert poly.varset == varset
+
+
+def _flat(value) -> list:
+    """The numbers or polynomials of a formula's result, nested tuples
+    (NamedTuples included) read in order."""
+    if isinstance(value, tuple):
+        return [x for item in value for x in _flat(item)]
+    return [value]
+
+
+# name -> (VarSet, the formula, its build over the VarSet's variables)
+FORMULAS = {
+    "inequality": (corpus.AB, corpus.inequality, corpus.build_inequality),
+    "lagrange": (corpus.AB, corpus.lagrange, corpus.build_lagrange_and_cs),
+    "macro": (corpus.AB, corpus.macro, corpus.build_macro),
+    "k_form-c5": (corpus.KB, lambda *kb: corpus.k_form(*kb, 5), lambda: corpus.build_k_form(5)),
+    "k_form-C": (
+        corpus.KBC, corpus.k_form, lambda: corpus.k_form(*corpus.variables(corpus.KBC))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FORMULAS)
+def test_formula_on_numbers_equals_its_built_polynomial_evaluated(name):
+    # One formula, any ring: on Fractions it is the value of its expansion.
+    varset, formula, build = FORMULAS[name]
+    built = _flat(build())
+    assert all(isinstance(poly, Polynomial) and poly.varset == varset for poly in built)
+    rng = random.Random(name)
+    for _ in range(40):
+        values = [helpers.rand_fraction(rng, 20) for _ in varset.names]
+        point = dict(zip(varset.names, values))
+        assert _flat(formula(*values)) == [poly.evaluate(point) for poly in built]

@@ -24,7 +24,7 @@ EQUIVALENT: dict[tuple[str, int], str] = {}
 
 # The number of mutants; it moves with every edit to a formula in corpus,
 # and a gate that silently stopped reaching a function would lower it.
-MUTANT_COUNT = 249
+MUTANT_COUNT = 242
 
 _BINOP_MUTANTS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.Pow: ast.Mult}
 

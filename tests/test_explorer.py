@@ -50,7 +50,10 @@ def test_resolve_target_refuses_a_float_or_bool_c():
     for bad in (0.6, True):
         with pytest.raises(PreconditionError):
             resolve_target("d-k", bad)
+        with pytest.raises(PreconditionError):
+            corpus.build_k_form(bad)
     assert resolve_target("d-k", "3/5") == resolve_target("d-k", Fraction(3, 5))
+    assert corpus.build_k_form("3/5") == resolve_target("d-k", "3/5")
 
 
 def test_search_config_validation():
@@ -327,7 +330,8 @@ def test_macro_state_refuses_strings_that_are_not_rationals():
 
 
 def test_macro_state_d_matches_polynomial_route():
-    d = corpus.build_d()
+    d = corpus.d_value(*helpers.macro_triples())
+    constraint = corpus.feasibility_value(*helpers.macro_triples())
     rng = random.Random(55)
     for _ in range(200):
         p = tuple(helpers.rand_fraction(rng, 9) for _ in range(3))
@@ -338,7 +342,7 @@ def test_macro_state_d_matches_polynomial_route():
             "z1": z[0], "z2": z[1], "z3": z[2],
         }
         assert state.d_value() == d.evaluate(point)
-        assert corpus.build_constraint().evaluate(point) == state.feasibility()
+        assert constraint.evaluate(point) == state.feasibility()
         assert all(v >= 0 for v in state.c)
 
 

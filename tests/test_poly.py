@@ -124,9 +124,8 @@ def test_power_is_the_repeated_product_and_never_multiplies_by_one(monkeypatch):
         products.clear()
         assert base**n == expected
         assert not any(one in pair for pair in products)
-        # binary powering: one squaring per bit below the top, one product
-        # per set bit after the first
-        assert len(products) == (n.bit_length() + n.bit_count() - 2 if n else 0)
+        # the repeated product, starting from base itself
+        assert len(products) == max(n - 1, 0)
         expected = mul(expected, base)
 
 

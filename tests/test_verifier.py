@@ -26,7 +26,7 @@ def test_all_checks_verified():
 
 
 def test_a_replay_builds_each_shared_polynomial_once(monkeypatch, capsys):
-    calls = {"build_inequality": 0, "build_macro_substitution": 0}
+    calls = {"build_inequality": 0, "build_macro": 0}
     for name in calls:
         def counted(name=name, original=getattr(corpus, name)):
             calls[name] += 1
@@ -44,7 +44,7 @@ def test_a_replay_builds_each_shared_polynomial_once(monkeypatch, capsys):
     # One check on its own builds what it reads and is still verified.
     for check in verifier.CHECK_NAMES:
         assert verifier.run_check(check).status == verifier.STATUS_VERIFIED
-    assert calls == {"build_inequality": 3, "build_macro_substitution": 2}
+    assert calls == {"build_inequality": 2, "build_macro": 2}
 
 
 def test_unknown_check_name_is_structural():
@@ -169,20 +169,19 @@ def test_mutation_suite_every_identity():
 
 def test_mutated_d_with_wrong_c1_refuted():
     # replace c1 = p2^2 + p2*p3 + p3^2 by p2^2 + p3^2 inside d
-    p2 = Polynomial.variable(corpus.MACRO, "p2")
-    p3 = Polynomial.variable(corpus.MACRO, "p3")
-    z1 = Polynomial.variable(corpus.MACRO, "z1")
-    wrong_d = corpus.build_d() - p2 * p3 * z1
+    def wrong_d(p, z):
+        return corpus.d_value(p, z) - p[1] * p[2] * z[0]
+
     y_product = Polynomial.monomial(corpus.AB, {"b1": 2, "b2": 2, "b3": 2})
     lhs = y_product * corpus.build_inequality().d_tilde
-    rhs = wrong_d.substitute(corpus.build_macro_substitution())
+    rhs = wrong_d(*corpus.build_macro())
     report = verifier.check_equal("key-identity", [("key-identity", lhs, rhs)])
     assert report.status == verifier.STATUS_REFUTED
 
 
 def test_mutated_k_form_constant_refuted():
     # bracket constant 1 instead of 1/2
-    wrong = corpus.build_k_form(parametric=True).substitute(helpers.constant_substitution(1))
+    wrong = corpus.build_k_form(1)
     d_tilde = corpus.build_inequality().d_tilde
     ((name, lhs, _),) = verifier.identity_components("k-equivalence")
     report = verifier.check_equal(name, [(name, lhs, wrong)])
