@@ -27,9 +27,14 @@ k_i = a_i/b_i whose bracket constant may be a number or a variable.
 ``c_values``, ``d_value``, ``feasibility_value`` and ``case_value`` are the
 single definition of each formula.  They take their variables as arguments
 and use only ``+``, ``-``, ``*`` and ``**``, so they run on any ring values:
-the verifier applies them to Polynomials and proves them, the explorer
-applies them to Fractions and ints.  A change of variables is function
-application: ``d_value(*macro(*ab))`` is d in the a's and b's.
+the explorer applies them to Fractions and ints.  A change of variables is
+function application: ``d_value(*macro(*ab))`` is d in the a's and b's.
+
+The identities the verifier proves are stated here too, in the same
+arithmetic: ``identities(varset)`` returns the function (``ab_identities``
+and its siblings) that gives ``{check: [(component, lhs, rhs)]}`` over one
+VarSet's variables.  The verifier expands them as Polynomials
+(``build_identities``); tests/test_grid_proof.py evaluates them on ints.
 
 The ``build_*`` functions apply a formula to ``variables(varset)``, the
 variables of a VarSet in order; ``explorer.resolve_target`` and the
@@ -188,6 +193,66 @@ def k_form(k1, k2, k3, b1, b2, b3, c=HALF):
     return lhs - (dot**2 * bnorm + c * (b1 * b2 * b3) ** 2 * bracket)
 
 
+# -- the proof's identities: {check: [(component, lhs, rhs)]} per VarSet --------
+
+
+def ab_identities(a1, a2, a3, b1, b2, b3):
+    ineq = inequality(a1, a2, a3, b1, b2, b3)
+    lag = lagrange(a1, a2, a3, b1, b2, b3)
+    crosses = cross_products(a1, a2, a3, b1, b2, b3)
+    p, z = macro(a1, a2, a3, b1, b2, b3)
+    square = (a1 * a2 * a3 * b1 * b2 * b3) ** 2
+    half_squares = sum(HALF * b**2 * cross**2 for b, cross in crosses)
+    return {
+        "lagrange": [
+            ("lagrange", lag.lagrange_lhs, lag.lagrange_rhs),
+            ("cs-difference", lag.cs_diff, sum(cross**2 for _, cross in crosses)),
+        ],
+        "key-identity": [("key-identity", (b1 * b2 * b3) ** 2 * ineq.d_tilde, d_value(p, z))],
+        "constraint-factorization": [
+            ("constraint-factorization", feasibility_value(p, z), square)
+        ],
+        "weak-implication": [("weak-implication", ineq.weak - ineq.d_tilde, half_squares)],
+    }
+
+
+def kb_identities(k1, k2, k3, b1, b2, b3):
+    d_tilde = inequality(k1 * b1, k2 * b2, k3 * b3, b1, b2, b3).d_tilde
+    return {"k-equivalence": [("k-equivalence", d_tilde, k_form(k1, k2, k3, b1, b2, b3))]}
+
+
+def kbc_identities(k1, k2, k3, b1, b2, b3, c):
+    remainder = (b1**2 + b2**2) * (b1**2 + b3**2) * (b2**2 + b3**2)
+    expected = (1 - 2 * c) * (b1 * b2 * b3) ** 2 * k3**2 + remainder
+    specialized = k_form(0, 0, k3, b1, b2, b3, c)
+    return {"sharpness-reduction": [("sharpness-reduction", specialized, expected)]}
+
+
+def macro_identities(p1, p2, p3, z1, z2, z3):
+    p = (p1, p2, p3)
+    case_ii = d_value(p, (-p1, -p2, 0))
+    # case_ii = a*p3^2 + b*p3 - p1*p2*(p1+p2); the completed square shows its
+    # discriminant b^2 + 4a*p1*p2*(p1+p2) is -p1*p2*(4p1^2 + 7p1p2 + 4p2^2).
+    a, b = -(p1 + p2), -p1 * p2
+    completed = (2 * a * p3 + b) ** 2 + p1 * p2 * (4 * p1**2 + 7 * p1 * p2 + 4 * p2**2)
+    return {
+        "case-formulas": [
+            ("case-i", d_value(p, (-p1, -p2, -p3)), case_value("i", *p)),
+            ("case-ii", case_ii, case_value("ii", *p)),
+            ("case-ii-discriminant", 4 * a * case_ii, completed),
+            ("case-iii", d_value(p, (-p1, 0, 0)), case_value("iii", *p)),
+            ("case-iv", feasibility_value(p, (0, 0, 0)), case_value("iv", *p)),
+        ]
+    }
+
+
+def identities(varset: VarSet):
+    """The identities function of ``varset``, looked up when called."""
+    return {
+        AB: ab_identities, KB: kb_identities, KBC: kbc_identities, MACRO: macro_identities
+    }[varset]
+
+
 def build_inequality() -> InequalityParts:
     return inequality(*variables(AB))
 
@@ -196,10 +261,10 @@ def build_lagrange_and_cs() -> LagrangeParts:
     return lagrange(*variables(AB))
 
 
-def build_macro() -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
-    return macro(*variables(AB))
-
-
 def build_k_form(c: Fraction | int | str = HALF) -> Polynomial:
     """The k-form over KB; ``c`` passes ``poly._exact``."""
     return k_form(*variables(KB), _exact(c))
+
+
+def build_identities(varset: VarSet) -> dict[str, list[tuple[str, Polynomial, Polynomial]]]:
+    return identities(varset)(*variables(varset))

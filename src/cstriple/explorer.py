@@ -323,6 +323,11 @@ def random_search(
 # -- the proof's minimization over z ------------------------------------------
 
 
+def _text(values) -> str:
+    """Rationals as a tuple of their text, ``(-1, 1/2, 0)``, for messages."""
+    return f"({', '.join(map(str, values))})"
+
+
 class MacroState:
     """A concrete assignment of (p1, p2, p3) and nonnegative (z1, z2, z3),
     with the derived quadratics c available as ``.c``.
@@ -340,7 +345,7 @@ class MacroState:
         if len(p) != 3 or len(z) != 3:
             raise PreconditionError("p and z must each have three coordinates")
         if any(v < 0 for v in z):
-            raise PreconditionError(f"z must be nonnegative, got {z}")
+            raise PreconditionError(f"z must be nonnegative, got {_text(z)}")
         self.p, self.z = p, z
 
     @property
@@ -475,7 +480,9 @@ def case_classify(state: MacroState) -> CaseClassification:
         raise PreconditionError("case analysis requires nonzero p coordinates")
     label = vertex_label(state)
     if label == "mixed":
-        raise PreconditionError(f"not a vertex: some z_i is neither 0 nor -p_i at p={p}, z={z}")
+        raise PreconditionError(
+            f"not a vertex: some z_i is neither 0 nor -p_i at p={_text(p)}, z={_text(z)}"
+        )
     # With p_i != 0 a vertex coordinate is pinned exactly when z_i != 0 (and
     # z_i >= 0 makes -p_i > 0 there); pinned coordinates go first.
     perm = sorted(range(3), key=lambda j: z[j] == 0)

@@ -24,10 +24,10 @@ different VarSets raises ``StructuralError``.
 
 ``evaluate`` substitutes rationals where ``substitute`` substitutes
 polynomials; both sum ``coeff * prod(value_i**e_i)`` in one loop.  The
-package itself changes variables by calling a ``corpus`` formula on the
-images, so ``substitute`` has no caller in it; it stays as library API,
-as the reference the tests check the corpus symmetries with, and as a
-layer that perfbench/tracing.py hooks.
+package itself builds every polynomial by calling a ``corpus`` formula on
+``Polynomial.variable``s, or on images, so ``substitute`` and ``monomial``
+have no caller in it; they stay as library API and as what the tests build
+references with, and perfbench/tracing.py hooks ``substitute`` as a layer.
 Coefficients and point values pass one exactness rule, ``_exact``.  An int
 or Fraction operand of ``+``, ``-`` or ``*`` passes it too and becomes the
 one constant term (no term for 0) without the validating constructor.
@@ -340,22 +340,6 @@ class Polynomial:
                     term = term * cache[e - 1]
             total = total + term
         return total
-
-    def coefficient_of(self, name: str, power: int) -> "Polynomial":
-        """Coefficient of ``name**power`` as a polynomial over the same VarSet.
-
-        Collects the terms whose exponent of ``name`` is exactly ``power``
-        and divides out that power, e.g. viewing the polynomial as a
-        univariate in ``name``.
-        """
-        i = self.varset.index(name)
-        out: dict[Monomial, Coeff] = {}
-        for mono, coeff in self.terms.items():
-            if mono[i] == power:
-                reduced = list(mono)
-                reduced[i] = 0
-                out[tuple(reduced)] = coeff
-        return _raw(self.varset, out)
 
     # -- text format ------------------------------------------------------------
 

@@ -20,6 +20,7 @@ The seven checks:
                             d evaluated at the pinned z (each z_i set to
                             -p_i or 0), and for case (iv) the feasibility
                             product at z = 0; plus the case-(ii) discriminant
+                            as a completed square in p3
   sharpness-reduction       the k-form at k1 = k2 = 0, with the variable C
                             as bracket constant, is (1-2C)*b1^2*b2^2*b3^2*k3^2
                             plus a product of three positive factors
@@ -30,14 +31,14 @@ Note on key-identity: the raw change of variables only makes sense where
 all b_i are nonzero, but after clearing y1*y2*y3 = (b1*b2*b3)^2 the claim
 becomes a polynomial identity valid everywhere, which is what gets checked.
 
-Each change of variables is function application: a check calls the
-corpus formula on the images of its variables.  ``run_all`` hands every
-check one memo of the corpus builds (``_Builds``), so d_tilde and the macro
-images are built once per replay, not once per check that reads them; each
-side of a check is still formed on its own.  No build outlives its replay,
-so a formula swapped into ``corpus`` between two replays (the
-source-mutation gate in tests/test_corpus_mutants.py does exactly that) is
-built and checked by the next replay, never a stale copy.
+Every side of every check is a component of ``corpus.identities(varset)``;
+this module only expands them.  ``run_all`` shares one memo of
+``corpus.build_identities`` by VarSet (``_Builds``) among its checks, so
+each VarSet is built once per replay; a check run alone builds its whole
+VarSet.  No build outlives its replay, so a formula swapped into
+``corpus`` between two replays (the source-mutation gate in
+tests/test_corpus_mutants.py does exactly that) is built and checked by
+the next replay, never a stale copy.
 
 All checks are pure and deterministic; only ``elapsed_ms`` varies between
 runs.
@@ -46,7 +47,7 @@ runs.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import corpus
 from .poly import Polynomial, StructuralError
@@ -99,118 +100,41 @@ def check_equal(check: str, components: Iterable[Component]) -> Report:
     return Report(check, status, witness, term_count, elapsed_ms)
 
 
-# -- component builders -------------------------------------------------------
+# -- the replay ---------------------------------------------------------------
+
+# Each check, in report order, and the VarSet whose identities in
+# ``corpus.identities`` state it.
+CHECK_VARSETS = {
+    "lagrange": corpus.AB,
+    "key-identity": corpus.AB,
+    "constraint-factorization": corpus.AB,
+    "k-equivalence": corpus.KB,
+    "case-formulas": corpus.MACRO,
+    "sharpness-reduction": corpus.KBC,
+    "weak-implication": corpus.AB,
+}
+CHECK_NAMES = tuple(CHECK_VARSETS)
 
 
 class _Builds(dict):
-    """One replay's corpus builds by builder name: ``builds["build_macro"]``
-    calls ``corpus.build_macro()``, looked up on ``corpus`` then, on first
-    use only."""
+    """One replay's identities by VarSet: ``builds[corpus.AB]`` calls
+    ``corpus.build_identities(corpus.AB)``, on first use only."""
 
-    def __missing__(self, name: str):
-        built = self[name] = getattr(corpus, name)()
+    def __missing__(self, varset):
+        built = self[varset] = corpus.build_identities(varset)
         return built
-
-
-def _lagrange_components(builds: _Builds) -> list[Component]:
-    parts = corpus.build_lagrange_and_cs()
-    crosses = corpus.cross_products(*corpus.variables(corpus.AB))
-    cross_sum = sum((cross**2 for _, cross in crosses), Polynomial.zero(corpus.AB))
-    return [
-        ("lagrange", parts.lagrange_lhs, parts.lagrange_rhs),
-        ("cs-difference", parts.cs_diff, cross_sum),
-    ]
-
-
-def _key_identity_components(builds: _Builds) -> list[Component]:
-    d_tilde = builds["build_inequality"].d_tilde
-    y_product = Polynomial.monomial(corpus.AB, {"b1": 2, "b2": 2, "b3": 2})
-    return [("key-identity", y_product * d_tilde, corpus.d_value(*builds["build_macro"]))]
-
-
-def _constraint_components(builds: _Builds) -> list[Component]:
-    image = corpus.feasibility_value(*builds["build_macro"])
-    square = Polynomial.monomial(
-        corpus.AB, {"a1": 2, "a2": 2, "a3": 2, "b1": 2, "b2": 2, "b3": 2}
-    )
-    return [("constraint-factorization", image, square)]
-
-
-def _k_equivalence_components(builds: _Builds) -> list[Component]:
-    k1, k2, k3, b1, b2, b3 = corpus.variables(corpus.KB)
-    d_tilde = corpus.inequality(k1 * b1, k2 * b2, k3 * b3, b1, b2, b3).d_tilde
-    return [("k-equivalence", d_tilde, corpus.build_k_form())]
-
-
-def _case_formula_components(builds: _Builds) -> list[Component]:
-    p1, p2, p3, _, _, _ = corpus.variables(corpus.MACRO)
-    p = (p1, p2, p3)
-
-    # The pinned coordinates come first: z_i = -p_i for them, 0 for the rest.
-    case_i = corpus.d_value(p, (-p1, -p2, -p3))
-    case_ii = corpus.d_value(p, (-p1, -p2, 0))
-    case_iii = corpus.d_value(p, (-p1, 0, 0))
-    case_iv = corpus.feasibility_value(p, (0, 0, 0))
-
-    # Case (ii) is a convex quadratic in p3; read its coefficients off the
-    # expanded polynomial and form the discriminant from those.
-    quad_a = case_ii.coefficient_of("p3", 2)
-    quad_b = case_ii.coefficient_of("p3", 1)
-    quad_c = case_ii.coefficient_of("p3", 0)
-    discriminant = quad_b**2 - 4 * quad_a * quad_c
-
-    return [
-        ("case-i", case_i, corpus.case_value("i", *p)),
-        ("case-ii", case_ii, corpus.case_value("ii", *p)),
-        (
-            "case-ii-discriminant",
-            discriminant,
-            -p1 * p2 * (4 * p1**2 + 7 * p1 * p2 + 4 * p2**2),
-        ),
-        ("case-iii", case_iii, corpus.case_value("iii", *p)),
-        ("case-iv", case_iv, corpus.case_value("iv", *p)),
-    ]
-
-
-def _sharpness_components(builds: _Builds) -> list[Component]:
-    _, _, k3, b1, b2, b3, c = corpus.variables(corpus.KBC)
-    specialized = corpus.k_form(0, 0, k3, b1, b2, b3, c)
-    expected = (1 - 2 * c) * (b1 * b2 * b3) ** 2 * k3**2 + (b1**2 + b2**2) * (
-        b1**2 + b3**2
-    ) * (b2**2 + b3**2)
-    return [("sharpness-reduction", specialized, expected)]
-
-
-def _weak_implication_components(builds: _Builds) -> list[Component]:
-    parts = builds["build_inequality"]
-    half_square_sum = Polynomial.zero(corpus.AB)
-    for b, cross in corpus.cross_products(*corpus.variables(corpus.AB)):
-        half_square_sum = half_square_sum + corpus.HALF * b**2 * cross**2
-    return [("weak-implication", parts.weak - parts.d_tilde, half_square_sum)]
-
-
-_COMPONENT_BUILDERS: dict[str, Callable[[_Builds], list[Component]]] = {
-    "lagrange": _lagrange_components,
-    "key-identity": _key_identity_components,
-    "constraint-factorization": _constraint_components,
-    "k-equivalence": _k_equivalence_components,
-    "case-formulas": _case_formula_components,
-    "sharpness-reduction": _sharpness_components,
-    "weak-implication": _weak_implication_components,
-}
-CHECK_NAMES = tuple(_COMPONENT_BUILDERS)
 
 
 def identity_components(check: str, builds: _Builds | None = None) -> list[Component]:
     """The exact (lhs, rhs) pairs whose equality the named check asserts,
-    built from ``builds`` (a fresh memo when None)."""
+    read from ``builds`` (a fresh memo when None)."""
     try:
-        builder = _COMPONENT_BUILDERS[check]
+        varset = CHECK_VARSETS[check]
     except KeyError:
         raise StructuralError(
             f"unknown check {check!r}; valid names: {', '.join(CHECK_NAMES)}"
         ) from None
-    return builder(_Builds() if builds is None else builds)
+    return (_Builds() if builds is None else builds)[varset][check]
 
 
 def run_check(check: str, builds: _Builds | None = None) -> Report:

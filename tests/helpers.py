@@ -143,6 +143,11 @@ def constant_substitution(value: Fraction | int) -> dict[str, Polynomial]:
     return images
 
 
+def macro_images() -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """The macro change of variables as Polynomials over AB: the images (p, z)."""
+    return corpus.macro(*corpus.variables(corpus.AB))
+
+
 def macro_triples() -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
     """The MACRO variables as the triples (p, z) that ``corpus.d_value`` and
     ``corpus.feasibility_value`` take."""

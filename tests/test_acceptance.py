@@ -20,7 +20,6 @@ from cstriple.explorer import (
     minimize_fuzz,
     sharpness_witness,
 )
-from cstriple.poly import Polynomial
 
 
 @contextmanager
@@ -96,12 +95,14 @@ def test_criterion_5_case_formulas(tmp_path):
         assert set(components) == {
             "case-i", "case-ii", "case-ii-discriminant", "case-iii", "case-iv",
         }
-        p1 = Polynomial.variable(corpus.MACRO, "p1")
-        p2 = Polynomial.variable(corpus.MACRO, "p2")
+        # the discriminant term of the completed square 4a*case_ii =
+        # (2a*p3 + b)^2 - discriminant, with a = -(p1+p2) and b = -p1*p2
+        p1, p2, p3, *_ = corpus.variables(corpus.MACRO)
         expected = -p1 * p2 * (4 * p1**2 + 7 * p1 * p2 + 4 * p2**2)
+        square = (-2 * (p1 + p2) * p3 - p1 * p2) ** 2
         lhs, rhs = components["case-ii-discriminant"]
-        assert lhs == expected
-        assert rhs == expected
+        assert square - lhs == expected
+        assert square - rhs == expected
 
 
 def test_criterion_6_sharpness(tmp_path):

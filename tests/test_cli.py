@@ -263,6 +263,21 @@ def test_minimize_infeasible_state_is_structural(capsys):
     assert "infeasible" in err
 
 
+def test_minimize_negative_z_prints_the_values_as_text(capsys):
+    code, out, err = run(["minimize", "--p", "1,1,1", "--z", "-1,1/2,0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: z must be nonnegative, got (-1, 1/2, 0)\n"
+
+
+def test_minimize_non_vertex_prints_the_values_as_text(capsys, monkeypatch):
+    monkeypatch.setattr(explorer, "greedy_minimize_z", helpers.end_off_vertex)
+    code, out, err = run(["minimize", "--p", "-1,1,1", "--z", "1,0,0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: not a vertex: some z_i is neither 0 nor -p_i at p=(-1, 1, 1), z=(5, 0, 0)\n"
+    )
+
+
 def test_minimize_rejects_malformed_triple(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["minimize", "--p", "1,2", "--z", "0,0,0"])

@@ -54,7 +54,7 @@ def test_lagrange_identity_and_cs_difference():
 
 
 def test_macro_substitution_images():
-    p, z = corpus.build_macro()
+    p, z = helpers.macro_images()
     # z1 = y1^2 = (b2*b3)^2
     assert z[0] == Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
     # p1 = (x1 - y1)*y1 = a2*a3*b2*b3 - b2^2*b3^2
@@ -67,7 +67,7 @@ def test_macro_substitution_images():
 
 
 def test_macro_images_at_123_collapse_to_known_state():
-    p, z = corpus.build_macro()
+    p, z = helpers.macro_images()
     # x = (6, 3, 2), y = (1, 1, 1): p = (5, 2, 1), z = (1, 1, 1)
     assert [image.evaluate(POINT_123) for image in p] == [5, 2, 1]
     assert [image.evaluate(POINT_123) for image in z] == [1, 1, 1]
@@ -77,7 +77,7 @@ def test_macro_images_at_123_collapse_to_known_state():
 def test_proof_polynomials_have_int_coefficients():
     lagrange = corpus.build_lagrange_and_cs()
     inequality = corpus.build_inequality()
-    p, z = corpus.build_macro()
+    p, z = helpers.macro_images()
     polys = [
         corpus.d_value(*helpers.macro_triples()),
         corpus.feasibility_value(*helpers.macro_triples()),
@@ -108,7 +108,7 @@ def test_constraint_values_and_factorization():
         == 0
     )
     assert constraint.evaluate({"p1": 1, "p2": 1, "p3": 1, "z1": 0, "z2": 0, "z3": 0}) == 1
-    p, z = corpus.build_macro()
+    p, z = helpers.macro_images()
     image = corpus.feasibility_value(p, z)
     square = Polynomial.monomial(
         corpus.AB, {"a1": 2, "a2": 2, "a3": 2, "b1": 2, "b2": 2, "b3": 2}
@@ -175,7 +175,7 @@ def test_builders_are_deterministic():
     assert corpus.d_value(*helpers.macro_triples()) == corpus.d_value(*helpers.macro_triples())
     assert corpus.build_k_form() == corpus.build_k_form()
     assert corpus.build_lagrange_and_cs() == corpus.build_lagrange_and_cs()
-    first, second = corpus.build_macro(), corpus.build_macro()
+    first, second = helpers.macro_images(), helpers.macro_images()
     assert [len(triple) for triple in first] == [3, 3]
     assert first == second
 
@@ -210,7 +210,7 @@ def _flat(value) -> list:
 FORMULAS = {
     "inequality": (corpus.AB, corpus.inequality, corpus.build_inequality),
     "lagrange": (corpus.AB, corpus.lagrange, corpus.build_lagrange_and_cs),
-    "macro": (corpus.AB, corpus.macro, corpus.build_macro),
+    "macro": (corpus.AB, corpus.macro, helpers.macro_images),
     "k_form-c5": (corpus.KB, lambda *kb: corpus.k_form(*kb, 5), lambda: corpus.build_k_form(5)),
     "k_form-C": (
         corpus.KBC, corpus.k_form, lambda: corpus.k_form(*corpus.variables(corpus.KBC))

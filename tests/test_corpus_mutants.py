@@ -24,7 +24,9 @@ EQUIVALENT: dict[tuple[str, int], str] = {}
 
 # The number of mutants; it moves with every edit to a formula in corpus,
 # and a gate that silently stopped reaching a function would lower it.
-MUTANT_COUNT = 242
+# 97 of them are in the identity statements (``ab_identities`` and its
+# siblings), the closed forms the checks compare against.
+MUTANT_COUNT = 339
 
 _BINOP_MUTANTS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.Pow: ast.Mult}
 
@@ -85,13 +87,18 @@ def _mutants():
             yield func.name, mutator.line, code
 
 
-def _refuted(name: str, code) -> bool:
-    """Whether any check fails, or the replay raises, with the mutant in place."""
+def _replay_refutes() -> bool:
+    """Whether any check of ``verifier.run_all()`` is not verified."""
+    return any(r.status != verifier.STATUS_VERIFIED for r in verifier.run_all())
+
+
+def _refuted(name: str, code, oracle=_replay_refutes) -> bool:
+    """Whether ``oracle`` refutes, or raises, with the mutant in place."""
     namespace = vars(corpus)
     original = namespace[name]
     try:
         exec(code, namespace)
-        return any(r.status != verifier.STATUS_VERIFIED for r in verifier.run_all())
+        return oracle()
     except Exception:
         return True
     finally:

@@ -1,24 +1,43 @@
-"""A second proof of the four change-of-variables checks that never uses the
-polynomial kernel.
+"""A second proof of all seven checks that never uses the polynomial kernel.
 
 A polynomial of degree at most D_i in each variable x_i that vanishes at
 every point of the grid {0..D_1} x ... x {0..D_n} is the zero polynomial
 (Alon, *Combinatorial Nullstellensatz*, CPC 1999, Lemma 2.1).  So evaluating
 both sides of an identity at every grid point, in ints and Fractions, proves
-it exactly.  The bounds D_i come from running the same corpus formulas in a
-max-plus degree ring.  While the grid is walked, ``Polynomial`` addition and
-multiplication raise, so no step of the proof is the kernel's.
+it exactly.  The statements are the ones the verifier expands: one grid per
+VarSet walks every component of ``corpus.identities(varset)``, so this file
+holds no formula of its own.  The bounds D_i come from running the same
+functions in a max-plus degree ring.  While a grid is walked, ``Polynomial``
+arithmetic raises, so no step of the proof is the kernel's.
+
+``grid_walk`` is also the only oracle of tests/grid_mutation_score.py, which
+measures whether this proof refutes the corpus mutants on its own.
 """
 
+import contextlib
+import inspect
 import itertools
+import math
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 import pytest
 
 import helpers
 from cstriple import corpus, verifier
 from cstriple.poly import Polynomial
+
+VARSETS = (corpus.AB, corpus.KB, corpus.KBC, corpus.MACRO)
+
+# The max-plus degree bounds of each VarSet's statements; its grid has
+# prod(D_i + 1) points, 20,628 in all.
+EXPECTED_BOUNDS = {
+    corpus.AB: (2, 2, 2, 6, 6, 6),
+    corpus.KB: (2, 2, 2, 6, 6, 6),
+    corpus.KBC: (0, 0, 2, 6, 6, 6, 1),
+    corpus.MACRO: (3, 3, 2, 0, 0, 0),
+}
 
 
 class Degree:
@@ -37,6 +56,9 @@ class Degree:
 
     __radd__ = __sub__ = __rsub__ = __add__
 
+    def __neg__(self):
+        return self
+
     def __mul__(self, other):
         return Degree(map(add, self.bounds, self._of(other)))
 
@@ -46,95 +68,154 @@ class Degree:
         return Degree(n * e for e in self.bounds)
 
 
-def degree_bounds(side, nvars: int) -> tuple[int, ...]:
-    """Per-variable degree bounds of ``side`` in its ``nvars`` arguments."""
-    value = side(*(Degree(int(i == j) for j in range(nvars)) for i in range(nvars)))
-    return value.bounds if isinstance(value, Degree) else (0,) * nvars
+def _sides(statements):
+    """(check, component, lhs, rhs) for every component of ``statements``."""
+    for check, components in statements.items():
+        for name, lhs, rhs in components:
+            yield check, name, lhs, rhs
 
 
-def grid_counterexample(lhs, rhs, nvars: int):
-    """(bounds, point): the degree bounds of lhs - rhs and the first grid
-    point where the two sides differ, or None when they agree on the whole
-    grid, which proves lhs == rhs as polynomials."""
-    bounds = tuple(map(max, degree_bounds(lhs, nvars), degree_bounds(rhs, nvars)))
+def degree_bounds(varset) -> tuple[int, ...]:
+    """Per-variable degree bounds of every side of ``varset``'s statements."""
+    n = len(varset)
+    units = (Degree(int(i == j) for j in range(n)) for i in range(n))
+    bounds = (0,) * n
+    for *_, lhs, rhs in _sides(corpus.identities(varset)(*units)):
+        for side in (lhs, rhs):
+            if isinstance(side, Degree):
+                bounds = tuple(map(max, bounds, side.bounds))
+    return bounds
+
+
+class GridWalk(NamedTuple):
+    bounds: tuple[int, ...]
+    points: int
+    # (check, component, point) where the two sides first differ; None
+    # when they agree on the whole grid, which proves every statement.
+    failure: tuple | None
+
+
+def grid_walk(varset) -> GridWalk:
+    """Evaluate every statement of ``varset`` at each point of its grid."""
+    statements = corpus.identities(varset)
+    bounds = degree_bounds(varset)
+    points = 0
     for point in itertools.product(*(range(d + 1) for d in bounds)):
-        if lhs(*point) != rhs(*point):
-            return bounds, point
-    return bounds, None
+        points += 1
+        for check, name, lhs, rhs in _sides(statements(*point)):
+            if lhs != rhs:
+                return GridWalk(bounds, points, (check, name, point))
+    return GridWalk(bounds, points, None)
 
 
-def _sharpness_expected(k1, k2, k3, b1, b2, b3, c):
-    return (1 - 2 * c) * (b1 * b2 * b3) ** 2 * k3**2 + (b1**2 + b2**2) * (
-        b1**2 + b3**2
-    ) * (b2**2 + b3**2)
+KERNEL_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__",
+)
 
 
-# check -> (lhs, rhs, number of variables, expected degree bounds); the
-# variables are those of the check's VarSet, in order (AB, AB, KB, KBC).
-IDENTITIES = {
-    "key-identity": (
-        lambda a1, a2, a3, b1, b2, b3: (b1 * b2 * b3) ** 2
-        * corpus.inequality(a1, a2, a3, b1, b2, b3).d_tilde,
-        lambda *ab: corpus.d_value(*corpus.macro(*ab)),
-        6,
-        (2, 2, 2, 6, 6, 6),
-    ),
-    "constraint-factorization": (
-        lambda *ab: corpus.feasibility_value(*corpus.macro(*ab)),
-        lambda a1, a2, a3, b1, b2, b3: (a1 * a2 * a3 * b1 * b2 * b3) ** 2,
-        6,
-        (2, 2, 2, 4, 4, 4),
-    ),
-    "k-equivalence": (
-        lambda k1, k2, k3, b1, b2, b3: corpus.inequality(
-            k1 * b1, k2 * b2, k3 * b3, b1, b2, b3
-        ).d_tilde,
-        corpus.k_form,
-        6,
-        (2, 2, 2, 6, 6, 6),
-    ),
-    "sharpness-reduction": (
-        lambda k1, k2, k3, b1, b2, b3, c: corpus.k_form(0, 0, k3, b1, b2, b3, c),
-        _sharpness_expected,
-        7,
-        (0, 0, 2, 6, 6, 6, 1),
-    ),
-}
+@contextlib.contextmanager
+def kernel_arithmetic_forbidden():
+    """Every ``Polynomial`` arithmetic operator raises inside the block."""
 
-
-@pytest.fixture
-def no_kernel_arithmetic(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the grid proof used Polynomial arithmetic")
 
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(Polynomial, name, forbidden)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in KERNEL_OPERATORS:
+            patch.setattr(Polynomial, name, forbidden)
+        yield
 
 
-@pytest.mark.parametrize("check", IDENTITIES)
-def test_grid_proves_the_change_of_variables(check, no_kernel_arithmetic):
-    lhs, rhs, nvars, expected_bounds = IDENTITIES[check]
-    bounds, point = grid_counterexample(lhs, rhs, nvars)
-    assert bounds == expected_bounds
-    assert point is None
+@pytest.fixture(scope="module")
+def walks():
+    with kernel_arithmetic_forbidden():
+        return {varset: grid_walk(varset) for varset in VARSETS}
 
 
-def test_grid_refutes_a_planted_bracket_constant(no_kernel_arithmetic):
-    def planted(*kb):
-        return corpus.k_form(*kb, Fraction(1, 3))
+# Every check, the changes of variables and the other three alike.
+@pytest.mark.parametrize("check", verifier.CHECK_NAMES)
+def test_grid_proves_the_change_of_variables(check, walks):
+    varset = verifier.CHECK_VARSETS[check]
+    bounds, points, failure = walks[varset]
+    assert check in corpus.identities(varset)(*range(len(varset)))
+    assert bounds == EXPECTED_BOUNDS[varset]
+    assert points == math.prod(d + 1 for d in bounds)
+    assert failure is None
 
-    lhs, _, nvars, _ = IDENTITIES["k-equivalence"]
-    _, point = grid_counterexample(lhs, planted, nvars)
-    assert point is not None
-    assert lhs(*point) != planted(*point)
+
+def test_one_grid_per_varset_walks_all_twelve_components(walks):
+    assert set(walks) == set(verifier.CHECK_VARSETS.values())
+    components = [
+        name
+        for varset in walks
+        for _, name, _, _ in _sides(corpus.identities(varset)(*range(len(varset))))
+    ]
+    assert len(components) == len(set(components)) == 12
+    assert sum(walk.points for walk in walks.values()) == 20_628
 
 
-@pytest.mark.parametrize("check", IDENTITIES)
+def _planted(name: str, old: str, new: str):
+    """The corpus function ``name`` compiled from its source with the one
+    occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(corpus, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(corpus))
+    exec(compile(source.replace(old, new), corpus.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def test_grid_refutes_a_planted_bracket_constant(monkeypatch):
+    original = corpus.k_form
+
+    def planted(k1, k2, k3, b1, b2, b3, c=corpus.HALF):
+        return original(k1, k2, k3, b1, b2, b3, Fraction(1, 3))
+
+    monkeypatch.setattr(corpus, "k_form", planted)
+    with kernel_arithmetic_forbidden():
+        check, component, point = grid_walk(corpus.KB).failure
+    assert (check, component) == ("k-equivalence", "k-equivalence")
+    (_, lhs, rhs), = corpus.kb_identities(*point)["k-equivalence"]
+    assert lhs != rhs
+
+
+def test_a_planted_discriminant_coefficient_is_refuted_by_replay_and_grid(monkeypatch):
+    planted = _planted("macro_identities", "7 * p1 * p2", "8 * p1 * p2")
+    monkeypatch.setattr(corpus, "macro_identities", planted)
+    report = verifier.run_check("case-formulas")
+    assert report.status == verifier.STATUS_REFUTED
+    assert report.witness.startswith("case-ii-discriminant: ")
+    with kernel_arithmetic_forbidden():
+        check, component, _ = grid_walk(corpus.MACRO).failure
+    assert (check, component) == ("case-formulas", "case-ii-discriminant")
+
+
+@pytest.mark.parametrize("check", verifier.CHECK_NAMES)
 def test_degree_bounds_cover_the_kernel_expansions(check):
     # The max-plus bound is an upper bound of the degree in each variable
     # of both sides the verifier expands, so the grid is large enough.
-    *_, bounds = IDENTITIES[check]
+    varset = verifier.CHECK_VARSETS[check]
+    bounds = degree_bounds(varset)
     for _, lhs, rhs in verifier.identity_components(check):
         for side in (lhs, rhs):
-            degrees = [helpers.degree_in(side, name) for name in side.varset.names]
+            degrees = [helpers.degree_in(side, name) for name in varset.names]
             assert all(d <= bound for d, bound in zip(degrees, bounds, strict=True))
+
+
+OPERATIONS = {
+    "add": lambda x: x + 1,
+    "radd": lambda x: 1 + x,
+    "sub": lambda x: x - 1,
+    "rsub": lambda x: 1 - x,
+    "mul": lambda x: x * 2,
+    "rmul": lambda x: 2 * x,
+    "neg": lambda x: -x,
+    "pow": lambda x: x**2,
+}
+
+
+@pytest.mark.parametrize("operation", OPERATIONS)
+def test_the_guard_forbids_every_kernel_operator(operation):
+    x = Polynomial.variable(corpus.AB, "a1")
+    OPERATIONS[operation](x)
+    with kernel_arithmetic_forbidden(), pytest.raises(AssertionError, match="Polynomial"):
+        OPERATIONS[operation](x)

@@ -273,15 +273,6 @@ def test_homogeneous_degree():
         helpers.homogeneous_degree(Polynomial.zero(XY))
 
 
-def test_coefficient_of_extracts_quadratic_coefficients():
-    x = Polynomial.variable(XY, "x")
-    y = Polynomial.variable(XY, "y")
-    quadratic = (2 * y + 1) * x**2 + 5 * x - y**3
-    assert quadratic.coefficient_of("x", 2) == 2 * y + 1
-    assert quadratic.coefficient_of("x", 1) == Polynomial.constant(XY, 5)
-    assert quadratic.coefficient_of("x", 0) == -(y**3)
-
-
 def test_format_examples():
     varset = VarSet(("a1", "b2", "b3"))
     poly = Polynomial.monomial(varset, {"a1": 2, "b2": 2}, 3) + Polynomial.monomial(

@@ -3,6 +3,7 @@ mutations, numeric cross-validation, and the report contract."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,25 +27,30 @@ def test_all_checks_verified():
 
 
 def test_a_replay_builds_each_shared_polynomial_once(monkeypatch, capsys):
-    calls = {"build_inequality": 0, "build_macro": 0}
-    for name in calls:
-        def counted(name=name, original=getattr(corpus, name)):
-            calls[name] += 1
-            return original()
+    calls = []
+    original = corpus.build_identities
 
-        monkeypatch.setattr(corpus, name, counted)
+    def counted(varset):
+        calls.append(varset)
+        return original(varset)
+
+    monkeypatch.setattr(corpus, "build_identities", counted)
+    varsets = set(verifier.CHECK_VARSETS.values())
+    assert varsets == {corpus.AB, corpus.KB, corpus.KBC, corpus.MACRO}
     replays = (verifier.run_all, lambda: cli.main(["verify", "--all"]))
     for replay in replays:
-        for rounds in (1, 2):
+        for _ in range(2):
             replay()
-            # No build outlives its replay: the next one builds again.
-            assert calls == dict.fromkeys(calls, rounds)
-        calls.update(dict.fromkeys(calls, 0))
+            # Each VarSet once per replay, and no build outlives its replay:
+            # the next one builds again.
+            assert Counter(calls) == dict.fromkeys(varsets, 1)
+            calls.clear()
     capsys.readouterr()
-    # One check on its own builds what it reads and is still verified.
-    for check in verifier.CHECK_NAMES:
+    # One check on its own builds only its VarSet and is still verified.
+    for check, varset in verifier.CHECK_VARSETS.items():
         assert verifier.run_check(check).status == verifier.STATUS_VERIFIED
-    assert calls == {"build_inequality": 2, "build_macro": 2}
+        assert calls == [varset]
+        calls.clear()
 
 
 def test_unknown_check_name_is_structural():
@@ -95,14 +101,23 @@ def test_case_formula_components():
 
 
 def test_case_ii_discriminant_closed_form():
-    # Independent construction of -p1*p2*(4*p1^2 + 7*p1*p2 + 4*p2^2).
-    p1 = Polynomial.variable(corpus.MACRO, "p1")
-    p2 = Polynomial.variable(corpus.MACRO, "p2")
+    # Independent construction of -p1*p2*(4*p1^2 + 7*p1*p2 + 4*p2^2); it is
+    # the discriminant term of the completed square 4a*case_ii = (2a*p3 + b)^2
+    # - discriminant, with a = -(p1+p2) and b = -p1*p2.
+    p1, p2, p3, *_ = corpus.variables(corpus.MACRO)
     expected = -p1 * p2 * (4 * p1**2 + 7 * p1 * p2 + 4 * p2**2)
+    a, b = -(p1 + p2), -p1 * p2
     components = {name: (lhs, rhs) for name, lhs, rhs in verifier.identity_components("case-formulas")}
     lhs, rhs = components["case-ii-discriminant"]
-    assert rhs == expected
-    assert lhs == expected
+    assert (2 * a * p3 + b) ** 2 - rhs == expected
+    assert (2 * a * p3 + b) ** 2 - lhs == expected
+    # a and b are the p3^2 and p3 coefficients of case ii, so expected is
+    # its discriminant as a quadratic in p3
+    case_ii, _ = components["case-ii"]
+    assert lhs == 4 * a * case_ii
+    quad_c = case_ii - a * p3**2 - b * p3
+    assert helpers.degree_in(quad_c, "p3") == 0
+    assert b**2 - 4 * a * quad_c == expected
 
 
 def test_sharpness_reduction_numerics():
@@ -138,10 +153,14 @@ def test_lagrange_perturbed_cross_term_refuted():
 
 def test_mutated_cs_difference_refuted(monkeypatch):
     # The search target cs_diff is proved, not only the Lagrange identity.
-    parts = corpus.build_lagrange_and_cs()
+    original = corpus.lagrange
     assert verifier.run_check("lagrange").status == verifier.STATUS_VERIFIED
-    mutated = parts._replace(cs_diff=parts.cs_diff + 1)
-    monkeypatch.setattr(corpus, "build_lagrange_and_cs", lambda: mutated)
+
+    def mutated(*ab):
+        parts = original(*ab)
+        return parts._replace(cs_diff=parts.cs_diff + 1)
+
+    monkeypatch.setattr(corpus, "lagrange", mutated)
     report = verifier.run_check("lagrange")
     assert report.status == verifier.STATUS_REFUTED
     assert report.witness == "cs-difference: 1"
@@ -172,17 +191,15 @@ def test_mutated_d_with_wrong_c1_refuted():
     def wrong_d(p, z):
         return corpus.d_value(p, z) - p[1] * p[2] * z[0]
 
-    y_product = Polynomial.monomial(corpus.AB, {"b1": 2, "b2": 2, "b3": 2})
-    lhs = y_product * corpus.build_inequality().d_tilde
-    rhs = wrong_d(*corpus.build_macro())
-    report = verifier.check_equal("key-identity", [("key-identity", lhs, rhs)])
+    ((name, lhs, _),) = verifier.identity_components("key-identity")
+    rhs = wrong_d(*helpers.macro_images())
+    report = verifier.check_equal(name, [(name, lhs, rhs)])
     assert report.status == verifier.STATUS_REFUTED
 
 
 def test_mutated_k_form_constant_refuted():
     # bracket constant 1 instead of 1/2
     wrong = corpus.build_k_form(1)
-    d_tilde = corpus.build_inequality().d_tilde
     ((name, lhs, _),) = verifier.identity_components("k-equivalence")
     report = verifier.check_equal(name, [(name, lhs, wrong)])
     assert report.status == verifier.STATUS_REFUTED
