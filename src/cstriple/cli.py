@@ -2,7 +2,7 @@
 
 Exit codes: 0 when everything passed, 1 when a check was refuted, a
 counterexample was found or a fuzzed state broke a guarantee, 2 on usage or
-structural errors and when the manifest cannot be written.
+structural errors and when the manifest or stdout cannot be written.
 
 With ``--json PATH`` each subcommand writes a run manifest whose content is
 fully determined by the arguments (including the seed); reruns produce
@@ -63,16 +63,18 @@ def coordinate_order(text: str) -> tuple[int, int, int]:
 
 def manifest_path(text: str) -> str:
     """argparse type for ``--json``: an empty path would write no manifest,
-    and one whose last component is empty ("/", ".") names no file; nor can
-    an existing directory ("..", "src") be written, so each exits before
-    the command runs."""
+    and one whose last component as typed is empty, "." or ".." ("/",
+    "results/", "nodir/..") names no file (``pathlib`` would drop a trailing
+    "/" or "."); nor can an existing directory ("..", "src") be written, so
+    each exits before the command runs."""
     if not text:
         raise argparse.ArgumentTypeError("the manifest path is empty")
-    if not Path(text).name:
-        raise argparse.ArgumentTypeError(f"the manifest path {text!r} names no file")
+    name = os.path.basename(text)
     with contextlib.suppress(OSError):  # e.g. a name too long: the write reports it
-        if Path(text).is_dir():
+        if name not in ("", ".") and Path(text).is_dir():
             raise argparse.ArgumentTypeError(f"the manifest path {text!r} is a directory")
+    if name in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"the manifest path {text!r} names no file")
     return text
 
 
@@ -120,6 +122,7 @@ def _finish(args: argparse.Namespace, config: dict, reports: list[dict], ok: boo
 
     The manifest goes to a temporary file next to ``--json PATH`` that then
     replaces it, so a failed write never leaves a truncated manifest behind.
+    The temporary name has a fixed length, so any valid manifest name works.
     """
     status = "pass" if ok else "fail"
     print(f"overall: {status}")
@@ -133,12 +136,12 @@ def _finish(args: argparse.Namespace, config: dict, reports: list[dict], ok: boo
             "overall_status": status,
         }
         path = Path(args.json)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(f".cstriple-{os.getpid()}.tmp")
         try:
             tmp.write_text(manifest_text(manifest) + "\n", encoding="utf-8")
             os.replace(tmp, path)
         except OSError as exc:
-            with contextlib.suppress(OSError):  # not there, or its name too long
+            with contextlib.suppress(OSError):  # not there
                 tmp.unlink()
             print(f"error: cannot write {args.json}: {exc.strerror or exc}", file=sys.stderr)
             return 2
@@ -326,7 +329,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (StructuralError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # stdout is a closed pipe or a full device
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        # What stdout still buffers would fail again at shutdown: send it nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no fd
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2

@@ -36,11 +36,11 @@ and its siblings) that gives ``{check: [(component, lhs, rhs)]}`` over one
 VarSet's variables.  The verifier expands them as Polynomials
 (``build_identities``); tests/test_grid_proof.py evaluates them on ints.
 
-The ``build_*`` functions apply a formula to ``variables(varset)``, the
-variables of a VarSet in order; ``explorer.resolve_target`` and the
-verifier's replay read these builds.  ``TARGET_NAMES`` lists the
-polynomials ``cstriple search`` can sample, by the names
-``explorer.resolve_target`` looks up.
+This module is the only place that maps a name to a formula.
+``TARGETS`` maps each polynomial ``cstriple search`` can sample to its
+VarSet and formula; ``explorer.resolve_target`` applies the formula to
+``variables(varset)``, the variables of the VarSet in order.  ``CHECKS``
+maps each check of the replay to the VarSet whose identities state it.
 
 All formulas are pure and deterministic: repeated builds return identical
 canonical term maps.
@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import Polynomial, StructuralError, VarSet, _exact
+from .poly import Polynomial, StructuralError, VarSet
 
 AB = VarSet(("a1", "a2", "a3", "b1", "b2", "b3"))
 KB = VarSet(("k1", "k2", "k3", "b1", "b2", "b3"))
@@ -60,8 +60,6 @@ KBC = VarSet(("k1", "k2", "k3", "b1", "b2", "b3", "C"))
 MACRO = VarSet(("p1", "p2", "p3", "z1", "z2", "z3"))
 
 HALF = Fraction(1, 2)
-
-TARGET_NAMES = ("d-tilde", "d-k", "weak", "cs")
 
 
 def variables(varset: VarSet) -> tuple[Polynomial, ...]:
@@ -193,6 +191,16 @@ def k_form(k1, k2, k3, b1, b2, b3, c=HALF):
     return lhs - (dot**2 * bnorm + c * (b1 * b2 * b3) ** 2 * bracket)
 
 
+# Each search target: name -> (VarSet, formula); d-k's takes the bracket constant too.
+TARGETS = {
+    "d-tilde": (AB, lambda *ab: inequality(*ab).d_tilde),
+    "d-k": (KB, k_form),
+    "weak": (AB, lambda *ab: inequality(*ab).weak),
+    "cs": (AB, lambda *ab: lagrange(*ab).cs_diff),
+}
+TARGET_NAMES = tuple(TARGETS)
+
+
 # -- the proof's identities: {check: [(component, lhs, rhs)]} per VarSet --------
 
 
@@ -246,24 +254,23 @@ def macro_identities(p1, p2, p3, z1, z2, z3):
     }
 
 
+# Each check, in report order, and the VarSet whose identities state it.
+CHECKS = {
+    "lagrange": AB,
+    "key-identity": AB,
+    "constraint-factorization": AB,
+    "k-equivalence": KB,
+    "case-formulas": MACRO,
+    "sharpness-reduction": KBC,
+    "weak-implication": AB,
+}
+
+
 def identities(varset: VarSet):
     """The identities function of ``varset``, looked up when called."""
     return {
         AB: ab_identities, KB: kb_identities, KBC: kbc_identities, MACRO: macro_identities
     }[varset]
-
-
-def build_inequality() -> InequalityParts:
-    return inequality(*variables(AB))
-
-
-def build_lagrange_and_cs() -> LagrangeParts:
-    return lagrange(*variables(AB))
-
-
-def build_k_form(c: Fraction | int | str = HALF) -> Polynomial:
-    """The k-form over KB; ``c`` passes ``poly._exact``."""
-    return k_form(*variables(KB), _exact(c))
 
 
 def build_identities(varset: VarSet) -> dict[str, list[tuple[str, Polynomial, Polynomial]]]:

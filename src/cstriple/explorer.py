@@ -44,6 +44,7 @@ same vertex and passes or fails the same guarantees as the rational one.
 Results are ``typing.NamedTuple`` records; the two inputs, ``SearchConfig``
 and ``MacroState``, are ``__slots__`` classes that validate in ``__init__``.
 
+``resolve_target`` reads each search target from ``corpus.TARGETS``.
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
 ``corpus``, so the CLI reaches both without importing this module; they are
 re-exported here under the same names.
@@ -65,22 +66,17 @@ _ZERO = Fraction(0)
 
 
 def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
-    """Look up a search target by name.
+    """The search target ``name`` of ``corpus.TARGETS``, built over its VarSet.
 
     ``c`` fixes the bracket constant of the k-form (default 1/2) and is only
     meaningful for the "d-k" target.
     """
     if name != "d-k" and c is not None:
         raise StructuralError(f"constant c only applies to target 'd-k', not {name!r}")
-    if name == "d-tilde":
-        return corpus.build_inequality().d_tilde
-    if name == "d-k":
-        return corpus.build_k_form(corpus.HALF if c is None else c)
-    if name == "weak":
-        return corpus.build_inequality().weak
-    if name == "cs":
-        return corpus.build_lagrange_and_cs().cs_diff
-    raise StructuralError(f"unknown target {name!r}; valid: {', '.join(TARGET_NAMES)}")
+    if name not in corpus.TARGETS:
+        raise StructuralError(f"unknown target {name!r}; valid: {', '.join(TARGET_NAMES)}")
+    varset, formula = corpus.TARGETS[name]
+    return formula(*corpus.variables(varset), *(() if c is None else (_exact(c),)))
 
 
 class SearchConfig:
@@ -124,30 +120,17 @@ class SearchConfig:
         return config
 
 
-class _DrawWidths(NamedTuple):
-    """What ``_draw_pairs`` draws with: the zero probability zn/zd and
-    zk = zd.bit_length(), the numerator bound nb, nw = 2*nb + 1 and
+def _draw_widths(cfg: SearchConfig) -> tuple[int, ...]:
+    """``cfg``'s draw widths, computed once a run: the zero probability zn/zd
+    and zk = zd.bit_length(), the numerator bound nb, nw = 2*nb + 1 and
     nk = nw.bit_length(), the denominator bound db and dk = db.bit_length()."""
-
-    zn: int
-    zd: int
-    zk: int
-    nb: int
-    nw: int
-    nk: int
-    db: int
-    dk: int
-
-
-def _draw_widths(cfg: SearchConfig) -> _DrawWidths:
-    """``cfg``'s draw widths, computed once a run."""
     zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
     nb, db = cfg.numerator_bound, cfg.denominator_bound
     nw = 2 * nb + 1
-    return _DrawWidths(zn, zd, zd.bit_length(), nb, nw, nw.bit_length(), db, db.bit_length())
+    return zn, zd, zd.bit_length(), nb, nw, nw.bit_length(), db, db.bit_length()
 
 
-def _draw_pairs(rng: random.Random, widths: _DrawWidths, count: int, nonzero: int = 0) -> list[int]:
+def _draw_pairs(rng: random.Random, widths: tuple, count: int, nonzero: int = 0) -> list[int]:
     """``count`` coordinates as the flat list n1, d1, ..., n_count, d_count:
     (0, 1) with probability zero_probability, else num in
     [-numerator_bound, numerator_bound] and den in [1, denominator_bound],
@@ -192,7 +175,7 @@ def _reseed(rng: random.Random, seed: int, index: int) -> None:
 
 
 def sample_point(
-    rng: random.Random, seed: int, index: int, nvars: int, widths: _DrawWidths
+    rng: random.Random, seed: int, index: int, nvars: int, widths: tuple
 ) -> tuple[int, ...]:
     """Sample ``index`` of run ``seed`` on ``rng``, reseeded, as ``compile_evaluator``'s
     pairs; ``widths`` is the run's ``_draw_widths(cfg)``."""
@@ -553,7 +536,7 @@ class FuzzSummary(NamedTuple):
 
 
 def _draw_state(
-    rng: random.Random, widths: _DrawWidths, require_negative_product: bool
+    rng: random.Random, widths: tuple, require_negative_product: bool
 ) -> MacroState:
     """Rejection-sample a feasible MacroState with nonzero p (and, when
     asked, p1*p2*p3 < 0) from one per-sample stream.

@@ -31,14 +31,14 @@ Note on key-identity: the raw change of variables only makes sense where
 all b_i are nonzero, but after clearing y1*y2*y3 = (b1*b2*b3)^2 the claim
 becomes a polynomial identity valid everywhere, which is what gets checked.
 
-Every side of every check is a component of ``corpus.identities(varset)``;
-this module only expands them.  ``run_all`` shares one memo of
-``corpus.build_identities`` by VarSet (``_Builds``) among its checks, so
-each VarSet is built once per replay; a check run alone builds its whole
-VarSet.  No build outlives its replay, so a formula swapped into
-``corpus`` between two replays (the source-mutation gate in
-tests/test_corpus_mutants.py does exactly that) is built and checked by
-the next replay, never a stale copy.
+Every side of every check is a component of ``corpus.identities(varset)``,
+and ``corpus.CHECKS`` names the VarSet of each check; this module only
+expands them.  ``run_all`` shares one dict of ``corpus.build_identities``
+by VarSet among its checks, so each VarSet is built once per replay; a
+check run alone builds its whole VarSet.  No build outlives its replay,
+so a formula swapped into ``corpus`` between two replays (the
+source-mutation gate in tests/test_corpus_mutants.py does exactly that)
+is built and checked by the next replay, never a stale copy.
 
 All checks are pure and deterministic; only ``elapsed_ms`` varies between
 runs.
@@ -102,46 +102,29 @@ def check_equal(check: str, components: Iterable[Component]) -> Report:
 
 # -- the replay ---------------------------------------------------------------
 
-# Each check, in report order, and the VarSet whose identities in
-# ``corpus.identities`` state it.
-CHECK_VARSETS = {
-    "lagrange": corpus.AB,
-    "key-identity": corpus.AB,
-    "constraint-factorization": corpus.AB,
-    "k-equivalence": corpus.KB,
-    "case-formulas": corpus.MACRO,
-    "sharpness-reduction": corpus.KBC,
-    "weak-implication": corpus.AB,
-}
-CHECK_NAMES = tuple(CHECK_VARSETS)
+CHECK_NAMES = tuple(corpus.CHECKS)
 
 
-class _Builds(dict):
-    """One replay's identities by VarSet: ``builds[corpus.AB]`` calls
-    ``corpus.build_identities(corpus.AB)``, on first use only."""
-
-    def __missing__(self, varset):
-        built = self[varset] = corpus.build_identities(varset)
-        return built
-
-
-def identity_components(check: str, builds: _Builds | None = None) -> list[Component]:
-    """The exact (lhs, rhs) pairs whose equality the named check asserts,
-    read from ``builds`` (a fresh memo when None)."""
+def identity_components(check: str, builds: dict | None = None) -> list[Component]:
+    """The exact (lhs, rhs) pairs whose equality the named check asserts, read
+    from ``builds``: one replay's ``corpus.build_identities`` by VarSet, filled here."""
     try:
-        varset = CHECK_VARSETS[check]
+        varset = corpus.CHECKS[check]
     except KeyError:
         raise StructuralError(
             f"unknown check {check!r}; valid names: {', '.join(CHECK_NAMES)}"
         ) from None
-    return (_Builds() if builds is None else builds)[varset][check]
+    builds = {} if builds is None else builds
+    if varset not in builds:
+        builds[varset] = corpus.build_identities(varset)
+    return builds[varset][check]
 
 
-def run_check(check: str, builds: _Builds | None = None) -> Report:
+def run_check(check: str, builds: dict | None = None) -> Report:
     return check_equal(check, identity_components(check, builds))
 
 
 def run_all(checks: Iterable[str] = CHECK_NAMES) -> list[Report]:
-    """Run ``checks`` in order on one memo of the corpus builds."""
-    builds = _Builds()
+    """Run ``checks`` in order on one dict of the corpus builds."""
+    builds: dict = {}
     return [run_check(name, builds) for name in checks]

@@ -148,6 +148,21 @@ def macro_images() -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
     return corpus.macro(*corpus.variables(corpus.AB))
 
 
+def inequality_parts() -> corpus.InequalityParts:
+    """``corpus.inequality`` over the AB variables: lhs, rhs, d_tilde, weak."""
+    return corpus.inequality(*corpus.variables(corpus.AB))
+
+
+def lagrange_parts() -> corpus.LagrangeParts:
+    """``corpus.lagrange`` over the AB variables."""
+    return corpus.lagrange(*corpus.variables(corpus.AB))
+
+
+def k_form_polynomial(c: Fraction | int = corpus.HALF) -> Polynomial:
+    """``corpus.k_form`` over the KB variables with bracket constant ``c``."""
+    return corpus.k_form(*corpus.variables(corpus.KB), c)
+
+
 def macro_triples() -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
     """The MACRO variables as the triples (p, z) that ``corpus.d_value`` and
     ``corpus.feasibility_value`` take."""
@@ -215,7 +230,7 @@ PERMUTATIONS = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)
 def check_dtilde_invariances(seed: int = 5, scalings: int = 200) -> None:
     """Degree-6 homogeneity plus index-permutation and paired sign-flip
     symmetry of the difference polynomial, all as exact statements."""
-    d_tilde = corpus.build_inequality().d_tilde
+    d_tilde = inequality_parts().d_tilde
     assert homogeneous_degree(d_tilde) == 6
 
     rng = random.Random(seed)

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line front end: exit codes, output, and
 manifest stability."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,6 +163,16 @@ def test_unwritable_json_path_exits_two(capsys, tmp_path):
     assert "cannot write" in err
 
 
+def test_a_long_valid_manifest_name_is_written(capsys, tmp_path):
+    # The temporary file's name does not grow with the target's, so a
+    # 250-byte name, under the usual 255-byte limit, is written.
+    target = tmp_path / ("a" * 245 + ".json")
+    code, out, err = run(["verify", "--check", "lagrange", "--json", str(target)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(target.read_text(encoding="utf-8"))["overall_status"] == "pass"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_failed_replace_exits_two_and_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError(13, "Permission denied")
@@ -191,6 +205,11 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
             ("./", "the manifest path './' names no file"),
             ("..", "the manifest path '..' is a directory"),
             (str(tmp_path), f"the manifest path {str(tmp_path)!r} is a directory"),
+            # pathlib drops a trailing "/" or "." and would write "results"
+            *(
+                (path, f"the manifest path {path!r} names no file")
+                for path in (f"{tmp_path}/results/", f"{tmp_path}/results/.", f"{tmp_path}/x/..")
+            ),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 cli.main(argv + ["--json", path])
@@ -198,6 +217,41 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
             out, err = capsys.readouterr()
             assert out == ""
             assert f"argument --json: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _cstriple_writing_to(stdout, unbuffered: str) -> subprocess.CompletedProcess:
+    """``python -m cstriple verify --all`` in a fresh interpreter with its
+    stdout on the file descriptor ``stdout``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    return subprocess.run(
+        [sys.executable, "-m", "cstriple", "verify", "--all"],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+def test_a_failed_stdout_write_exits_two(sink, unbuffered):
+    # Not a traceback with exit 1 ("refuted"), nor "Exception ignored" at
+    # shutdown with exit 120.
+    if sink == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        reason = os.strerror(errno.EPIPE)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        write_end = os.open("/dev/full", os.O_WRONLY)
+        reason = os.strerror(errno.ENOSPC)
+    try:
+        result = _cstriple_writing_to(write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write output: {reason}\n"
 
 
 def test_search_c_flag_requires_dk_target(capsys):

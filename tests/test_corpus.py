@@ -1,4 +1,4 @@
-"""Tests for the expression builders: every stated value is recomputed from
+"""Tests for the corpus formulas: every stated value is recomputed from
 an independent hand oracle inside the test, never asserted blind."""
 
 import random
@@ -19,7 +19,7 @@ POINT_ONES = {name: 1 for name in corpus.AB.names}
 
 
 def test_d_tilde_vanishes_on_zero_factor_point():
-    parts = corpus.build_inequality()
+    parts = helpers.inequality_parts()
     point = {"a1": 1, "a2": 0, "a3": 0, "b1": 0, "b2": 1, "b3": 0}
     # the factor a2^2 + b3^2 + b1^2 vanishes, and so does every rhs term
     assert parts.lhs.evaluate(point) == 0
@@ -28,7 +28,7 @@ def test_d_tilde_vanishes_on_zero_factor_point():
 
 
 def test_d_tilde_equality_at_all_ones():
-    parts = corpus.build_inequality()
+    parts = helpers.inequality_parts()
     # lhs = 3^3 = 27, rhs = 3^2 * 3 + 0 = 27
     assert parts.lhs.evaluate(POINT_ONES) == 27
     assert parts.rhs.evaluate(POINT_ONES) == 27
@@ -38,14 +38,14 @@ def test_d_tilde_equality_at_all_ones():
 def test_d_tilde_hand_oracle_at_123():
     # lhs = (1+1+1)(4+1+1)(9+1+1) = 3*6*11 = 198
     # rhs = (1+2+3)^2 * 3 + 1/2 * ((2-3)^2 + (3-1)^2 + (1-2)^2) = 108 + 3 = 111
-    parts = corpus.build_inequality()
+    parts = helpers.inequality_parts()
     assert parts.lhs.evaluate(POINT_123) == 3 * 6 * 11
     assert parts.rhs.evaluate(POINT_123) == 36 * 3 + Fraction(1, 2) * (1 + 4 + 1)
     assert parts.d_tilde.evaluate(POINT_123) == 198 - 111
 
 
 def test_lagrange_identity_and_cs_difference():
-    parts = corpus.build_lagrange_and_cs()
+    parts = helpers.lagrange_parts()
     assert (parts.lagrange_lhs - parts.lagrange_rhs).is_zero()
     aligned = {"a1": 1, "a2": 0, "a3": 0, "b1": 1, "b2": 0, "b3": 0}
     orthogonal = {"a1": 1, "a2": 0, "a3": 0, "b1": 0, "b2": 1, "b3": 0}
@@ -75,8 +75,8 @@ def test_macro_images_at_123_collapse_to_known_state():
 
 
 def test_proof_polynomials_have_int_coefficients():
-    lagrange = corpus.build_lagrange_and_cs()
-    inequality = corpus.build_inequality()
+    lagrange = helpers.lagrange_parts()
+    inequality = helpers.inequality_parts()
     p, z = helpers.macro_images()
     polys = [
         corpus.d_value(*helpers.macro_triples()),
@@ -119,7 +119,7 @@ def test_constraint_values_and_factorization():
 
 
 def test_k_form_values():
-    d_k = corpus.build_k_form()
+    d_k = helpers.k_form_polynomial()
     ones = {name: 1 for name in corpus.KB.names}
     assert d_k.evaluate(ones) == 0
     k123 = {"k1": 1, "k2": 2, "k3": 3, "b1": 1, "b2": 1, "b3": 1}
@@ -130,14 +130,14 @@ def test_parametric_k_form_specializes_to_plain():
     parametric = corpus.k_form(*corpus.variables(corpus.KBC))
     assert parametric.varset == corpus.KBC
     fixed = parametric.substitute(helpers.constant_substitution(Fraction(1, 2)))
-    assert fixed == corpus.build_k_form()
+    assert fixed == helpers.k_form_polynomial()
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), 5, Fraction(7, 3), 0, -1])
 def test_k_form_with_constant_matches_parametric_substitution(c):
     parametric = corpus.k_form(*corpus.variables(corpus.KBC))
     expected = parametric.substitute(helpers.constant_substitution(c))
-    assert corpus.build_k_form(c=c) == expected
+    assert helpers.k_form_polynomial(c) == expected
     assert resolve_target("d-k", c) == expected
 
 
@@ -147,11 +147,11 @@ def test_parametric_k_form_takes_no_constant():
     with pytest.raises(TypeError):
         corpus.k_form(*corpus.variables(corpus.KBC), 1)
     with pytest.raises(TypeError):
-        corpus.build_k_form(parametric=True)
+        corpus.k_form(*corpus.variables(corpus.KB), parametric=True)
 
 
 def test_weak_difference_drops_exactly_the_bracket():
-    parts = corpus.build_inequality()
+    parts = helpers.inequality_parts()
     weak, d_tilde = parts.weak, parts.d_tilde
     bracket = Polynomial.zero(corpus.AB)
     for b, cross in corpus.cross_products(*corpus.variables(corpus.AB)):
@@ -171,22 +171,22 @@ def test_d_macro_permutation_invariance():
 
 
 def test_builders_are_deterministic():
-    assert corpus.build_inequality().d_tilde == corpus.build_inequality().d_tilde
+    assert helpers.inequality_parts().d_tilde == helpers.inequality_parts().d_tilde
     assert corpus.d_value(*helpers.macro_triples()) == corpus.d_value(*helpers.macro_triples())
-    assert corpus.build_k_form() == corpus.build_k_form()
-    assert corpus.build_lagrange_and_cs() == corpus.build_lagrange_and_cs()
+    assert helpers.k_form_polynomial() == helpers.k_form_polynomial()
+    assert helpers.lagrange_parts() == helpers.lagrange_parts()
     first, second = helpers.macro_images(), helpers.macro_images()
     assert [len(triple) for triple in first] == [3, 3]
     assert first == second
 
 
 GOLDEN = {
-    "d_tilde.txt": (lambda: corpus.build_inequality().d_tilde, corpus.AB),
+    "d_tilde.txt": (lambda: helpers.inequality_parts().d_tilde, corpus.AB),
     "d.txt": (lambda: corpus.d_value(*helpers.macro_triples()), corpus.MACRO),
     "constraint.txt": (lambda: corpus.feasibility_value(*helpers.macro_triples()), corpus.MACRO),
-    "d_k.txt": (corpus.build_k_form, corpus.KB),
+    "d_k.txt": (helpers.k_form_polynomial, corpus.KB),
     "d_k_parametric.txt": (lambda: corpus.k_form(*corpus.variables(corpus.KBC)), corpus.KBC),
-    "weak_difference.txt": (lambda: corpus.build_inequality().weak, corpus.AB),
+    "weak_difference.txt": (lambda: helpers.inequality_parts().weak, corpus.AB),
 }
 
 
@@ -208,10 +208,12 @@ def _flat(value) -> list:
 
 # name -> (VarSet, the formula, its build over the VarSet's variables)
 FORMULAS = {
-    "inequality": (corpus.AB, corpus.inequality, corpus.build_inequality),
-    "lagrange": (corpus.AB, corpus.lagrange, corpus.build_lagrange_and_cs),
+    "inequality": (corpus.AB, corpus.inequality, helpers.inequality_parts),
+    "lagrange": (corpus.AB, corpus.lagrange, helpers.lagrange_parts),
     "macro": (corpus.AB, corpus.macro, helpers.macro_images),
-    "k_form-c5": (corpus.KB, lambda *kb: corpus.k_form(*kb, 5), lambda: corpus.build_k_form(5)),
+    "k_form-c5": (
+        corpus.KB, lambda *kb: corpus.k_form(*kb, 5), lambda: helpers.k_form_polynomial(5)
+    ),
     "k_form-C": (
         corpus.KBC, corpus.k_form, lambda: corpus.k_form(*corpus.variables(corpus.KBC))
     ),

@@ -34,11 +34,27 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # -- targets and config ---------------------------------------------------------
 
 
-def test_resolve_target_names():
-    assert resolve_target("d-tilde") == corpus.build_inequality().d_tilde
-    assert resolve_target("weak") == corpus.build_inequality().weak
-    assert resolve_target("cs") == corpus.build_lagrange_and_cs().cs_diff
-    assert resolve_target("d-k") == corpus.build_k_form()
+# Each target built by hand over its VarSet, independently of the table.
+EXPECTED_TARGETS = {
+    "d-tilde": lambda: helpers.inequality_parts().d_tilde,
+    "d-k": helpers.k_form_polynomial,
+    "weak": lambda: helpers.inequality_parts().weak,
+    "cs": lambda: helpers.lagrange_parts().cs_diff,
+}
+
+
+@pytest.mark.parametrize("name", corpus.TARGETS)
+def test_resolve_target_names(name):
+    varset, _ = corpus.TARGETS[name]
+    poly = resolve_target(name)
+    assert poly == EXPECTED_TARGETS[name]()
+    assert poly.varset == varset
+    # cli._cmd_search probes the all-ones point as an equality case of every target.
+    assert poly.evaluate({n: 1 for n in varset.names}) == 0
+
+
+def test_resolve_target_refuses_an_unknown_name_and_a_misplaced_c():
+    assert corpus.TARGET_NAMES == tuple(EXPECTED_TARGETS)
     with pytest.raises(StructuralError):
         resolve_target("nope")
     with pytest.raises(StructuralError):
@@ -50,10 +66,8 @@ def test_resolve_target_refuses_a_float_or_bool_c():
     for bad in (0.6, True):
         with pytest.raises(PreconditionError):
             resolve_target("d-k", bad)
-        with pytest.raises(PreconditionError):
-            corpus.build_k_form(bad)
     assert resolve_target("d-k", "3/5") == resolve_target("d-k", Fraction(3, 5))
-    assert corpus.build_k_form("3/5") == resolve_target("d-k", "3/5")
+    assert helpers.k_form_polynomial(Fraction(3, 5)) == resolve_target("d-k", "3/5")
 
 
 def test_search_config_validation():
@@ -505,7 +519,7 @@ def test_sharpness_witness_point_is_safe_at_half():
     # the same point under the proved constant evaluates to (1-1)*9 + 8 = 8
     witness = sharpness_witness(1)
     point = {"k1": 0, "k2": 0, "k3": witness.k[2], "b1": 1, "b2": 1, "b3": 1}
-    assert corpus.build_k_form().evaluate(point) == 8
+    assert helpers.k_form_polynomial().evaluate(point) == 8
 
 
 # -- minimizer fuzz ---------------------------------------------------------------

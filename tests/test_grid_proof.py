@@ -135,7 +135,7 @@ def walks():
 # Every check, the changes of variables and the other three alike.
 @pytest.mark.parametrize("check", verifier.CHECK_NAMES)
 def test_grid_proves_the_change_of_variables(check, walks):
-    varset = verifier.CHECK_VARSETS[check]
+    varset = corpus.CHECKS[check]
     bounds, points, failure = walks[varset]
     assert check in corpus.identities(varset)(*range(len(varset)))
     assert bounds == EXPECTED_BOUNDS[varset]
@@ -144,7 +144,7 @@ def test_grid_proves_the_change_of_variables(check, walks):
 
 
 def test_one_grid_per_varset_walks_all_twelve_components(walks):
-    assert set(walks) == set(verifier.CHECK_VARSETS.values())
+    assert set(walks) == set(corpus.CHECKS.values())
     components = [
         name
         for varset in walks
@@ -193,7 +193,7 @@ def test_a_planted_discriminant_coefficient_is_refuted_by_replay_and_grid(monkey
 def test_degree_bounds_cover_the_kernel_expansions(check):
     # The max-plus bound is an upper bound of the degree in each variable
     # of both sides the verifier expands, so the grid is large enough.
-    varset = verifier.CHECK_VARSETS[check]
+    varset = corpus.CHECKS[check]
     bounds = degree_bounds(varset)
     for _, lhs, rhs in verifier.identity_components(check):
         for side in (lhs, rhs):

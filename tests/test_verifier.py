@@ -35,7 +35,7 @@ def test_a_replay_builds_each_shared_polynomial_once(monkeypatch, capsys):
         return original(varset)
 
     monkeypatch.setattr(corpus, "build_identities", counted)
-    varsets = set(verifier.CHECK_VARSETS.values())
+    varsets = set(corpus.CHECKS.values())
     assert varsets == {corpus.AB, corpus.KB, corpus.KBC, corpus.MACRO}
     replays = (verifier.run_all, lambda: cli.main(["verify", "--all"]))
     for replay in replays:
@@ -47,7 +47,7 @@ def test_a_replay_builds_each_shared_polynomial_once(monkeypatch, capsys):
             calls.clear()
     capsys.readouterr()
     # One check on its own builds only its VarSet and is still verified.
-    for check, varset in verifier.CHECK_VARSETS.items():
+    for check, varset in corpus.CHECKS.items():
         assert verifier.run_check(check).status == verifier.STATUS_VERIFIED
         assert calls == [varset]
         calls.clear()
@@ -199,7 +199,7 @@ def test_mutated_d_with_wrong_c1_refuted():
 
 def test_mutated_k_form_constant_refuted():
     # bracket constant 1 instead of 1/2
-    wrong = corpus.build_k_form(1)
+    wrong = helpers.k_form_polynomial(1)
     ((name, lhs, _),) = verifier.identity_components("k-equivalence")
     report = verifier.check_equal(name, [(name, lhs, wrong)])
     assert report.status == verifier.STATUS_REFUTED
