@@ -2,7 +2,9 @@
 
 Exit codes: 0 when everything passed, 1 when a check was refuted, a
 counterexample was found or a fuzzed state broke a guarantee, 2 on usage or
-structural errors and when the manifest or stdout cannot be written.
+structural errors and when the manifest or stdout cannot be written (a help
+or version text included).  Only the named subcommand's parser is built;
+help and error texts are those of the full parser.
 
 With ``--json PATH`` each subcommand writes a run manifest whose content is
 fully determined by the arguments (including the seed); reruns produce
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import re
@@ -128,12 +131,8 @@ def _finish(args: argparse.Namespace, config: dict, reports: list[dict], ok: boo
     print(f"overall: {status}")
     if args.json:
         manifest = {
-            "tool": "cstriple",
-            "version": __version__,
-            "command": args.command,
-            "config": config,
-            "reports": reports,
-            "overall_status": status,
+            "tool": "cstriple", "version": __version__, "command": args.command,
+            "config": config, "reports": reports, "overall_status": status,
         }
         path = Path(args.json)
         tmp = path.with_name(f".cstriple-{os.getpid()}.tmp")
@@ -162,14 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _sampling_config(args: argparse.Namespace):
     from .explorer import SearchConfig
-
-    return SearchConfig(
-        sample_count=args.samples,
-        seed=args.seed,
-        numerator_bound=args.num_bound,
-        denominator_bound=args.den_bound,
-        zero_probability=args.zero_prob,
-    )
+    return SearchConfig(args.samples, args.seed, args.num_bound, args.den_bound, args.zero_prob)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -217,11 +209,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     )
     payload = trace.to_dict()
     payload["classification"] = classification.to_dict()
-    config = {
-        "p": [str(v) for v in args.p],
-        "z": [str(v) for v in args.z],
-        "order": list(args.order),
-    }
+    config = dict(p=[str(v) for v in args.p], z=[str(v) for v in args.z], order=list(args.order))
     ok = not explorer.failed_guarantees(trace, classification)
     return _finish(args, config, [payload], ok)
 
@@ -253,7 +241,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return _finish(args, config, [summary.to_dict()], summary.failed == 0)
 
 
-def _add_sampling_options(parser: argparse.ArgumentParser) -> None:
+def _sampling_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--num-bound", type=int, default=100)
@@ -261,7 +249,53 @@ def _add_sampling_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zero-prob", type=rational, default=Fraction(1, 16))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _verify_options(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--check", choices=verifier.CHECK_NAMES, help="run one named check")
+    group.add_argument("--all", action="store_true", help="run every check (default)")
+
+
+def _search_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--target", required=True, choices=TARGET_NAMES)
+    parser.add_argument("--c", type=rational, help="bracket constant for target d-k (default 1/2)")
+    _sampling_options(parser)
+
+
+def _minimize_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p", type=rational_triple, required=True, metavar="r1,r2,r3")
+    parser.add_argument("--z", type=rational_triple, required=True, metavar="r1,r2,r3")
+    parser.add_argument(
+        "--order", type=coordinate_order, default=(3, 2, 1),
+        help="coordinate lowering order, e.g. 321 (default) or 123",
+    )
+
+
+def _fuzz_options(parser: argparse.ArgumentParser) -> None:
+    _sampling_options(parser)
+    parser.add_argument(
+        "--negative-product", action="store_true",
+        help="draw only states with p1*p2*p3 < 0, the case the proof has to work for",
+    )
+
+
+# name -> (help, add-options function, handler), in the order --help lists them.
+_COMMANDS = {
+    "verify": ("replay the symbolic identity checks", _verify_options, _cmd_verify),
+    "search": ("seeded exact-rational counterexample search", _search_options, _cmd_search),
+    "minimize": ("replay the greedy z-minimization on one state", _minimize_options, _cmd_minimize),
+    "sharpness": (
+        "exhibit a counterexample for a bracket constant above 1/2",
+        lambda parser: parser.add_argument("--c", type=rational, required=True), _cmd_sharpness,
+    ),
+    "fuzz": (
+        "run the greedy minimizer and classifier on seeded random feasible states",
+        _fuzz_options, _cmd_fuzz,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``cstriple`` parser with every subcommand, or with only ``command``."""
     parser = argparse.ArgumentParser(
         prog="cstriple",
         description=(
@@ -270,65 +304,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"cstriple {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="replay the symbolic identity checks")
-    group = p_verify.add_mutually_exclusive_group()
-    group.add_argument("--check", choices=verifier.CHECK_NAMES, help="run one named check")
-    group.add_argument("--all", action="store_true", help="run every check (default)")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_search = sub.add_parser("search", help="seeded exact-rational counterexample search")
-    p_search.add_argument("--target", required=True, choices=TARGET_NAMES)
-    p_search.add_argument(
-        "--c",
-        type=rational,
-        default=None,
-        help="bracket constant for target d-k (default 1/2)",
-    )
-    _add_sampling_options(p_search)
-    p_search.set_defaults(func=_cmd_search)
-
-    p_min = sub.add_parser("minimize", help="replay the greedy z-minimization on one state")
-    p_min.add_argument("--p", type=rational_triple, required=True, metavar="r1,r2,r3")
-    p_min.add_argument("--z", type=rational_triple, required=True, metavar="r1,r2,r3")
-    p_min.add_argument(
-        "--order",
-        type=coordinate_order,
-        default=(3, 2, 1),
-        help="coordinate lowering order, e.g. 321 (default) or 123",
-    )
-    p_min.set_defaults(func=_cmd_minimize)
-
-    p_sharp = sub.add_parser(
-        "sharpness", help="exhibit a counterexample for a bracket constant above 1/2"
-    )
-    p_sharp.add_argument("--c", type=rational, required=True)
-    p_sharp.set_defaults(func=_cmd_sharpness)
-
-    p_fuzz = sub.add_parser(
-        "fuzz", help="run the greedy minimizer and classifier on seeded random feasible states"
-    )
-    _add_sampling_options(p_fuzz)
-    p_fuzz.add_argument(
-        "--negative-product",
-        action="store_true",
-        help="draw only states with p1*p2*p3 < 0, the case the proof has to work for",
-    )
-    p_fuzz.set_defaults(func=_cmd_fuzz)
-
-    for subparser in sub.choices.values():
+    # Built alone, a subcommand's top-level usage line (unrecognized arguments)
+    # still lists them all; the full parser's own errors name "command".
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else _COMMANDS:
+        help_text, add_options, handler = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        add_options(subparser)
         subparser.add_argument(
             "--json", type=manifest_path, metavar="PATH", help="write the run manifest as JSON"
         )
+        subparser.set_defaults(func=handler)
         subparser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                args = parser.parse_args(argv)
+        finally:  # --help and --version print here, then raise SystemExit(0)
+            print(printed.getvalue(), end="", flush=True)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end: exit codes, output, and
 manifest stability."""
 
+import argparse
 import errno
 import json
 import os
@@ -220,14 +221,14 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _cstriple_writing_to(stdout, unbuffered: str) -> subprocess.CompletedProcess:
-    """``python -m cstriple verify --all`` in a fresh interpreter with its
-    stdout on the file descriptor ``stdout``."""
+def _cstriple_writing_to(stdout, unbuffered: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m cstriple *argv`` in a fresh interpreter with its stdout on
+    the file descriptor ``stdout``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
     return subprocess.run(
-        [sys.executable, "-m", "cstriple", "verify", "--all"],
+        [sys.executable, "-m", "cstriple", *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
 
@@ -236,7 +237,8 @@ def _cstriple_writing_to(stdout, unbuffered: str) -> subprocess.CompletedProcess
 @pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
 def test_a_failed_stdout_write_exits_two(sink, unbuffered):
     # Not a traceback with exit 1 ("refuted"), nor "Exception ignored" at
-    # shutdown with exit 120.
+    # shutdown with exit 120.  argparse's own help and version texts neither:
+    # from Python 3.11 on it drops a failed write of them and exits 0.
     if sink == "closed-pipe":
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -247,11 +249,16 @@ def test_a_failed_stdout_write_exits_two(sink, unbuffered):
         write_end = os.open("/dev/full", os.O_WRONLY)
         reason = os.strerror(errno.ENOSPC)
     try:
-        result = _cstriple_writing_to(write_end, unbuffered)
+        results = {
+            " ".join(argv): _cstriple_writing_to(write_end, unbuffered, argv)
+            for argv in (["verify", "--all"], ["--help"], ["--version"], ["verify", "--help"])
+        }
     finally:
         os.close(write_end)
-    assert result.returncode == 2
-    assert result.stderr == f"error: cannot write output: {reason}\n"
+    expected = (2, f"error: cannot write output: {reason}\n")
+    assert {argv: (r.returncode, r.stderr) for argv, r in results.items()} == dict.fromkeys(
+        results, expected
+    )
 
 
 def test_search_c_flag_requires_dk_target(capsys):
@@ -370,6 +377,81 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+# The argument lists whose output a parser of one subcommand could change:
+# help, usage errors inside a subcommand and at the top level.
+PARITY_ARGV = [
+    ["--help"],
+    *([name, "--help"] for name in ("verify", "search", "minimize", "sharpness", "fuzz")),
+    ["verify", "--all", "--bogus"],
+    ["search", "--target", "d-tilde", "--samples", "10", "--seed", "1", "--bogus"],
+    ["minimize", "--p", "-1,-1,-1", "--z", "1,1,1", "extra"],
+    ["sharpness", "--c", "1", "--bogus"],
+    ["fuzz", "--samples", "10", "--seed", "1", "--bogus"],
+    ["verify", "--check", "nope"],
+    ["search", "--target", "d-tilde", "--samples", "ten", "--seed", "1"],
+    ["search", "--target", "d-tilde", "--samples", "10"],
+    ["minimize", "--p", "1,2", "--z", "1,1,1"],
+    ["minimize", "--p", "-1,-1,-1"],
+    ["sharpness", "--c", "0.7"],
+    ["sharpness"],
+    ["fuzz", "--samples", "10", "--seed", "-1/2"],
+    ["fuzz", "--seed", "1"],
+    [],
+    ["nope"],
+    ["--version"],
+    ["verify", "--version"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    # main builds only the subcommand named by argv[0]; the full parser is
+    # the reference for exit code, stdout and stderr.
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _outcome(cli.build_parser().parse_args, argv, capsys)
+    assert expected[0] != 0 or expected[1]  # each case exits before running
+    assert _outcome(cli.main, argv, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command\n"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+    ],
+    ids=["no-arguments", "nope"],
+)
+def test_the_top_level_errors_name_the_command_argument(argv, message, capsys):
+    # Not the brace list of the subcommands, which the usage line shows.
+    code, out, err = _outcome(cli.main, argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_a_verify_run_builds_two_parsers(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["verify", "--check", "lagrange"]) == 0
+    assert len(built) == 2  # the top level and verify's, not all five subcommands'
+    monkeypatch.undo()
+    (commands,) = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+    assert list(commands) == ["verify", "search", "minimize", "sharpness", "fuzz"]
 
 
 def test_exit_code_matches_manifest_status(capsys, tmp_path):
