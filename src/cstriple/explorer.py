@@ -32,8 +32,12 @@ Fractions are built only for the kept minimum, the negative hits and the
 probes.
 
 The minimizer fuzz runs on plain ints too.  ``_draw_state`` draws each
-coordinate as such a pair and multiplies the whole state by the lcm L of
-its six denominators.  That is exact: d, the feasibility product and every
+coordinate as such a pair, p_i = n_i/d_i and z_i = |m_i|/e_i, and tests the
+candidate on those ints: every d_i and e_i is at least 1, so p1*p2*p3 has
+the sign of n1*n2*n3, and p_i + z_i = (n_i*e_i + |m_i|*d_i)/(d_i*e_i) that
+of its numerator, so both rejection tests are exact.  Only the accepted
+candidate becomes a ``MacroState``, multiplied by the lcm L of its six
+denominators.  That is exact too: d, the feasibility product and every
 case closed form are homogeneous of degree 3 in (p, z), so they get the
 factor L^3 > 0; the greedy step's bound max(0, -p_i) and its test on the
 sign of the other two factors commute with the scaling; and every fuzz
@@ -541,22 +545,22 @@ def _draw_state(
     """Rejection-sample a feasible MacroState with nonzero p (and, when
     asked, p1*p2*p3 < 0) from one per-sample stream.
 
-    Each attempt is ``_draw_pairs(rng, widths, 6, nonzero=3)``: p1, p2, p3 are
-    its first three coordinates, never 0, and z_i is the absolute value of
-    coordinate 3 + i.  The state returned is the drawn rational state times
-    the lcm of its six denominators, so all its coordinates are ints (see
-    the module docstring for why that changes no outcome of the fuzz).
-    ``widths`` is the run's ``_draw_widths(cfg)``."""
+    Each attempt is ``_draw_pairs(rng, widths, 6, nonzero=3)``, the ints
+    n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 with p_i = n_i/d_i != 0 and
+    z_i = |m_i|/e_i, and is tested on those ints (see the module docstring).
+    Only the accepted one becomes a state: the drawn one times the lcm of its
+    six denominators, so all its coordinates are ints.  ``widths`` is the
+    run's ``_draw_widths(cfg)``."""
     for _ in range(10000):
         pairs = _draw_pairs(rng, widths, 6, nonzero=3)
-        scale = lcm(*pairs[1::2])
+        n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = pairs
+        if require_negative_product and n1 * n2 * n3 >= 0:
+            continue
+        if (n1 * e1 + abs(m1) * d1) * (n2 * e2 + abs(m2) * d2) * (n3 * e3 + abs(m3) * d3) < 0:
+            continue
+        scale = lcm(d1, d2, d3, e1, e2, e3)
         values = [pairs[k] * (scale // pairs[k + 1]) for k in range(0, 12, 2)]
-        state = MacroState(tuple(values[:3]), tuple(abs(v) for v in values[3:]))
-        if not state.is_feasible():
-            continue
-        if require_negative_product and values[0] * values[1] * values[2] >= 0:
-            continue
-        return state
+        return MacroState(values[:3], map(abs, values[3:]))
     raise PreconditionError("rejection sampling found no admissible state in 10000 draws")
 
 
@@ -586,6 +590,9 @@ def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification |
 def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> FuzzSummary:
     """Run the greedy minimizer and classifier on random feasible states and
     count, per guarantee of ``failed_guarantees``, the states violating it."""
+    if require_negative_product and cfg.zero_probability == 1:
+        # Every z_i is then 0, so a feasible state has p1*p2*p3 >= 0.
+        raise PreconditionError("rejection sampling: zero_probability 1 admits no p1*p2*p3 < 0")
     failures = dict.fromkeys(GUARANTEES, 0)
     case_counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 0}
     failed_samples = 0

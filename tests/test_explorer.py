@@ -576,10 +576,36 @@ def test_fuzz_rejection_exhaustion_is_a_precondition_error():
         minimize_fuzz(cfg, require_negative_product=True)
 
 
+def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a candidate")
+
+    monkeypatch.setattr(explorer, "_draw_pairs", no_draw)
+    cfg = SearchConfig(sample_count=1, seed=0, zero_probability=Fraction(1))
+    with pytest.raises(PreconditionError, match="rejection sampling"):
+        minimize_fuzz(cfg, require_negative_product=True)
+
+
+def test_a_fuzz_state_builds_two_macro_states(monkeypatch):
+    built = []
+    init = MacroState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MacroState, "__init__", counting_init)
+    minimize_fuzz(SearchConfig(50, 0), True)
+    # The accepted draw and the descent's final state; a rejected candidate
+    # never becomes a MacroState.
+    assert len(built) == 2 * 50
+
+
 def _reference_state(seed, index, cfg, require_negative_product):
     # The documented fuzz draw on Fractions: three nonzero p_i, then three
     # z_i as absolute values of search coordinates; reject infeasible states
-    # and, when asked, a nonnegative p1*p2*p3.
+    # and, when asked, a nonnegative p1*p2*p3.  Returns the state and the
+    # generator's state after the accepted draw.
     rng = helpers.sample_rng(seed, index)
     while True:
         p = helpers.reference_pairs(rng, cfg, 3, nonzero=True)
@@ -590,24 +616,39 @@ def _reference_state(seed, index, cfg, require_negative_product):
             continue
         if require_negative_product and p[0] * p[1] * p[2] >= 0:
             continue
-        return p + z
+        return p + z, rng.getstate()
+
+
+# Numerators in {-1, 0, 1} and denominators in {1, 2}: in most
+# negative-product states some factor p_i + z_i is exactly 0 (p_i = -1/2,
+# z_i = 1/2, say), the boundary of the int feasibility test.
+BOUNDARY_WIDTHS = {"numerator_bound": 1, "denominator_bound": 2}
 
 
 @pytest.mark.parametrize("require_negative_product", [True, False])
 def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
-    configs = [(seed, {}, 200) for seed in (0, 5)] + [(0, edge, 100) for edge in EDGE_WIDTHS]
+    configs = [(seed, {}, 200) for seed in (0, 5)] + [
+        (0, edge, 100) for edge in (*EDGE_WIDTHS, BOUNDARY_WIDTHS)
+    ]
     for seed, options, count in configs:
         cfg = SearchConfig(sample_count=1, seed=seed, **options)
         rng = random.Random(0)  # reseeded for every state, as in minimize_fuzz
+        zero_factors = 0
         for index in range(count):
             explorer._reseed(rng, seed, index)
             state = explorer._draw_state(rng, explorer._draw_widths(cfg), require_negative_product)
             drawn = state.p + state.z
-            reference = _reference_state(seed, index, cfg, require_negative_product)
+            reference, rng_state = _reference_state(seed, index, cfg, require_negative_product)
+            # Same draws consumed: the int test rejects exactly what the
+            # Fraction test rejects.
+            assert rng.getstate() == rng_state
             assert all(type(v) is int for v in drawn)
             scale = drawn[0] / reference[0]
             assert scale > 0
             assert list(drawn) == [scale * v for v in reference]
+            zero_factors += any(p_i + z_i == 0 for p_i, z_i in zip(state.p, state.z))
+        if options is BOUNDARY_WIDTHS:
+            assert zero_factors > 0
 
 
 def _scaled(state):
