@@ -6,8 +6,8 @@ in the search loop (Fractions only for the reported minimum, hits and
 probes), and Fractions in the minimization tools.  See the README for the
 math and the CLI.
 
-The ``explorer`` names load on first use (PEP 562), so ``cstriple verify``
-never imports the module it does not run.
+The ``explorer`` names load on first use (PEP 562), ``compile_evaluator``
+among them, so ``cstriple verify`` never imports the module it does not run.
 """
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ from .poly import (  # noqa: F401
     PreconditionError,
     StructuralError,
     VarSet,
-    compile_evaluator,
     format_polynomial,
 )
 from .verifier import Report, run_all, run_check  # noqa: F401
@@ -25,7 +24,7 @@ from .verifier import Report, run_all, run_check  # noqa: F401
 # The names re-exported from ``explorer``, which loads on the first lookup.
 _EXPLORER_NAMES = {
     "CaseClassification", "FuzzSummary", "MacroState", "MinimizeTrace", "SearchConfig",
-    "SearchReport", "SharpnessWitness", "case_classify", "greedy_minimize_z",
+    "SearchReport", "SharpnessWitness", "case_classify", "compile_evaluator", "greedy_minimize_z",
     "minimize_fuzz", "random_search", "resolve_target", "sharpness_witness",
 }
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 when everything passed, 1 when a check was refuted, a
 counterexample was found or a fuzzed state broke a guarantee, 2 on usage or
-structural errors and when the manifest or stdout cannot be written (a help
-or version text included).  Only the named subcommand's parser is built;
-help and error texts are those of the full parser.
+structural errors, a result too long to print, and when the manifest or
+stdout cannot be written (a help or version text included).  Only the named
+subcommand's parser is built; help and error texts are the full parser's.
 
 With ``--json PATH`` each subcommand writes a run manifest whose content is
 fully determined by the arguments (including the seed); reruns produce
@@ -123,9 +123,10 @@ def manifest_text(value) -> str:
 def _finish(args: argparse.Namespace, config: dict, reports: list[dict], ok: bool) -> int:
     """Print the overall status, write the manifest if asked, return the exit code.
 
-    The manifest goes to a temporary file next to ``--json PATH`` that then
-    replaces it, so a failed write never leaves a truncated manifest behind.
-    The temporary name has a fixed length, so any valid manifest name works.
+    The manifest goes to a temporary file next to the file ``--json PATH``
+    names, symlinks resolved, that then replaces it, so a failed write never
+    leaves a truncated manifest behind.  The temporary name has a fixed
+    length, so any valid manifest name works.
     """
     status = "pass" if ok else "fail"
     print(f"overall: {status}")
@@ -134,11 +135,15 @@ def _finish(args: argparse.Namespace, config: dict, reports: list[dict], ok: boo
             "tool": "cstriple", "version": __version__, "command": args.command,
             "config": config, "reports": reports, "overall_status": status,
         }
-        path = Path(args.json)
+        text = manifest_text(manifest) + "\n"
+        path = Path(os.path.realpath(args.json))
         tmp = path.with_name(f".cstriple-{os.getpid()}.tmp")
         try:
-            tmp.write_text(manifest_text(manifest) + "\n", encoding="utf-8")
-            os.replace(tmp, path)
+            if path.exists() and not path.is_file():  # a FIFO or a device: write through
+                path.write_text(text, encoding="utf-8")
+            else:
+                tmp.write_text(text, encoding="utf-8")
+                os.replace(tmp, path)
         except OSError as exc:
             with contextlib.suppress(OSError):  # not there
                 tmp.unlink()
@@ -334,6 +339,11 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (StructuralError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # only a result too long to print; any other is a fault
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a result is too long to print: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # stdout is a closed pipe or a full device
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)

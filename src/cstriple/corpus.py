@@ -72,12 +72,16 @@ class InequalityParts(NamedTuple):
     rhs: Polynomial
     d_tilde: Polynomial
     weak: Polynomial
+    lagrange: LagrangeParts
 
 
 class LagrangeParts(NamedTuple):
     lagrange_lhs: Polynomial
     lagrange_rhs: Polynomial
     cs_diff: Polynomial
+    dot_squared: Polynomial
+    bnorm: Polynomial
+    crosses: tuple[tuple[Polynomial, Polynomial], ...]
 
 
 def cross_products(a1, a2, a3, b1, b2, b3):
@@ -95,27 +99,28 @@ def cross_products(a1, a2, a3, b1, b2, b3):
 
 def inequality(a1, a2, a3, b1, b2, b3) -> InequalityParts:
     """Left side, right side, and difference of the three-factor inequality,
-    and ``weak``: lhs - (a1*b1+a2*b2+a3*b3)^2 (b1^2+b2^2+b3^2), no bracket."""
+    ``weak``: lhs - dot_squared * bnorm, no bracket, and the ``lagrange`` parts
+    the right side is built from."""
+    lag = lagrange(a1, a2, a3, b1, b2, b3)
     lhs = (a1**2 + b2**2 + b3**2) * (a2**2 + b3**2 + b1**2) * (a3**2 + b1**2 + b2**2)
-    dot = a1 * b1 + a2 * b2 + a3 * b3
-    bnorm = b1**2 + b2**2 + b3**2
-    bracket = sum(b**2 * cross**2 for b, cross in cross_products(a1, a2, a3, b1, b2, b3))
-    cs_rhs = dot**2 * bnorm
+    bracket = sum(b**2 * cross**2 for b, cross in lag.crosses)
+    cs_rhs = lag.dot_squared * lag.bnorm
     rhs = cs_rhs + HALF * bracket
-    return InequalityParts(lhs=lhs, rhs=rhs, d_tilde=lhs - rhs, weak=lhs - cs_rhs)
+    return InequalityParts(lhs=lhs, rhs=rhs, d_tilde=lhs - rhs, weak=lhs - cs_rhs, lagrange=lag)
 
 
 def lagrange(a1, a2, a3, b1, b2, b3) -> LagrangeParts:
     """The classical Lagrange identity and the Cauchy-Schwarz difference;
-    the Lagrange remainder is the sum of the ``cross_products`` squared."""
+    the Lagrange remainder is the sum of the ``cross_products`` squared.  The
+    parts ``inequality`` builds on: (a1*b1+a2*b2+a3*b3)^2, |b|^2, ``crosses``."""
     anorm = a1**2 + a2**2 + a3**2
     bnorm = b1**2 + b2**2 + b3**2
-    dot = a1 * b1 + a2 * b2 + a3 * b3
-    cross_sum = sum(cross**2 for _, cross in cross_products(a1, a2, a3, b1, b2, b3))
+    norms = anorm * bnorm
+    dot_squared = (a1 * b1 + a2 * b2 + a3 * b3) ** 2
+    crosses = cross_products(a1, a2, a3, b1, b2, b3)
+    cross_sum = sum(cross**2 for _, cross in crosses)
     return LagrangeParts(
-        lagrange_lhs=anorm * bnorm,
-        lagrange_rhs=dot**2 + cross_sum,
-        cs_diff=anorm * bnorm - dot**2,
+        norms, dot_squared + cross_sum, norms - dot_squared, dot_squared, bnorm, crosses
     )
 
 
@@ -206,15 +211,14 @@ TARGET_NAMES = tuple(TARGETS)
 
 def ab_identities(a1, a2, a3, b1, b2, b3):
     ineq = inequality(a1, a2, a3, b1, b2, b3)
-    lag = lagrange(a1, a2, a3, b1, b2, b3)
-    crosses = cross_products(a1, a2, a3, b1, b2, b3)
+    lag = ineq.lagrange
     p, z = macro(a1, a2, a3, b1, b2, b3)
     square = (a1 * a2 * a3 * b1 * b2 * b3) ** 2
-    half_squares = sum(HALF * b**2 * cross**2 for b, cross in crosses)
+    half_squares = sum(HALF * b**2 * cross**2 for b, cross in lag.crosses)
     return {
         "lagrange": [
             ("lagrange", lag.lagrange_lhs, lag.lagrange_rhs),
-            ("cs-difference", lag.cs_diff, sum(cross**2 for _, cross in crosses)),
+            ("cs-difference", lag.cs_diff, sum(cross**2 for _, cross in lag.crosses)),
         ],
         "key-identity": [("key-identity", (b1 * b2 * b3) ** 2 * ineq.d_tilde, d_value(p, z))],
         "constraint-factorization": [

@@ -24,12 +24,12 @@ is the algorithm of CPython 3.11's ``randrange``, so the stream is the one
 it gave (the tests pin it against a reference draw written with it), but it
 no longer depends on how a later interpreter implements ``randrange``.
 
-The search loop runs on plain ints: ``sample_point`` draws each coordinate
-as a (numerator, denominator) pair, the evaluator from ``compile_evaluator``
-returns the value as such a pair, and ``search_range`` folds the probes
-and then the samples in one pass, comparing values by cross-multiplication.
-Fractions are built only for the kept minimum, the negative hits and the
-probes.
+The search loop runs on plain ints, in a format only this module knows:
+``sample_point`` and ``_probe_pairs`` give each coordinate as a (numerator,
+denominator) pair, the evaluator ``compile_evaluator`` generates returns the
+value as such a pair, and ``search_range`` folds the probes and then the
+samples in one pass, comparing values by cross-multiplication.  Fractions
+are built only for the kept minimum, the negative hits and the probes.
 
 The minimizer fuzz runs on plain ints too.  ``_draw_state`` draws each
 coordinate as such a pair, p_i = n_i/d_i and z_i = |m_i|/e_i, and tests the
@@ -59,12 +59,13 @@ from __future__ import annotations
 import random
 from _random import Random as _CRandom
 from fractions import Fraction
+from itertools import groupby
 from math import isqrt, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import corpus
 from .corpus import TARGET_NAMES
-from .poly import Polynomial, PreconditionError, StructuralError, _exact, compile_evaluator
+from .poly import Coeff, Monomial, Polynomial, PreconditionError, StructuralError, _exact
 
 _ZERO = Fraction(0)
 
@@ -189,6 +190,75 @@ def sample_point(
 
 def _fractions(pairs: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
+
+
+def compile_evaluator(poly: Polynomial) -> Callable[[Sequence[int]], tuple[int, int]]:
+    """Build a fast exact evaluator on integer coordinate pairs.
+
+    The evaluator takes the flat tuple ``(n1, d1, ..., nk, dk)`` of a point
+    with coordinates n_i/d_i in VarSet order, every d_i > 0, and returns
+    ``(num, den)`` with den > 0 (not reduced): with per-variable maximum
+    exponents E_i, mixed powers m_i_e = n_i^e * d_i^(E_i - e) and L the lcm
+    of the coefficient denominators, num = sum_t L*c_t * prod_i m_i_(e_ti)
+    and den = L * prod_i d_i^E_i.  num is a nested Horner scheme, which
+    only regroups that sum, so the pair is the same integers: the terms
+    form a trie, grouped by their exponent of the first variable, then of
+    the second, and so on in VarSet order, so each m_i_e is multiplied in
+    once per group, not once per term.  The function is generated once
+    with ``compile()``: the powers as locals, then one statement ``s_i =
+    product`` or ``s_i += product`` per trie edge out of a group that
+    splits, so no sum is one expression and none nests deeper as the
+    polynomial grows.  Names are positional and coefficients int
+    literals: no VarSet text reaches ``compile()``.
+    ``Fraction(*evaluate(pairs))`` equals ``Polynomial.evaluate``.
+    """
+    nvars = len(poly.varset)
+    terms = sorted(poly.terms.items())
+    max_exp = [max((mono[i] for mono, _ in terms), default=0) for i in range(nvars)]
+    present = [i for i, top in enumerate(max_exp) if top]
+    scale = lcm(*(c.denominator for _, c in terms))
+    lines = [
+        "def evaluate(v):",
+        f"    if len(v) != {2 * nvars}:",
+        "        _wrong_arity(len(v))",
+        f"    {', '.join(f'n{i}_1, d{i}_1' for i in range(nvars))} = v",
+    ]
+    mixed = {}  # (i, e) -> the local holding m_i_e
+    for i in present:
+        top = max_exp[i]
+        for base in (f"n{i}", f"d{i}"):
+            for e in range(2, top + 1):
+                lines.append(f"    {base}_{e} = {base}_{e - 1} * {base}_1")
+        for e in sorted({mono[i] for mono, _ in terms}):
+            mixed[i, e] = f"n{i}_{e}" if e == top else f"d{i}_{top}" if e == 0 else f"m{i}_{e}"
+            lines += [f"    m{i}_{e} = n{i}_{e} * d{i}_{top - e}"] * (0 < e < top)
+
+    def group_sum(group: list[tuple[Monomial, Coeff]], level: int, outer: list[str]) -> str:
+        """Emit the locals s_i of the group's sum over present[level:]; return it times outer."""
+        if len(group) == 1:
+            mono, c = group[0][0], int(group[0][1] * scale)
+            factors = [str(abs(c))] * (abs(c) != 1) + [mixed[i, mono[i]] for i in present[level:]]
+            return "-" * (c < 0) + (" * ".join(factors + outer) or "1")
+        i = present[level]
+        edges = [(e, list(sub)) for e, sub in groupby(group, key=lambda term: term[0][i])]
+        if len(edges) == 1:
+            return group_sum(edges[0][1], level + 1, [mixed[i, edges[0][0]], *outer])
+        for k, (e, sub) in enumerate(edges):
+            product = group_sum(sub, level + 1, [mixed[i, e]])
+            op = "=" if not k else "-=" if product[0] == "-" else "+="
+            lines.append(f"    s{i} {op} {product[op == '-=':]}")
+        return " * ".join([f"s{i}", *outer])
+
+    num = group_sum(terms, 0, []) if terms else 0
+    den = [str(scale)] * (scale != 1) + [f"d{i}_{max_exp[i]}" for i in present]
+    lines.append(f"    return {num}, {' * '.join(den) or '1'}")
+
+    def wrong_arity(n: int) -> None:
+        raise StructuralError(f"expected {2 * nvars} integers ({nvars} coordinate pairs), got {n}")
+
+    namespace = {"_wrong_arity": wrong_arity}
+    exec(compile("\n".join(lines), "<compile_evaluator>", "exec"), namespace)
+    return namespace["evaluate"]
 
 
 class SearchReport(NamedTuple):

@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 
 from cstriple import corpus, explorer, verifier
-from cstriple.poly import Polynomial, StructuralError, VarSet, compile_evaluator
+from cstriple.explorer import compile_evaluator
+from cstriple.poly import Polynomial, StructuralError, VarSet
 
 XYZW = VarSet(("x", "y", "z", "w"))
 
@@ -149,7 +150,8 @@ def macro_images() -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
 
 
 def inequality_parts() -> corpus.InequalityParts:
-    """``corpus.inequality`` over the AB variables: lhs, rhs, d_tilde, weak."""
+    """``corpus.inequality`` over the AB variables: lhs, rhs, d_tilde, weak
+    and the ``corpus.lagrange`` parts they are built from."""
     return corpus.inequality(*corpus.variables(corpus.AB))
 
 

@@ -5,8 +5,10 @@ import argparse
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,6 +186,77 @@ def test_failed_replace_exits_two_and_leaves_no_temporary_file(capsys, tmp_path,
     assert code == 2
     assert "overall: pass" in out
     assert err == f"error: cannot write {target}: Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_through_a_symlink_writes_its_target(capsys, tmp_path):
+    # The link stays a link; its target, existing or not yet, gets the manifest.
+    (tmp_path / "real.json").write_text("stale\n", encoding="utf-8")
+    for link, target in (("link.json", "real.json"), ("dangling.json", "new.json")):
+        (tmp_path / link).symlink_to(target)
+        code, out, err = run(
+            ["verify", "--check", "lagrange", "--json", str(tmp_path / link)], capsys
+        )
+        assert (code, err) == (0, "")
+        assert (tmp_path / link).is_symlink()
+        manifest = json.loads((tmp_path / target).read_text(encoding="utf-8"))
+        assert manifest["overall_status"] == "pass"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.json", "link.json", "new.json", "real.json"
+    ]
+
+
+def test_json_to_a_fifo_writes_through_it(capsys, tmp_path):
+    # A FIFO (or a device such as /dev/null) is written to, not replaced by
+    # a regular file.  While ``writer`` is open the reader blocks until the
+    # command has written and closed, then reads to the end.
+    fifo = tmp_path / "manifest.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    writer = os.open(fifo, os.O_WRONLY)
+    os.set_blocking(reader, True)
+    received = []
+
+    def read_all():
+        with open(reader, "rb") as pipe:
+            received.append(pipe.read())
+
+    thread = threading.Thread(target=read_all, daemon=True)
+    thread.start()
+    try:
+        code, out, err = run(["verify", "--check", "lagrange", "--json", str(fifo)], capsys)
+    finally:
+        os.close(writer)
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert (code, err) == (0, "")
+    assert json.loads(received[0])["overall_status"] == "pass"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on the digits of integer text"
+)
+def test_a_result_too_long_to_print_exits_two(capsys, tmp_path):
+    # d = p1*p2*p3 + ... has about 4500 digits, over the default limit of
+    # 4300 that int-to-text conversion enforces: one error line, no
+    # traceback and no manifest.
+    x = "9" * 1500
+    target = tmp_path / "min.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(
+            ["minimize", "--p", f"-{x},{x},{x}", "--z", f"{x},0,0", "--json", str(target)],
+            capsys,
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4300" in err
     assert list(tmp_path.iterdir()) == []
 
 

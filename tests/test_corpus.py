@@ -55,13 +55,11 @@ def test_lagrange_identity_and_cs_difference():
 
 def test_macro_substitution_images():
     p, z = helpers.macro_images()
+    _, a2, a3, _, b2, b3 = corpus.variables(corpus.AB)
     # z1 = y1^2 = (b2*b3)^2
-    assert z[0] == Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
+    assert z[0] == b2**2 * b3**2
     # p1 = (x1 - y1)*y1 = a2*a3*b2*b3 - b2^2*b3^2
-    expected = Polynomial.monomial(corpus.AB, {"a2": 1, "a3": 1, "b2": 1, "b3": 1}) - (
-        Polynomial.monomial(corpus.AB, {"b2": 2, "b3": 2})
-    )
-    assert p[0] == expected
+    assert p[0] == a2 * a3 * b2 * b3 - b2**2 * b3**2
     # at a=(1,2,3), b=(1,1,1): x1 = 6, y1 = 1, so p1 = (6-1)*1 = 5
     assert p[0].evaluate(POINT_123) == 5
 
@@ -110,10 +108,8 @@ def test_constraint_values_and_factorization():
     assert constraint.evaluate({"p1": 1, "p2": 1, "p3": 1, "z1": 0, "z2": 0, "z3": 0}) == 1
     p, z = helpers.macro_images()
     image = corpus.feasibility_value(p, z)
-    square = Polynomial.monomial(
-        corpus.AB, {"a1": 2, "a2": 2, "a3": 2, "b1": 2, "b2": 2, "b3": 2}
-    )
-    assert image == square
+    a1, a2, a3, b1, b2, b3 = corpus.variables(corpus.AB)
+    assert image == a1**2 * a2**2 * a3**2 * b1**2 * b2**2 * b3**2
     # function application is the change of variables substitute makes
     assert constraint.substitute(dict(zip(corpus.MACRO.names, p + z))) == image
 

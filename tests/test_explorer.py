@@ -16,6 +16,7 @@ from cstriple.explorer import (
     PreconditionError,
     SearchConfig,
     case_classify,
+    compile_evaluator,
     failed_guarantees,
     greedy_minimize_z,
     minimize_fuzz,
@@ -25,7 +26,7 @@ from cstriple.explorer import (
     sharpness_witness,
     vertex_label,
 )
-from cstriple.poly import StructuralError, compile_evaluator
+from cstriple.poly import StructuralError
 
 ONES = {name: 1 for name in corpus.AB.names}
 FIXTURES = Path(__file__).parent / "fixtures"

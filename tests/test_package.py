@@ -22,7 +22,6 @@ EXPORTS = {
         "PreconditionError",
         "StructuralError",
         "VarSet",
-        "compile_evaluator",
         "format_polynomial",
     ),
     "verifier": ("Report", "run_all", "run_check"),
@@ -35,6 +34,7 @@ EXPORTS = {
         "SearchReport",
         "SharpnessWitness",
         "case_classify",
+        "compile_evaluator",
         "greedy_minimize_z",
         "minimize_fuzz",
         "random_search",
@@ -111,7 +111,7 @@ def test_python_m_cstriple_runs_the_command_line():
 
 # Runs in a fresh interpreter: ``verify`` must leave the explorer, and the
 # dataclasses and inspect modules no command needs, unimported; the first
-# lazy name loads the explorer.
+# lazy name, here the search's evaluator, loads the explorer.
 _COLD_VERIFY = """
 import sys
 import cstriple
@@ -119,8 +119,9 @@ from cstriple import cli
 
 code = cli.main(["verify", "--all", "--json", sys.argv[1]])
 print(code, *sorted(m for m in ("cstriple.explorer", "dataclasses", "inspect") if m in sys.modules))
-cstriple.SearchConfig
-print("cstriple.explorer" in sys.modules)
+evaluator = cstriple.compile_evaluator
+explorer = sys.modules.get("cstriple.explorer")
+print(explorer is not None and evaluator is explorer.compile_evaluator)
 """
 
 

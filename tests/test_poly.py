@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from cstriple.explorer import compile_evaluator
 from cstriple.poly import (
     Polynomial,
     PreconditionError,
     StructuralError,
     VarSet,
-    compile_evaluator,
     format_polynomial,
 )
 
@@ -68,7 +68,7 @@ def test_coefficients_refuse_what_is_not_an_exact_rational():
         with pytest.raises(PreconditionError):
             Polynomial(XY, {(1, 0): bad})
         with pytest.raises(PreconditionError):
-            Polynomial.monomial(XY, {"x": 1}, bad)
+            Polynomial(XY, [((1, 0), 1), ((1, 0), bad)])
     assert Polynomial.constant(XY, "-3/7") == Polynomial.constant(XY, Fraction(-3, 7))
     assert Polynomial.constant(XY, 2).terms == {(0, 0): Fraction(2)}
 
@@ -151,9 +151,8 @@ def test_dot_product_square_has_six_terms():
     # (a1*b1 + a2*b2 + a3*b3)^2: three squares plus the 3 = C(3,2) cross
     # terms 2*a_i*b_i*a_j*b_j, all distinct monomials.
     varset = VarSet(("a1", "a2", "a3", "b1", "b2", "b3"))
-    dot = Polynomial.zero(varset)
-    for i in (1, 2, 3):
-        dot = dot + Polynomial.monomial(varset, {f"a{i}": 1, f"b{i}": 1})
+    a1, a2, a3, b1, b2, b3 = (Polynomial.variable(varset, name) for name in varset.names)
+    dot = a1 * b1 + a2 * b2 + a3 * b3
     assert (dot**2).term_count == 3 + 3
 
 
@@ -166,7 +165,7 @@ def test_arith_rejects_varset_mismatch():
         p * q
     # An equal VarSet that is another object is the same variable set.
     twin = Polynomial.variable(VarSet(("x", "y")), "y")
-    assert p * twin == Polynomial.monomial(XY, {"x": 1, "y": 1})
+    assert p * twin == Polynomial(XY, {(1, 1): 1})
 
 
 def test_scalar_operands_act_as_the_constant_polynomial():
@@ -207,15 +206,10 @@ def test_scalar_operands_refuse_bools_and_floats():
 def test_substitute_macro_product_example():
     source = VarSet(("x1", "x2", "x3"))
     target = VarSet(("a1", "a2", "a3"))
-    images = {
-        "x1": Polynomial.monomial(target, {"a2": 1, "a3": 1}),
-        "x2": Polynomial.monomial(target, {"a1": 1, "a3": 1}),
-        "x3": Polynomial.monomial(target, {"a1": 1, "a2": 1}),
-    }
-    product = Polynomial.monomial(source, {"x1": 1, "x2": 1, "x3": 1})
-    assert product.substitute(images) == Polynomial.monomial(
-        target, {"a1": 2, "a2": 2, "a3": 2}
-    )
+    x1, x2, x3 = (Polynomial.variable(source, name) for name in source.names)
+    a1, a2, a3 = (Polynomial.variable(target, name) for name in target.names)
+    images = {"x1": a2 * a3, "x2": a1 * a3, "x3": a1 * a2}
+    assert (x1 * x2 * x3).substitute(images) == a1**2 * a2**2 * a3**2
 
 
 def test_substitute_collapses_p_plus_z():
@@ -275,9 +269,8 @@ def test_homogeneous_degree():
 
 def test_format_examples():
     varset = VarSet(("a1", "b2", "b3"))
-    poly = Polynomial.monomial(varset, {"a1": 2, "b2": 2}, 3) + Polynomial.monomial(
-        varset, {"b3": 4}, Fraction(-1, 2)
-    )
+    a1, b2, b3 = (Polynomial.variable(varset, name) for name in varset.names)
+    poly = 3 * a1**2 * b2**2 + Fraction(-1, 2) * b3**4
     assert format_polynomial(poly) == "3*a1^2*b2^2 - 1/2*b3^4"
     assert str(Polynomial.zero(varset)) == "0"
     assert str(Polynomial.constant(varset, Fraction(-3, 7))) == "-3/7"

@@ -11,7 +11,8 @@ import pytest
 
 import helpers
 from cstriple import cli, corpus, verifier
-from cstriple.poly import Polynomial, StructuralError, compile_evaluator
+from cstriple.explorer import compile_evaluator
+from cstriple.poly import Polynomial, StructuralError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -144,7 +145,8 @@ def test_weak_implication_numerics():
 def test_lagrange_perturbed_cross_term_refuted():
     (name, lhs, rhs), _ = verifier.identity_components("lagrange")
     # double the a1^2*b2^2 coefficient on the left side
-    mutated = lhs + Polynomial.monomial(corpus.AB, {"a1": 2, "b2": 2})
+    a1, _, _, _, b2, _ = corpus.variables(corpus.AB)
+    mutated = lhs + a1**2 * b2**2
     report = verifier.check_equal("lagrange", [(name, mutated, rhs)])
     assert report.status == verifier.STATUS_REFUTED
     assert report.witness is not None
@@ -170,8 +172,9 @@ def test_sides_on_different_varsets_are_an_error():
     # The refuted first component sets a witness and a term count; the
     # structural error in the second discards both.
     (name, lhs, rhs), _ = verifier.identity_components("lagrange")
-    refuted = (name, lhs + Polynomial.monomial(corpus.AB, {"a1": 2, "b2": 2}), rhs)
-    a1, k1 = Polynomial.variable(corpus.AB, "a1"), Polynomial.variable(corpus.KB, "k1")
+    a1, b2 = Polynomial.variable(corpus.AB, "a1"), Polynomial.variable(corpus.AB, "b2")
+    refuted = (name, lhs + a1**2 * b2**2, rhs)
+    k1 = Polynomial.variable(corpus.KB, "k1")
     mismatched = ("mismatch", a1, k1)
     assert verifier.check_equal("mixed", [refuted]).status == verifier.STATUS_REFUTED
     report = verifier.check_equal("mixed", [refuted, mismatched])
