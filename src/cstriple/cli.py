@@ -29,7 +29,7 @@ from . import __version__, verifier
 from .corpus import TARGET_NAMES
 from .poly import PreconditionError, StructuralError
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 # argparse's stock negative-number detector (-1, -0.5) takes "-1/3" and
 # "-1,-1,-1" for option strings; this one lets every option value start
 # with a minus sign followed by a digit.
@@ -39,12 +39,12 @@ _encode_scalar = json.JSONEncoder().encode
 
 def rational(text: str) -> Fraction:
     """argparse type for exact rationals: "num/den" or integer syntax."""
-    if not _RATIONAL_RE.fullmatch(text.strip()):
+    if not (match := _RATIONAL_RE.fullmatch(text.strip())):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a rational; use integer or num/den syntax"
         )
     try:
-        return Fraction(text)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"{text!r} has denominator zero") from None
 

@@ -65,12 +65,13 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import corpus
 from .corpus import TARGET_NAMES
-from .poly import Coeff, Monomial, Polynomial, PreconditionError, StructuralError, _exact
+from .poly import Coeff, Monomial, Polynomial, PreconditionError, StructuralError
+from .poly import _exact, _point_values
 
 _ZERO = Fraction(0)
 
 
-def resolve_target(name: str, c: Fraction | int | None = None) -> Polynomial:
+def resolve_target(name: str, c: Coeff | None = None) -> Polynomial:
     """The search target ``name`` of ``corpus.TARGETS``, built over its VarSet.
 
     ``c`` fixes the bracket constant of the k-form (default 1/2) and is only
@@ -98,7 +99,7 @@ class SearchConfig:
         seed: int,
         numerator_bound: int = 100,
         denominator_bound: int = 100,
-        zero_probability: Fraction | int = Fraction(1, 16),
+        zero_probability: Coeff = Fraction(1, 16),
     ):
         self.sample_count, self.seed = sample_count, seed
         self.numerator_bound, self.denominator_bound = numerator_bound, denominator_bound
@@ -112,9 +113,7 @@ class SearchConfig:
             raise PreconditionError("seed must fit in 64 unsigned bits")
         if numerator_bound < 1 or denominator_bound < 1:
             raise PreconditionError("numerator and denominator bounds must be >= 1")
-        zp = zero_probability
-        if not isinstance(zp, (int, Fraction)) or isinstance(zp, bool):
-            raise PreconditionError(f"zero_probability must be an int or a Fraction, got {zp!r}")
+        zp = _exact(zero_probability)
         if not 0 <= zp <= 1:
             raise PreconditionError("zero_probability must lie in [0, 1]")
         self.zero_probability = Fraction(zp)
@@ -297,21 +296,10 @@ class SearchReport(NamedTuple):
         }
 
 
-def _probe_pairs(
-    poly: Polynomial, probe: Mapping[str, Fraction | int] | Sequence[Fraction | int]
-) -> tuple[int, ...]:
-    """A probe as the flat int tuple (n1, d1, ..., nk, dk) of ``sample_point``."""
-    if isinstance(probe, Mapping):
-        missing = [n for n in poly.varset.names if n not in probe]
-        if missing:
-            raise StructuralError(f"probe misses variables {missing}")
-        values = tuple(_exact(probe[n]) for n in poly.varset.names)
-    else:
-        values = tuple(map(_exact, probe))
-    if len(values) != len(poly.varset):
-        raise StructuralError(
-            f"probe has {len(values)} coordinates, expected {len(poly.varset)}"
-        )
+def _probe_pairs(poly: Polynomial, probe: Mapping[str, Coeff]) -> tuple[int, ...]:
+    """A probe, a point of ``poly`` read as ``Polynomial.evaluate`` reads
+    one, as the flat int tuple (n1, d1, ..., nk, dk) of ``sample_point``."""
+    values = _point_values(poly.varset, probe)
     return tuple(x for v in values for x in (v.numerator, v.denominator))
 
 
@@ -362,7 +350,7 @@ def search_range(
 def random_search(
     poly: Polynomial,
     cfg: SearchConfig,
-    probes: Sequence[Mapping[str, Fraction | int] | Sequence[Fraction | int]] = (),
+    probes: Sequence[Mapping[str, Coeff]] = (),
     label: str = "",
 ) -> SearchReport:
     """Search ``poly`` at ``cfg.sample_count`` seeded points plus the fixed
@@ -389,14 +377,13 @@ class MacroState:
     """A concrete assignment of (p1, p2, p3) and nonnegative (z1, z2, z3),
     with the derived quadratics c available as ``.c``.
 
-    Coordinates pass ``poly._exact``: ints and Fractions are kept as given,
-    a rational string becomes a Fraction, anything else is refused; every
-    derived value is computed in the same ring, so an all-int state, as
-    the fuzz draws, stays on ints."""
+    Coordinates pass ``poly._exact``: ints and Fractions are kept as given
+    and anything else is refused; every derived value is computed in the
+    same ring, so an all-int state, as the fuzz draws, stays on ints."""
 
     __slots__ = ("p", "z")
 
-    def __init__(self, p: Iterable[Fraction | int | str], z: Iterable[Fraction | int | str]):
+    def __init__(self, p: Iterable[Coeff], z: Iterable[Coeff]):
         p = tuple(map(_exact, p))
         z = tuple(map(_exact, z))
         if len(p) != 3 or len(z) != 3:
@@ -567,7 +554,7 @@ class SharpnessWitness(NamedTuple):
         }
 
 
-def sharpness_witness(c: Fraction | int | str) -> SharpnessWitness:
+def sharpness_witness(c: Coeff) -> SharpnessWitness:
     """Exhibit a failure of the k-form with bracket constant ``c`` > 1/2.
 
     At b = (1,1,1) and k = (0, 0, k3) the difference collapses to

@@ -28,9 +28,11 @@ package itself builds every polynomial by calling a ``corpus`` formula on
 ``Polynomial.variable``s, so ``substitute`` has no caller in it; it stays as
 library API, the tests build references with it, and perfbench/tracing.py
 hooks it as a layer.  The search's evaluator on int pairs is in ``explorer``.
-Coefficients and point values pass one exactness rule, ``_exact``.  An int
-or Fraction operand of ``+``, ``-`` or ``*`` passes it too and becomes the
-one constant term (no term for 0) without the validating constructor.
+Coefficients and point values pass one exactness rule, ``_exact``: an int
+or a Fraction, never text (the CLI parses text).  A point is a Mapping from
+variable name to value, read by ``_point_values``.  An int or Fraction
+operand of ``+``, ``-`` or ``*`` becomes the one constant term (no term for
+0) without the validating constructor.
 
 All values are immutable after construction and all operations are pure, so
 everything here may be shared freely across threads.
@@ -60,18 +62,11 @@ class PreconditionError(ValueError):
     that catches both needs no import of the explorer."""
 
 
-def _exact(value: Coeff | str) -> Coeff:
-    """An int or a Fraction as given, any other rational (such as the string
-    "1/3") as a Fraction; a float, a bool or a value that is no rational is
-    refused, not taken for its binary value or for 0 or 1."""
-    # Exact type tests first: every fuzz draw candidate comes through here.
+def _exact(value: Coeff) -> Coeff:
+    """An int or a Fraction, returned as given; anything else (a bool, a
+    float, a str, a Decimal, an int subclass) is refused, not converted."""
     if type(value) is int or type(value) is Fraction:
         return value
-    if not isinstance(value, (float, bool)):
-        try:
-            return Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
-            pass
     raise PreconditionError(f"expected an exact rational, got {value!r}")
 
 
@@ -129,26 +124,18 @@ class Polynomial:
 
     __slots__ = ("varset", "terms")
 
-    def __init__(
-        self,
-        varset: VarSet,
-        terms: Mapping[Monomial, Coeff] | Iterable[tuple[Monomial, Coeff]] = (),
-    ):
-        """Build the canonical form of a raw term list.
+    def __init__(self, varset: VarSet, terms: Mapping[Monomial, Coeff] = {}):
+        """The canonical form of ``terms``, which is only read.
 
-        Like monomials are merged and zero coefficients dropped, so any two
-        representations of the same polynomial over the same VarSet compare
-        equal.  Exponent tuples must match the VarSet length and hold
-        nonnegative ints (not bools); anything else raises
-        ``StructuralError``.  Coefficients pass ``_exact``.
+        Zero coefficients are dropped, so any two representations of the
+        same polynomial over the same VarSet compare equal.  Exponent tuples
+        must match the VarSet length and hold nonnegative ints (not bools);
+        anything else raises ``StructuralError``.  Coefficients pass
+        ``_exact``.
         """
-        if isinstance(terms, Mapping):
-            items: Iterable[tuple[Monomial, Coeff]] = terms.items()
-        else:
-            items = terms
         n = len(varset)
-        merged: dict[Monomial, Coeff] = {}
-        for mono, coeff in items:
+        canonical: dict[Monomial, Coeff] = {}
+        for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != n:
                 raise StructuralError(
@@ -156,19 +143,12 @@ class Polynomial:
                 )
             if any(type(e) is not int or e < 0 for e in mono):
                 raise StructuralError(f"exponents must be nonnegative integers: {mono!r}")
-            acc = merged.get(mono, 0) + _exact(coeff)
-            if acc:
-                merged[mono] = acc
-            elif mono in merged:
-                del merged[mono]
+            if _exact(coeff):
+                canonical[mono] = coeff
         self.varset = varset
-        self.terms: dict[Monomial, Coeff] = merged
+        self.terms: dict[Monomial, Coeff] = canonical
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, varset: VarSet) -> "Polynomial":
-        return cls(varset)
 
     @classmethod
     def constant(cls, varset: VarSet, value: Coeff) -> "Polynomial":
@@ -297,17 +277,11 @@ class Polynomial:
         if any(image.varset != target for image in ordered):
             targets = sorted({image.varset.names for image in ordered})
             raise StructuralError(f"images must share one target VarSet, got {targets}")
-        return self._compose(ordered, Polynomial.zero(target))
+        return self._compose(ordered, Polynomial(target))
 
-    def evaluate(self, point: Mapping[str, Coeff | str]) -> Fraction:
-        """Exact value at a rational point assigning every variable; the
-        values pass ``_exact``."""
-        values = []
-        for name in self.varset.names:
-            if name not in point:
-                raise StructuralError(f"no value assigned to variable {name!r}")
-            values.append(_exact(point[name]))
-        return self._compose(values, _ZERO)
+    def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:
+        """Exact value at a point assigning every variable (``_point_values``)."""
+        return self._compose(_point_values(self.varset, point), _ZERO)
 
     def _compose(self, values: list, zero):
         """``zero`` plus the sum over the terms of ``coeff * prod(values[i]**e_i)``,
@@ -338,6 +312,16 @@ class Polynomial:
 # The start of ``evaluate``'s sum, so that it returns a Fraction even at an
 # all-int point.
 _ZERO = Fraction(0)
+
+
+def _point_values(varset: VarSet, point: Mapping[str, Coeff]) -> list[Coeff]:
+    """The values of ``point``, a Mapping from variable name to value, in
+    ``varset`` order; each passes ``_exact``, and a missing name raises
+    ``StructuralError``.  Names outside ``varset`` are ignored."""
+    missing = [name for name in varset.names if name not in point]
+    if missing:
+        raise StructuralError(f"no value assigned to variables {missing}")
+    return [_exact(point[name]) for name in varset.names]
 
 
 def _raw(varset: VarSet, terms: dict[Monomial, Coeff]) -> Polynomial:

@@ -149,7 +149,7 @@ def test_parametric_k_form_takes_no_constant():
 def test_weak_difference_drops_exactly_the_bracket():
     parts = helpers.inequality_parts()
     weak, d_tilde = parts.weak, parts.d_tilde
-    bracket = Polynomial.zero(corpus.AB)
+    bracket = Polynomial(corpus.AB)
     for b, cross in corpus.cross_products(*corpus.variables(corpus.AB)):
         bracket = bracket + Fraction(1, 2) * b**2 * cross**2
     assert weak - d_tilde == bracket

@@ -7,6 +7,7 @@ import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from inspect import ismodule
 from pathlib import Path
 
@@ -82,6 +83,19 @@ def test_dir_lists_every_exported_name():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cstriple.no_such_name  # noqa: B018
+
+
+def test_readme_library_example_runs():
+    # The README's "Library use" block, run as written, so a library change
+    # that breaks the documented use fails here.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["value"] == 87
+    assert namespace["evaluate"]((1, 1, 2, 1, 3, 1, 1, 1, 1, 1, 1, 1)) == (87, 1)
+    assert namespace["witness"].value == Fraction(-9, 5)
+    assert namespace["report"].status == "verified"
 
 
 def _python(*args):

@@ -29,26 +29,30 @@ def test_varset_rejects_duplicates_and_bad_names():
 
 
 def test_normalize_cancellation_to_zero():
-    poly = Polynomial(XY, [((2, 0), 1), ((2, 0), -1)])
+    x = Polynomial.variable(XY, "x")
+    poly = x**2 - x**2
     assert poly.is_zero()
     assert poly.terms == {}
+    assert poly == Polynomial(XY)
 
 
 def test_normalize_merges_like_monomials():
-    poly = Polynomial(XY, [((1, 0), 2), ((1, 0), 3)])
+    x = Polynomial.variable(XY, "x")
+    poly = 2 * x + 3 * x
     assert poly == Polynomial(XY, {(1, 0): 5})
 
 
 def test_normalize_drops_explicit_zero_terms():
-    poly = Polynomial(XY, [((1, 1), Fraction(1, 2)), ((0, 0), 0)])
+    poly = Polynomial(XY, {(1, 1): Fraction(1, 2), (0, 0): 0})
     assert poly.terms == {(1, 1): Fraction(1, 2)}
+    assert Polynomial(XY, {(1, 0): 0, (0, 1): Fraction(0)}).terms == {}
 
 
 def test_constructor_rejects_bad_exponent_vectors():
     with pytest.raises(StructuralError):
-        Polynomial(XY, [((1, 0, 0), 1)])
+        Polynomial(XY, {(1, 0, 0): 1})
     with pytest.raises(StructuralError):
-        Polynomial(XY, [((-1, 0), 1)])
+        Polynomial(XY, {(-1, 0): 1})
 
 
 def test_constructor_refuses_exponents_that_are_not_ints():
@@ -67,9 +71,6 @@ def test_coefficients_refuse_what_is_not_an_exact_rational():
             Polynomial.constant(XY, bad)
         with pytest.raises(PreconditionError):
             Polynomial(XY, {(1, 0): bad})
-        with pytest.raises(PreconditionError):
-            Polynomial(XY, [((1, 0), 1), ((1, 0), bad)])
-    assert Polynomial.constant(XY, "-3/7") == Polynomial.constant(XY, Fraction(-3, 7))
     assert Polynomial.constant(XY, 2).terms == {(0, 0): Fraction(2)}
 
 
@@ -78,7 +79,7 @@ def test_evaluate_refuses_what_is_not_an_exact_rational():
     for bad in (0.1, False, "abc", "1/0"):
         with pytest.raises(PreconditionError):
             x.evaluate({"x": bad, "y": 1})
-    value = x.evaluate({"x": "1/10", "y": 0})
+    value = x.evaluate({"x": Fraction(1, 10), "y": 0})
     assert value == Fraction(1, 10) and type(value) is Fraction
     assert type(x.evaluate({"x": 3, "y": 0})) is Fraction
 
@@ -136,7 +137,7 @@ def test_integer_coefficients_stay_int():
     assert all(type(c) is int for c in poly.terms.values())
     # evaluate is exact over the rationals: a Fraction even at an int point
     assert type(poly.evaluate({"x": 2, "y": -1})) is Fraction
-    assert type(Polynomial.zero(XY).evaluate({"x": 1, "y": 1})) is Fraction
+    assert type(Polynomial(XY).evaluate({"x": 1, "y": 1})) is Fraction
     # a Fraction with denominator 1 is the same coefficient as its int
     for as_int, as_fraction in (
         (Polynomial.constant(XY, 3), Polynomial.constant(XY, Fraction(3))),
@@ -253,7 +254,7 @@ def test_evaluate_examples():
     x = Polynomial.variable(XY, "x")
     y = Polynomial.variable(XY, "y")
     assert (x**2 + y**2).evaluate({"x": 3, "y": 4}) == 25
-    assert Polynomial.zero(XY).evaluate({"x": 17, "y": -5}) == 0
+    assert Polynomial(XY).evaluate({"x": 17, "y": -5}) == 0
     with pytest.raises(StructuralError):
         (x + y).evaluate({"x": 1})
 
@@ -264,7 +265,7 @@ def test_homogeneous_degree():
     assert helpers.homogeneous_degree(x**2 * y + y**3) == 3
     assert helpers.homogeneous_degree(x + 1) is None
     with pytest.raises(StructuralError):
-        helpers.homogeneous_degree(Polynomial.zero(XY))
+        helpers.homogeneous_degree(Polynomial(XY))
 
 
 def test_format_examples():
@@ -272,7 +273,7 @@ def test_format_examples():
     a1, b2, b3 = (Polynomial.variable(varset, name) for name in varset.names)
     poly = 3 * a1**2 * b2**2 + Fraction(-1, 2) * b3**4
     assert format_polynomial(poly) == "3*a1^2*b2^2 - 1/2*b3^4"
-    assert str(Polynomial.zero(varset)) == "0"
+    assert str(Polynomial(varset)) == "0"
     assert str(Polynomial.constant(varset, Fraction(-3, 7))) == "-3/7"
     x = Polynomial.variable(varset, "a1")
     assert str(x - 1) == "a1 - 1"
@@ -285,7 +286,7 @@ def test_canonical_text_is_injective_random():
     rng = random.Random(321)
     polys = [helpers.rand_polynomial(rng) for _ in range(200)]
     for p in polys:
-        reversed_terms = Polynomial(p.varset, list(p.terms.items())[::-1])
+        reversed_terms = Polynomial(p.varset, dict(reversed(p.terms.items())))
         assert reversed_terms == p and str(reversed_terms) == str(p)
     texts = [format_polynomial(p) for p in polys]
     assert any(p == q for i, p in enumerate(polys) for q in polys[:i])
@@ -341,7 +342,7 @@ def _evaluates_exactly(poly, point):
 
 def test_compiled_evaluator_edge_polynomials():
     point = {"x": Fraction(-3, 4), "y": Fraction(5, 7)}
-    zero = Polynomial.zero(XY)
+    zero = Polynomial(XY)
     assert _evaluates_exactly(zero, point)
     assert compile_evaluator(zero)((1, 2, 3, 4)) == (0, 1)
     assert _evaluates_exactly(Polynomial.constant(XY, Fraction(-7, 3)), point)
@@ -365,7 +366,7 @@ def test_compiled_evaluator_rejects_wrong_arity():
         with pytest.raises(StructuralError):
             evaluate(values)
     with pytest.raises(StructuralError):
-        compile_evaluator(Polynomial.zero(XY))((0, 1))
+        compile_evaluator(Polynomial(XY))((0, 1))
 
 
 def test_compiled_evaluator_handles_thousands_of_terms():
