@@ -29,7 +29,7 @@ from . import __version__, verifier
 from .corpus import TARGET_NAMES
 from .poly import PreconditionError, StructuralError
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # argparse's stock negative-number detector (-1, -0.5) takes "-1/3" and
 # "-1,-1,-1" for option strings; this one lets every option value start
 # with a minus sign followed by a digit.

@@ -1,6 +1,6 @@
 """Exact-rational exploration around the inequality and its proof.
 
-Four tools, all exact (no floating point anywhere):
+Five tools, all exact (no floating point anywhere):
 
   random_search      evaluates a target polynomial at seeded random rational
                      points and reports the exact minimum plus any strictly
@@ -12,6 +12,8 @@ Four tools, all exact (no floating point anywhere):
                      index permutation and evaluates its closed form
   sharpness_witness  for any bracket constant C > 1/2 produces an explicit
                      point where the C-version of the inequality fails
+  minimize_fuzz      runs the descent and the classifier on seeded random
+                     feasible states and counts each broken guarantee
 
 Randomness is reproducible by construction: sample ``i`` of a run with seed
 ``s`` is drawn from the stream of ``random.Random((s << 64) | i)`` (CPython's
@@ -105,7 +107,7 @@ class SearchConfig:
         self.numerator_bound, self.denominator_bound = numerator_bound, denominator_bound
         for name in self.__slots__[:4]:
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int:
                 raise PreconditionError(f"{name} must be an int, got {value!r}")
         if sample_count < 1:
             raise PreconditionError("sample_count must be positive")
@@ -557,17 +559,18 @@ class SharpnessWitness(NamedTuple):
 def sharpness_witness(c: Coeff) -> SharpnessWitness:
     """Exhibit a failure of the k-form with bracket constant ``c`` > 1/2.
 
-    At b = (1,1,1) and k = (0, 0, k3) the difference collapses to
-    (1-2c)*k3^2 + 8, so the smallest positive integer k3 with
-    k3^2 > 8/(2c-1) already drives it negative.  The returned value is the
-    value of ``corpus.k_form`` at that point.
+    At b = (1,1,1) and k = (0, 0, k3), ``corpus.k_form`` is rest - slope*k3^2,
+    where rest is its value at k3 = 0 and rest - slope its value at k3 = 1,
+    so the smallest positive integer k3 with k3^2 > rest/slope drives it
+    negative; the returned value is ``corpus.k_form`` at that point.
     """
     c = _exact(c)
     if c <= corpus.HALF:
         raise PreconditionError(
             f"no witness exists for c = {c}: the inequality holds for c <= 1/2"
         )
-    threshold = Fraction(8) / (2 * c - 1)
+    rest = corpus.k_form(0, 0, 0, 1, 1, 1, c)
+    threshold = Fraction(rest) / (rest - corpus.k_form(0, 0, 1, 1, 1, 1, c))
     k3 = isqrt(threshold.numerator // threshold.denominator)
     while Fraction(k3 * k3) <= threshold:
         k3 += 1

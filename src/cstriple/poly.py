@@ -240,7 +240,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if type(n) is not int or n < 0:
             raise StructuralError(f"polynomial power must be a nonnegative integer, got {n!r}")
         if not n:
             return Polynomial.constant(self.varset, 1)

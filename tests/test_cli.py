@@ -349,9 +349,11 @@ def test_search_accepts_a_negative_rational_constant(capsys):
 
 
 def test_search_rejects_bad_rational(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["search", "--target", "d-k", "--c", "0.7", "--samples", "10", "--seed", "1"])
-    assert excinfo.value.code == 2
+    # The rational syntax is ASCII: an Arabic-Indic "3/5" is no rational.
+    for bad in ("0.7", "\u0663/\u0665"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["search", "--target", "d-k", "--c", bad, "--samples", "10", "--seed", "1"])
+        assert excinfo.value.code == 2
 
 
 def test_minimize_hand_trace(capsys, tmp_path):
@@ -413,9 +415,12 @@ def test_minimize_non_vertex_prints_the_values_as_text(capsys, monkeypatch):
 
 
 def test_minimize_rejects_malformed_triple(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["minimize", "--p", "1,2", "--z", "0,0,0"])
-    assert excinfo.value.code == 2
+    # Two coordinates, and an Arabic-Indic 3, which the ASCII syntax refuses.
+    for bad in ("1,2", "\u0663,1,1"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["minimize", "--p", bad, "--z", "0,0,0"])
+        assert excinfo.value.code == 2
+    assert "is not a rational" in capsys.readouterr().err
 
 
 def test_sharpness_witness_commands(capsys, tmp_path):

@@ -4,6 +4,7 @@ and the sharpness witness finder."""
 import json
 import math
 import random
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,16 +82,21 @@ def test_search_config_validation():
         SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(3, 2))
     # The counts and bounds must be ints and the zero probability an int or
     # a Fraction; a bool is not taken for 0 or 1, nor 0.1 for its 56-bit
-    # binary value.
+    # binary value.  An IntEnum member is no int either, as in MacroState.
+    ten = IntEnum("N", {"TEN": 10}).TEN
     for bad in (
         {"sample_count": 10.0},
         {"sample_count": True},
+        {"sample_count": ten},
         {"seed": 1.5},
         {"seed": False},
+        {"seed": ten},
         {"numerator_bound": 2.5},
         {"numerator_bound": True},
+        {"numerator_bound": ten},
         {"denominator_bound": 3.0},
         {"denominator_bound": True},
+        {"denominator_bound": ten},
         {"zero_probability": 0.1},
         {"zero_probability": True},
     ):
@@ -497,6 +503,24 @@ def test_sharpness_witness_close_to_half():
     # threshold 8/(1/50) = 400, so k3 = 21 and (1 - 51/50)*441 + 8 = -41/50
     assert witness.k[2] == 21
     assert witness.value == Fraction(-41, 50)
+
+
+def test_sharpness_witness_k3_is_the_smallest_that_breaks_the_k_form():
+    # c just above 1/2, above 9/2 (where k3 = 1), and with 30-digit parts.
+    rng = random.Random(0)
+    half_plus = [Fraction(1, 2) + Fraction(1, rng.randrange(2, 10**6)) for _ in range(40)]
+    large = [Fraction(9, 2) + rng.randrange(1, 10**6) for _ in range(40)]
+    wide = [
+        Fraction(rng.randrange(10**29, 10**30), rng.randrange(10**29, 2 * 10**29))
+        for _ in range(40)
+    ]
+    for c in half_plus + large + wide + [Fraction(9, 2) + Fraction(1, 10**30)]:
+        witness = sharpness_witness(c)
+        k3 = witness.k[2]
+        assert witness.k == (0, 0, k3) and witness.b == (1, 1, 1)
+        assert witness.value == corpus.k_form(0, 0, k3, 1, 1, 1, c) < 0
+        assert corpus.k_form(0, 0, k3 - 1, 1, 1, 1, c) >= 0
+    assert sharpness_witness(large[0]).k[2] == 1
 
 
 def test_sharpness_rejects_half_and_below():

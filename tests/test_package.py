@@ -1,9 +1,8 @@
-"""The names the ``cstriple`` package exports at its top level, the
-modules each command imports, and that it imports only the standard
-library."""
+"""That the ``cstriple`` package exports only its version, the modules
+each command imports, that the README's examples run, and that the
+package imports only the standard library."""
 
 import ast
-import importlib
 import os
 import subprocess
 import sys
@@ -16,51 +15,16 @@ import pytest
 import cstriple
 from cstriple import cli, corpus, explorer, poly
 
-# Defining module -> the names ``cstriple`` re-exports from it.
-EXPORTS = {
-    "poly": (
-        "Polynomial",
-        "PreconditionError",
-        "StructuralError",
-        "VarSet",
-        "format_polynomial",
-    ),
-    "verifier": ("Report", "run_all", "run_check"),
-    "explorer": (
-        "CaseClassification",
-        "FuzzSummary",
-        "MacroState",
-        "MinimizeTrace",
-        "SearchConfig",
-        "SearchReport",
-        "SharpnessWitness",
-        "case_classify",
-        "compile_evaluator",
-        "greedy_minimize_z",
-        "minimize_fuzz",
-        "random_search",
-        "resolve_target",
-        "sharpness_witness",
-    ),
-}
 
-
-def test_every_exported_name_resolves():
-    for module_name, names in EXPORTS.items():
-        module = importlib.import_module(f"cstriple.{module_name}")
-        for name in names:
-            assert getattr(cstriple, name) is getattr(module, name), name
-    assert cstriple.__version__ == "0.1.0"
-
-
-def test_no_unlisted_name_is_exported():
-    listed = {name for names in EXPORTS.values() for name in names}
+def test_the_package_exports_only_its_version():
+    # Every name is imported from the module that defines it.
     public = {
         name
         for name, value in vars(cstriple).items()
         if not name.startswith("_") and not ismodule(value)
     }
-    assert public <= listed
+    assert public == set()
+    assert cstriple.__version__ == "0.1.0"
 
 
 def test_moved_names_are_re_exported_by_explorer():
@@ -73,11 +37,6 @@ def test_search_still_refuses_an_unknown_target(capsys):
         cli.main(["search", "--target", "nope", "--samples", "10", "--seed", "0"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
-
-
-def test_dir_lists_every_exported_name():
-    listed = {name for names in EXPORTS.values() for name in names}
-    assert listed <= set(dir(cstriple))
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -96,6 +55,25 @@ def test_readme_library_example_runs():
     assert namespace["evaluate"]((1, 1, 2, 1, 3, 1, 1, 1, 1, 1, 1, 1)) == (87, 1)
     assert namespace["witness"].value == Fraction(-9, 5)
     assert namespace["report"].status == "verified"
+
+
+def test_readme_command_lines_parse(tmp_path):
+    # Every line of the README's "Command line" block, bracketed options
+    # included and PATH a file, so a renamed option fails here, and each
+    # option spelled in full, not as an abbreviation argparse would take.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == 7
+    manifest = str(tmp_path / "run.json")
+    for line in lines:
+        program, *argv = line.replace("[", "").replace("]", "").split()
+        assert program == "cstriple"
+        parser = cli.build_parser()
+        args = parser.parse_args([manifest if a == "PATH" else a for a in argv])
+        assert args.command == argv[0]
+        subparser = parser._subparsers._group_actions[0].choices[argv[0]]
+        assert all(a in subparser._option_string_actions for a in argv if a.startswith("--"))
 
 
 def _python(*args):
@@ -123,26 +101,25 @@ def test_python_m_cstriple_runs_the_command_line():
     assert "invalid choice" in result.stderr and "nope" in result.stderr
 
 
-# Runs in a fresh interpreter: ``verify`` must leave the explorer, and the
-# dataclasses and inspect modules no command needs, unimported; the first
-# lazy name, here the search's evaluator, loads the explorer.
+# Runs in a fresh interpreter: ``import cstriple`` must load no submodule,
+# and ``verify`` must leave the explorer, and the dataclasses and inspect
+# modules no command needs, unimported.
 _COLD_VERIFY = """
 import sys
 import cstriple
+
+print(*sorted(m for m in sys.modules if m.startswith("cstriple.")))
 from cstriple import cli
 
 code = cli.main(["verify", "--all", "--json", sys.argv[1]])
 print(code, *sorted(m for m in ("cstriple.explorer", "dataclasses", "inspect") if m in sys.modules))
-evaluator = cstriple.compile_evaluator
-explorer = sys.modules.get("cstriple.explorer")
-print(explorer is not None and evaluator is explorer.compile_evaluator)
 """
 
 
 def test_verify_imports_no_explorer_and_no_dataclasses(tmp_path):
-    *_, loaded, explorer_after = _run_fresh(_COLD_VERIFY, str(tmp_path / "verify.json"))
+    package_loaded, *_, loaded = _run_fresh(_COLD_VERIFY, str(tmp_path / "verify.json"))
+    assert package_loaded == ""
     assert loaded == "0"
-    assert explorer_after == "True"
 
 
 # The explorer's records are named tuples and slotted classes, so the other

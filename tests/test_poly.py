@@ -1,6 +1,7 @@
 """Unit and property tests for the exact polynomial kernel."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -100,9 +101,9 @@ def test_binomial_square_and_power_zero():
 
 def test_power_refuses_a_bool_exponent():
     # As the constructor refuses the exponent (True,), x ** True is not x
-    # and x ** False is not 1.
+    # and x ** False is not 1; an IntEnum member is no int either.
     x = Polynomial.variable(XY, "x")
-    for bad in (True, False):
+    for bad in (True, False, IntEnum("N", {"TWO": 2}).TWO):
         with pytest.raises(StructuralError):
             x**bad
 
