@@ -68,8 +68,9 @@ def manifest_path(text: str) -> str:
     """argparse type for ``--json``: an empty path would write no manifest,
     and one whose last component as typed is empty, "." or ".." ("/",
     "results/", "nodir/..") names no file (``pathlib`` would drop a trailing
-    "/" or "."); nor can an existing directory ("..", "src") be written, so
-    each exits before the command runs."""
+    "/" or "."); nor can an existing directory ("..", "src") be written, nor
+    a file in a directory that does not exist (symlinks resolved, as
+    ``_finish`` writes), so each exits before the command runs."""
     if not text:
         raise argparse.ArgumentTypeError("the manifest path is empty")
     name = os.path.basename(text)
@@ -78,6 +79,8 @@ def manifest_path(text: str) -> str:
             raise argparse.ArgumentTypeError(f"the manifest path {text!r} is a directory")
     if name in ("", ".", ".."):
         raise argparse.ArgumentTypeError(f"the manifest path {text!r} names no file")
+    if not os.path.isdir(os.path.dirname(os.path.realpath(text))):
+        raise argparse.ArgumentTypeError(f"the manifest path {text!r} is in no existing directory")
     return text
 
 
@@ -303,6 +306,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``cstriple`` parser with every subcommand, or with only ``command``."""
     parser = argparse.ArgumentParser(
         prog="cstriple",
+        allow_abbrev=False,
         description=(
             "Exact verification toolkit for a three-factor Cauchy-Schwarz-type "
             "inequality: symbolic identity replay and exact-rational search."
@@ -315,7 +319,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in [command] if command else _COMMANDS:
         help_text, add_options, handler = _COMMANDS[name]
-        subparser = sub.add_parser(name, help=help_text)
+        subparser = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_options(subparser)
         subparser.add_argument(
             "--json", type=manifest_path, metavar="PATH", help="write the run manifest as JSON"

@@ -49,6 +49,11 @@ same vertex and passes or fails the same guarantees as the rational one.
 
 Results are ``typing.NamedTuple`` records; the two inputs, ``SearchConfig``
 and ``MacroState``, are ``__slots__`` classes that validate in ``__init__``.
+The fuzz builds its own states with ``_state``, which skips that check
+(the idiom of ``poly._raw``): ``_draw_state`` passes ints it computed, with
+z_i >= 0 by ``abs``, and ``greedy_minimize_z`` passes the validated p of its
+input and z_i taken from that input, 0 or max(0, -p_i).  A fuzz state
+therefore makes no validating ``MacroState`` construction.
 
 ``resolve_target`` reads each search target from ``corpus.TARGETS``.
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
@@ -61,7 +66,7 @@ from __future__ import annotations
 import random
 from _random import Random as _CRandom
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, permutations
 from math import isqrt, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -381,7 +386,9 @@ class MacroState:
 
     Coordinates pass ``poly._exact``: ints and Fractions are kept as given
     and anything else is refused; every derived value is computed in the
-    same ring, so an all-int state, as the fuzz draws, stays on ints."""
+    same ring, so an all-int state, as the fuzz draws, stays on ints.  The
+    fuzz's own states come from ``_state``, which skips these checks for
+    coordinates that already meet them (see the module docstring)."""
 
     __slots__ = ("p", "z")
 
@@ -415,6 +422,14 @@ class MacroState:
             "c": [str(v) for v in self.c],
             "d": str(self.d_value()),
         }
+
+
+def _state(p: tuple, z: tuple) -> MacroState:
+    """Internal: wrap triples that already pass ``MacroState``'s checks
+    (ints or Fractions, z >= 0) without re-validating."""
+    state = MacroState.__new__(MacroState)
+    state.p, state.z = p, z
+    return state
 
 
 class MinimizeStep(NamedTuple):
@@ -458,6 +473,12 @@ def vertex_label(state: MacroState) -> str:
     return corpus.CASE_LABELS[pinned]
 
 
+_ORDERS = frozenset(permutations((1, 2, 3)))
+_INTS = (int, int, int)
+# The 0-based indices of the other two factors of each coordinate's step.
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+
 def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)) -> MinimizeTrace:
     """Lower each z coordinate in turn to its smallest feasible value.
 
@@ -473,31 +494,29 @@ def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)
     recorded only when the value actually changes.  Requires nonzero p_i and
     a feasible starting state.
     """
-    if list(map(type, order)) != [int, int, int] or sorted(order) != [1, 2, 3]:
+    # The type test comes first: it refuses bools, floats and unhashable items.
+    if tuple(map(type, order)) != _INTS or tuple(order) not in _ORDERS:
         raise PreconditionError(f"order must be a permutation of (1, 2, 3), got {order!r}")
-    if any(v == 0 for v in state.p):
+    p = state.p
+    if not (p[0] and p[1] and p[2]):
         raise PreconditionError("greedy minimization requires nonzero p coordinates")
     if not state.is_feasible():
         raise PreconditionError(
             f"infeasible start: constraint value {state.feasibility()} < 0"
         )
-    p = state.p
     z = list(state.z)
     steps: list[MinimizeStep] = []
     for coord in order:
         i = coord - 1
-        others = 1
-        for j in range(3):
-            if j != i:
-                others *= p[j] + z[j]
-        new_value = max(0, -p[i]) if others > 0 else 0
+        j, k = _OTHERS[i]
+        new_value = max(0, -p[i]) if (p[j] + z[j]) * (p[k] + z[k]) > 0 else 0
         if new_value != z[i]:
             before = steps[-1].d_after if steps else corpus.d_value(p, z)
             old_value = z[i]
             z[i] = new_value
             after = corpus.d_value(p, z)
             steps.append(MinimizeStep(f"z{coord}", old_value, new_value, before, after))
-    final = MacroState(p, tuple(z))
+    final = _state(p, tuple(z))
     return MinimizeTrace(state, tuple(steps), final, vertex_label(final))
 
 
@@ -522,7 +541,7 @@ def case_classify(state: MacroState) -> CaseClassification:
     """Classify a vertex (every z_i in {0, -p_i}) into one of the four cases
     and evaluate its closed form ``corpus.case_value`` on the permuted p."""
     p, z = state.p, state.z
-    if any(v == 0 for v in p):
+    if not (p[0] and p[1] and p[2]):
         raise PreconditionError("case analysis requires nonzero p coordinates")
     label = vertex_label(state)
     if label == "mixed":
@@ -531,7 +550,7 @@ def case_classify(state: MacroState) -> CaseClassification:
         )
     # With p_i != 0 a vertex coordinate is pinned exactly when z_i != 0 (and
     # z_i >= 0 makes -p_i > 0 there); pinned coordinates go first.
-    perm = sorted(range(3), key=lambda j: z[j] == 0)
+    perm = [j for j in range(3) if z[j]] + [j for j in range(3) if not z[j]]
     value = corpus.case_value(label, *(p[j] for j in perm))
     return CaseClassification(label, tuple(j + 1 for j in perm), value)
 
@@ -608,9 +627,9 @@ def _draw_state(
     Each attempt is ``_draw_pairs(rng, widths, 6, nonzero=3)``, the ints
     n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 with p_i = n_i/d_i != 0 and
     z_i = |m_i|/e_i, and is tested on those ints (see the module docstring).
-    Only the accepted one becomes a state: the drawn one times the lcm of its
-    six denominators, so all its coordinates are ints.  ``widths`` is the
-    run's ``_draw_widths(cfg)``."""
+    Only the accepted one becomes a state, built with ``_state``: the drawn
+    one times the lcm of its six denominators, so all its coordinates are
+    ints.  ``widths`` is the run's ``_draw_widths(cfg)``."""
     for _ in range(10000):
         pairs = _draw_pairs(rng, widths, 6, nonzero=3)
         n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = pairs
@@ -619,8 +638,10 @@ def _draw_state(
         if (n1 * e1 + abs(m1) * d1) * (n2 * e2 + abs(m2) * d2) * (n3 * e3 + abs(m3) * d3) < 0:
             continue
         scale = lcm(d1, d2, d3, e1, e2, e3)
-        values = [pairs[k] * (scale // pairs[k + 1]) for k in range(0, 12, 2)]
-        return MacroState(values[:3], map(abs, values[3:]))
+        return _state(
+            (n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3)),
+            (abs(m1) * (scale // e1), abs(m2) * (scale // e2), abs(m3) * (scale // e3)),
+        )
     raise PreconditionError("rejection sampling found no admissible state in 10000 draws")
 
 

@@ -150,12 +150,7 @@ def test_search_zero_prob_one_exits_two(capsys):
     assert "zero_probability" in err
 
 
-def test_unwritable_json_path_exits_two(capsys, tmp_path):
-    target = tmp_path / "missing" / "verify.json"
-    code, out, err = run(["verify", "--check", "lagrange", "--json", str(target)], capsys)
-    assert code == 2
-    assert "overall: pass" in out
-    assert err.startswith(f"error: cannot write {target}: ")
+def test_unwritable_json_path_exits_two(capsys, tmp_path, monkeypatch):
     # a name too long to stat is not refused while parsing; the write is
     code, out, err = run(
         ["verify", "--check", "lagrange", "--json", str(tmp_path / ("a" * 300 + ".json"))],
@@ -164,6 +159,22 @@ def test_unwritable_json_path_exits_two(capsys, tmp_path):
     assert code == 2
     assert "overall: pass" in out
     assert "cannot write" in err
+    # a directory that exists while parsing but is gone by the write
+    folder = tmp_path / "gone"
+    folder.mkdir()
+    target = folder / "verify.json"
+    run_all = cli.verifier.run_all
+
+    def remove_then_run(names):
+        folder.rmdir()
+        return run_all(names)
+
+    monkeypatch.setattr(cli.verifier, "run_all", remove_then_run)
+    code, out, err = run(["verify", "--check", "lagrange", "--json", str(target)], capsys)
+    assert code == 2
+    assert "overall: pass" in out
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_long_valid_manifest_name_is_written(capsys, tmp_path):
@@ -264,7 +275,12 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
     # An empty path would run, print "overall: pass" and write nothing; a
     # path whose last component is empty ("/", ".") used to die in a
     # traceback with exit code 1, the "refuted" code; an existing directory
-    # ("..", tmp_path) used to run the command first and fail on the write.
+    # ("..", tmp_path) and a file in a missing directory used to run the
+    # command first and fail on the write.  The directory is the one the
+    # write goes to, so a link into a missing directory is refused too.
+    missing = f"{tmp_path}/missing/x.json"
+    (tmp_path / "link.json").symlink_to(missing)
+    (tmp_path / "file").write_text("")
     for argv in (
         ["verify", "--check", "lagrange"],
         ["search", "--target", "d-tilde", "--samples", "10", "--seed", "1"],
@@ -284,6 +300,10 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
                 (path, f"the manifest path {path!r} names no file")
                 for path in (f"{tmp_path}/results/", f"{tmp_path}/results/.", f"{tmp_path}/x/..")
             ),
+            *(
+                (path, f"the manifest path {path!r} is in no existing directory")
+                for path in (missing, f"{tmp_path}/link.json", f"{tmp_path}/file/x.json")
+            ),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 cli.main(argv + ["--json", path])
@@ -291,7 +311,8 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
             out, err = capsys.readouterr()
             assert out == ""
             assert f"argument --json: {message}" in err
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file", tmp_path / "link.json"]
+    assert (tmp_path / "file").read_text() == ""
 
 
 def _cstriple_writing_to(stdout, unbuffered: str, argv: list[str]) -> subprocess.CompletedProcess:
@@ -499,6 +520,35 @@ def test_main_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
     expected = _outcome(cli.build_parser().parse_args, argv, capsys)
     assert expected[0] != 0 or expected[1]  # each case exits before running
     assert _outcome(cli.main, argv, capsys) == expected
+
+
+# A unique prefix of an option is no spelling of it, on the lazy and the
+# full path alike: the first two argv ran a search and wrote a manifest.
+ABBREVIATED_ARGV = [
+    (
+        ["search", "--tar", "d-tilde", "--sam", "2", "--se", "0"],
+        "cstriple search: error: the following arguments are required: "
+        "--target, --samples, --seed\n",
+    ),
+    (
+        ["sharpness", "--c", "1", "--js", "x.json"],
+        "cstriple: error: unrecognized arguments: --js x.json\n",
+    ),
+    (["--vers"], "cstriple: error: the following arguments are required: command\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, last_line", ABBREVIATED_ARGV, ids=[" ".join(argv) for argv, _ in ABBREVIATED_ARGV]
+)
+def test_an_abbreviated_option_is_refused(argv, last_line, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for parse in (cli.main, cli.build_parser().parse_args):
+        code, out, err = _outcome(parse, argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: cstriple")
+        assert err.endswith(last_line)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -401,10 +401,15 @@ def test_greedy_preconditions():
         greedy_minimize_z(MacroState((-2, 1, 1), (1, 0, 0)))  # product (-1)(1)(1) < 0
     with pytest.raises(PreconditionError):
         greedy_minimize_z(MacroState((1, 1, 1), (0, 0, 0)), order=(1, 1, 3))
-    # A bool or a float equal to 1 is no coordinate number.
-    for order in ((True, 2, 3), (1.0, 2, 3)):
+    # A bool or a float equal to 1 is no coordinate number, a repeat no
+    # permutation, and an unhashable item is refused, not a TypeError.
+    for order in ((True, 2, 3), (1.0, 2, 3), (1, 2, 3.0), [1, 1, 3], [[1], 2, 3]):
         with pytest.raises(PreconditionError):
             greedy_minimize_z(MacroState((1, 1, 1), (0, 0, 0)), order=order)
+    # Any sequence of the three ints is an order.
+    state = MacroState((-1, -2, -3), (1, 2, 3))
+    listed, default = greedy_minimize_z(state, [3, 2, 1]), greedy_minimize_z(state)
+    assert listed.steps == default.steps and listed.final.z == default.final.z
 
 
 def test_greedy_custom_order_lands_on_vertex_too():
@@ -607,7 +612,7 @@ def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
         minimize_fuzz(cfg, require_negative_product=True)
 
 
-def test_a_fuzz_state_builds_two_macro_states(monkeypatch):
+def test_a_fuzz_state_builds_no_validated_macro_state(monkeypatch):
     built = []
     init = MacroState.__init__
 
@@ -616,10 +621,48 @@ def test_a_fuzz_state_builds_two_macro_states(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MacroState, "__init__", counting_init)
-    minimize_fuzz(SearchConfig(50, 0), True)
-    # The accepted draw and the descent's final state; a rejected candidate
-    # never becomes a MacroState.
-    assert len(built) == 2 * 50
+    summary = minimize_fuzz(SearchConfig(50, 0), True)
+    # The accepted draw and the descent's final state come from
+    # explorer._state; a rejected candidate never becomes a MacroState.
+    assert summary.samples_run == 50
+    assert built == []
+
+
+def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
+    # explorer._state skips MacroState's checks; every state the fuzz and the
+    # descent build with it must pass them unchanged: the same values of the
+    # same types, three ints or Fractions each, z >= 0.
+    built = []
+    raw = explorer._state
+
+    def recording_state(p, z):
+        state = raw(p, z)
+        built.append(state)
+        return state
+
+    monkeypatch.setattr(explorer, "_state", recording_state)
+    for seed, negative in ((0, True), (1, False)):
+        minimize_fuzz(SearchConfig(250, seed), negative)
+    assert len(built) == 2 * 500
+    rng = random.Random(7)
+    descents = 0
+    while descents < 300:
+        # Fractions, and ints mixed in, as MacroState's caller may pass them.
+        p = tuple(helpers.rand_fraction(rng, 9) if rng.random() < 0.8 else rng.randint(-9, 9)
+                  for _ in range(3))
+        z = tuple(abs(helpers.rand_fraction(rng, 9)) if rng.random() < 0.8 else 0
+                  for _ in range(3))
+        state = MacroState(p, z)
+        if 0 in p or not state.is_feasible():
+            continue
+        assert greedy_minimize_z(state).final is built[-1]
+        descents += 1
+    assert len(built) == 2 * 500 + 300
+    assert any(type(v) is Fraction for s in built[-300:] for v in s.p + s.z)
+    for state in built:
+        checked = MacroState(state.p, state.z)  # ints or Fractions, three each, z >= 0
+        assert checked.p == state.p and checked.z == state.z  # both tuples
+        assert list(map(type, checked.p + checked.z)) == list(map(type, state.p + state.z))
 
 
 def _reference_state(seed, index, cfg, require_negative_product):
