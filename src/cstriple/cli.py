@@ -69,8 +69,9 @@ def manifest_path(text: str) -> str:
     and one whose last component as typed is empty, "." or ".." ("/",
     "results/", "nodir/..") names no file (``pathlib`` would drop a trailing
     "/" or "."); nor can an existing directory ("..", "src") be written, nor
-    a file in a directory that does not exist (symlinks resolved, as
-    ``_finish`` writes), so each exits before the command runs."""
+    a file in a directory that does not exist, as typed ("nodir/../x.json",
+    which ``realpath`` collapses) or with symlinks resolved, as ``_finish``
+    writes, so each exits before the command runs."""
     if not text:
         raise argparse.ArgumentTypeError("the manifest path is empty")
     name = os.path.basename(text)
@@ -79,7 +80,8 @@ def manifest_path(text: str) -> str:
             raise argparse.ArgumentTypeError(f"the manifest path {text!r} is a directory")
     if name in ("", ".", ".."):
         raise argparse.ArgumentTypeError(f"the manifest path {text!r} names no file")
-    if not os.path.isdir(os.path.dirname(os.path.realpath(text))):
+    directories = (os.path.dirname(text) or ".", os.path.dirname(os.path.realpath(text)))
+    if not all(map(os.path.isdir, directories)):
         raise argparse.ArgumentTypeError(f"the manifest path {text!r} is in no existing directory")
     return text
 

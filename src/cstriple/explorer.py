@@ -47,13 +47,13 @@ guarantee is a sign, equality or order test, which a positive factor does
 not change.  The scaled state therefore takes the same steps, lands on the
 same vertex and passes or fails the same guarantees as the rational one.
 
-Results are ``typing.NamedTuple`` records; the two inputs, ``SearchConfig``
-and ``MacroState``, are ``__slots__`` classes that validate in ``__init__``.
-The fuzz builds its own states with ``_state``, which skips that check
-(the idiom of ``poly._raw``): ``_draw_state`` passes ints it computed, with
-z_i >= 0 by ``abs``, and ``greedy_minimize_z`` passes the validated p of its
-input and z_i taken from that input, 0 or max(0, -p_i).  A fuzz state
-therefore makes no validating ``MacroState`` construction.
+Every type here is a ``typing.NamedTuple``, immutable once built; the two
+inputs, ``SearchConfig`` and ``MacroState``, validate in ``__new__``.  The
+fuzz builds its states with the namedtuple's unchecked ``MacroState._make``:
+``_draw_state`` passes ints it computed, with z_i >= 0 by ``abs``, and
+``greedy_minimize_z`` passes the p of its input and z_i taken from that
+input, 0 or max(0, -p_i).  A fuzz state therefore makes no validating
+``MacroState`` construction.
 
 ``resolve_target`` reads each search target from ``corpus.TARGETS``.
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
@@ -92,26 +92,27 @@ def resolve_target(name: str, c: Coeff | None = None) -> Polynomial:
     return formula(*corpus.variables(varset), *(() if c is None else (_exact(c),)))
 
 
-class SearchConfig:
+# A class-body NamedTuple may not define __new__, so the two validated inputs
+# subclass a functional NamedTuple of their fields.
+class SearchConfig(NamedTuple("SearchConfig", [
+    ("sample_count", int), ("seed", int), ("numerator_bound", int),
+    ("denominator_bound", int), ("zero_probability", Fraction),
+])):
     """Parameters of a seeded random search; the seed fully determines the
-    sampled points."""
+    sampled points.  An immutable value, checked when built."""
 
-    __slots__ = (
-        "sample_count", "seed", "numerator_bound", "denominator_bound", "zero_probability"
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         sample_count: int,
         seed: int,
         numerator_bound: int = 100,
         denominator_bound: int = 100,
         zero_probability: Coeff = Fraction(1, 16),
     ):
-        self.sample_count, self.seed = sample_count, seed
-        self.numerator_bound, self.denominator_bound = numerator_bound, denominator_bound
-        for name in self.__slots__[:4]:
-            value = getattr(self, name)
+        ints = (sample_count, seed, numerator_bound, denominator_bound)
+        for name, value in zip(cls._fields, ints):
             if type(value) is not int:
                 raise PreconditionError(f"{name} must be an int, got {value!r}")
         if sample_count < 1:
@@ -123,12 +124,10 @@ class SearchConfig:
         zp = _exact(zero_probability)
         if not 0 <= zp <= 1:
             raise PreconditionError("zero_probability must lie in [0, 1]")
-        self.zero_probability = Fraction(zp)
+        return tuple.__new__(cls, (*ints, Fraction(zp)))
 
     def to_dict(self) -> dict:
-        config = {name: getattr(self, name) for name in self.__slots__}
-        config["zero_probability"] = str(self.zero_probability)
-        return config
+        return {**self._asdict(), "zero_probability": str(self.zero_probability)}
 
 
 def _draw_widths(cfg: SearchConfig) -> tuple[int, ...]:
@@ -380,26 +379,28 @@ def _text(values) -> str:
     return f"({', '.join(map(str, values))})"
 
 
-class MacroState:
+class MacroState(NamedTuple("MacroState", [("p", tuple), ("z", tuple)])):
     """A concrete assignment of (p1, p2, p3) and nonnegative (z1, z2, z3),
-    with the derived quadratics c available as ``.c``.
+    with the derived quadratics c available as ``.c``.  An immutable value,
+    checked when built.
 
     Coordinates pass ``poly._exact``: ints and Fractions are kept as given
     and anything else is refused; every derived value is computed in the
-    same ring, so an all-int state, as the fuzz draws, stays on ints.  The
-    fuzz's own states come from ``_state``, which skips these checks for
-    coordinates that already meet them (see the module docstring)."""
+    same ring, so an all-int state, as the fuzz draws, stays on ints.
+    ``_make`` and ``_replace`` are the namedtuple's unchecked constructors;
+    only the fuzz uses ``_make``, on coordinates that already meet these
+    checks (see the module docstring)."""
 
-    __slots__ = ("p", "z")
+    __slots__ = ()
 
-    def __init__(self, p: Iterable[Coeff], z: Iterable[Coeff]):
+    def __new__(cls, p: Iterable[Coeff], z: Iterable[Coeff]):
         p = tuple(map(_exact, p))
         z = tuple(map(_exact, z))
         if len(p) != 3 or len(z) != 3:
             raise PreconditionError("p and z must each have three coordinates")
         if any(v < 0 for v in z):
             raise PreconditionError(f"z must be nonnegative, got {_text(z)}")
-        self.p, self.z = p, z
+        return tuple.__new__(cls, (p, z))
 
     @property
     def c(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -422,14 +423,6 @@ class MacroState:
             "c": [str(v) for v in self.c],
             "d": str(self.d_value()),
         }
-
-
-def _state(p: tuple, z: tuple) -> MacroState:
-    """Internal: wrap triples that already pass ``MacroState``'s checks
-    (ints or Fractions, z >= 0) without re-validating."""
-    state = MacroState.__new__(MacroState)
-    state.p, state.z = p, z
-    return state
 
 
 class MinimizeStep(NamedTuple):
@@ -516,7 +509,7 @@ def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)
             z[i] = new_value
             after = corpus.d_value(p, z)
             steps.append(MinimizeStep(f"z{coord}", old_value, new_value, before, after))
-    final = _state(p, tuple(z))
+    final = MacroState._make((p, tuple(z)))
     return MinimizeTrace(state, tuple(steps), final, vertex_label(final))
 
 
@@ -627,9 +620,9 @@ def _draw_state(
     Each attempt is ``_draw_pairs(rng, widths, 6, nonzero=3)``, the ints
     n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 with p_i = n_i/d_i != 0 and
     z_i = |m_i|/e_i, and is tested on those ints (see the module docstring).
-    Only the accepted one becomes a state, built with ``_state``: the drawn
-    one times the lcm of its six denominators, so all its coordinates are
-    ints.  ``widths`` is the run's ``_draw_widths(cfg)``."""
+    Only the accepted one becomes a state, built with ``MacroState._make``:
+    the drawn one times the lcm of its six denominators, so all its
+    coordinates are ints.  ``widths`` is the run's ``_draw_widths(cfg)``."""
     for _ in range(10000):
         pairs = _draw_pairs(rng, widths, 6, nonzero=3)
         n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = pairs
@@ -638,10 +631,10 @@ def _draw_state(
         if (n1 * e1 + abs(m1) * d1) * (n2 * e2 + abs(m2) * d2) * (n3 * e3 + abs(m3) * d3) < 0:
             continue
         scale = lcm(d1, d2, d3, e1, e2, e3)
-        return _state(
+        return MacroState._make((
             (n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3)),
             (abs(m1) * (scale // e1), abs(m2) * (scale // e2), abs(m3) * (scale // e3)),
-        )
+        ))
     raise PreconditionError("rejection sampling found no admissible state in 10000 draws")
 
 

@@ -277,7 +277,8 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
     # traceback with exit code 1, the "refuted" code; an existing directory
     # ("..", tmp_path) and a file in a missing directory used to run the
     # command first and fail on the write.  The directory is the one the
-    # write goes to, so a link into a missing directory is refused too.
+    # write goes to, so a link into a missing directory is refused too, and
+    # so is the directory as typed, which the write also has to pass through.
     missing = f"{tmp_path}/missing/x.json"
     (tmp_path / "link.json").symlink_to(missing)
     (tmp_path / "file").write_text("")
@@ -302,7 +303,14 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
             ),
             *(
                 (path, f"the manifest path {path!r} is in no existing directory")
-                for path in (missing, f"{tmp_path}/link.json", f"{tmp_path}/file/x.json")
+                for path in (
+                    missing,
+                    f"{tmp_path}/link.json",
+                    f"{tmp_path}/file/x.json",
+                    # realpath collapses ".." after a missing or non-directory part
+                    f"{tmp_path}/missing/../x.json",
+                    f"{tmp_path}/file/../x.json",
+                )
             ),
         ):
             with pytest.raises(SystemExit) as excinfo:

@@ -109,6 +109,22 @@ def test_search_config_validation():
         random_search(resolve_target("d-tilde"), only_zero)
 
 
+def test_a_built_search_config_is_immutable():
+    # A bound assigned after the checks would escape them: a denominator
+    # bound of 0 would leave the draw loop no value to accept.
+    cfg = SearchConfig(5, 0)
+    for name, value in (
+        ("sample_count", 0),
+        ("seed", -1),
+        ("numerator_bound", 0),
+        ("denominator_bound", 0),
+        ("zero_probability", Fraction(3, 2)),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, value)
+    assert cfg == SearchConfig(5, 0)
+
+
 def test_sample_point_respects_bounds_and_zero_probability():
     cfg = SearchConfig(sample_count=1, seed=9, numerator_bound=7, denominator_bound=3)
     rng = random.Random(0)
@@ -312,6 +328,17 @@ def test_macro_state_invariants():
         MacroState((1, 1, 1), (-1, 0, 0))
     with pytest.raises(PreconditionError):
         MacroState((1, 1), (0, 0))
+
+
+def test_a_built_macro_state_is_immutable():
+    # Floats, bools or a negative z assigned after the checks would run
+    # through the descent and the classifier unchecked.
+    s = MacroState((1, 1, 1), (0, 0, 0))
+    with pytest.raises(AttributeError):
+        s.p = (0.5, 1.5, True)
+    with pytest.raises(AttributeError):
+        s.z = [2.5, -0.0, 0]
+    assert s == MacroState((1, 1, 1), (0, 0, 0))
 
 
 def test_macro_state_keeps_int_coordinates():
@@ -614,33 +641,34 @@ def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
 
 def test_a_fuzz_state_builds_no_validated_macro_state(monkeypatch):
     built = []
-    init = MacroState.__init__
+    new = MacroState.__new__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(MacroState, "__init__", counting_init)
+    monkeypatch.setattr(MacroState, "__new__", counting_new)
     summary = minimize_fuzz(SearchConfig(50, 0), True)
-    # The accepted draw and the descent's final state come from
-    # explorer._state; a rejected candidate never becomes a MacroState.
+    # The accepted draw and the descent's final state come from the
+    # unchecked MacroState._make; a rejected candidate never becomes a
+    # MacroState.
     assert summary.samples_run == 50
     assert built == []
 
 
 def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
-    # explorer._state skips MacroState's checks; every state the fuzz and the
-    # descent build with it must pass them unchanged: the same values of the
-    # same types, three ints or Fractions each, z >= 0.
+    # MacroState._make skips MacroState's checks; every state the fuzz and
+    # the descent build with it must pass them unchanged: the same values of
+    # the same types, three ints or Fractions each, z >= 0.
     built = []
-    raw = explorer._state
+    raw = MacroState._make
 
-    def recording_state(p, z):
-        state = raw(p, z)
+    def recording_make(fields):
+        state = raw(fields)
         built.append(state)
         return state
 
-    monkeypatch.setattr(explorer, "_state", recording_state)
+    monkeypatch.setattr(MacroState, "_make", recording_make)
     for seed, negative in ((0, True), (1, False)):
         minimize_fuzz(SearchConfig(250, seed), negative)
     assert len(built) == 2 * 500
