@@ -177,11 +177,7 @@ def _sampling_config(args: argparse.Namespace):
 def _cmd_search(args: argparse.Namespace) -> int:
     from . import explorer
     cfg = _sampling_config(args)
-    poly = explorer.resolve_target(args.target, args.c)
-    # The all-ones point is a known equality case of every target; it rides
-    # along as a fixed probe so each run pins the exact value 0 there.
-    probe = {name: 1 for name in poly.varset.names}
-    report = explorer.random_search(poly, cfg, probes=[probe], label=args.target)
+    report = explorer.random_search(args.target, cfg, args.c)
 
     def point_text(point) -> str:
         return " ".join(f"{n}={v}" for n, v in zip(report.variables, point))

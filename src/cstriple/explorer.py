@@ -27,11 +27,11 @@ it gave (the tests pin it against a reference draw written with it), but it
 no longer depends on how a later interpreter implements ``randrange``.
 
 The search loop runs on plain ints, in a format only this module knows:
-``sample_point`` and ``_probe_pairs`` give each coordinate as a (numerator,
-denominator) pair, the evaluator ``compile_evaluator`` generates returns the
-value as such a pair, and ``search_range`` folds the probes and then the
-samples in one pass, comparing values by cross-multiplication.  Fractions
-are built only for the kept minimum, the negative hits and the probes.
+``sample_point`` gives each coordinate as a (numerator, denominator) pair,
+the evaluator ``compile_evaluator`` generates returns the value as such a
+pair, and ``search_range`` folds the all-ones probe and then the samples in
+one pass, comparing values by cross-multiplication.  Fractions are built
+only for the kept minimum, the negative hits and the probe.
 
 The minimizer fuzz runs on plain ints too.  ``_draw_state`` draws each
 coordinate as such a pair, p_i = n_i/d_i and z_i = |m_i|/e_i, and tests the
@@ -48,9 +48,10 @@ not change.  The scaled state therefore takes the same steps, lands on the
 same vertex and passes or fails the same guarantees as the rational one.
 
 Every type here is a ``typing.NamedTuple``, immutable once built; the two
-inputs, ``SearchConfig`` and ``MacroState``, validate in ``__new__``.  The
-fuzz builds its states with the namedtuple's unchecked ``MacroState._make``:
-``_draw_state`` passes ints it computed, with z_i >= 0 by ``abs``, and
+inputs, ``SearchConfig`` and ``MacroState``, validate in ``__new__``, and
+their ``_replace`` builds its copy through it.  The fuzz builds its states
+with the namedtuple's unchecked ``MacroState._make``: ``_draw_state``
+passes ints it computed, with z_i >= 0 by ``abs``, and
 ``greedy_minimize_z`` passes the p of its input and z_i taken from that
 input, 0 or max(0, -p_i).  A fuzz state therefore makes no validating
 ``MacroState`` construction.
@@ -68,12 +69,12 @@ from _random import Random as _CRandom
 from fractions import Fraction
 from itertools import groupby, permutations
 from math import isqrt, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import corpus
 from .corpus import TARGET_NAMES
 from .poly import Coeff, Monomial, Polynomial, PreconditionError, StructuralError
-from .poly import _exact, _point_values
+from .poly import _exact
 
 _ZERO = Fraction(0)
 
@@ -92,6 +93,12 @@ def resolve_target(name: str, c: Coeff | None = None) -> Polynomial:
     return formula(*corpus.variables(varset), *(() if c is None else (_exact(c),)))
 
 
+def _checked_replace(self, **changes):
+    """``_replace`` of the two validated inputs: the copy with ``changes`` is
+    built, and checked, like a new value."""
+    return type(self)(**{**self._asdict(), **changes})
+
+
 # A class-body NamedTuple may not define __new__, so the two validated inputs
 # subclass a functional NamedTuple of their fields.
 class SearchConfig(NamedTuple("SearchConfig", [
@@ -102,6 +109,7 @@ class SearchConfig(NamedTuple("SearchConfig", [
     sampled points.  An immutable value, checked when built."""
 
     __slots__ = ()
+    _replace = _checked_replace
 
     def __new__(
         cls,
@@ -133,9 +141,13 @@ class SearchConfig(NamedTuple("SearchConfig", [
 def _draw_widths(cfg: SearchConfig) -> tuple[int, ...]:
     """``cfg``'s draw widths, computed once a run: the zero probability zn/zd
     and zk = zd.bit_length(), the numerator bound nb, nw = 2*nb + 1 and
-    nk = nw.bit_length(), the denominator bound db and dk = db.bit_length()."""
+    nk = nw.bit_length(), the denominator bound db and dk = db.bit_length().
+    A bound below 1 is refused here too, as a config built by ``_make``
+    would leave the draw loop no value to accept."""
     zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
     nb, db = cfg.numerator_bound, cfg.denominator_bound
+    if nb < 1 or db < 1:
+        raise PreconditionError("numerator and denominator bounds must be >= 1")
     nw = 2 * nb + 1
     return zn, zd, zd.bit_length(), nb, nw, nw.bit_length(), db, db.bit_length()
 
@@ -302,34 +314,31 @@ class SearchReport(NamedTuple):
         }
 
 
-def _probe_pairs(poly: Polynomial, probe: Mapping[str, Coeff]) -> tuple[int, ...]:
-    """A probe, a point of ``poly`` read as ``Polynomial.evaluate`` reads
-    one, as the flat int tuple (n1, d1, ..., nk, dk) of ``sample_point``."""
-    values = _point_values(poly.varset, probe)
-    return tuple(x for v in values for x in (v.numerator, v.denominator))
-
-
 def search_range(
     evaluate: Callable[[Sequence[int]], tuple[int, int]],
     variables: tuple[str, ...],
     cfg: SearchConfig,
-    head: Sequence[tuple[tuple[int, ...], tuple[int, int]]],
-    label: str,
+    target: str,
 ) -> SearchReport:
-    """Fold the ``head`` results, each (pairs, (num, den)), then samples
-    0..sample_count-1 over ``variables``, evaluated with ``evaluate`` (the
-    target's ``compile_evaluator`` function), in one ordered pass.
+    """Fold the all-ones probe, then samples 0..sample_count-1 over
+    ``variables``, evaluated with ``evaluate`` (the ``compile_evaluator``
+    function of the target named ``target``), in one ordered pass.
 
     Values are compared by cross-multiplication, with every den > 0.  The
     minimum starts at 1/0, above every value, and only a strictly smaller
-    value replaces it, so a tie goes to the first result and the head comes
+    value replaces it, so a tie goes to the first result and the probe comes
     first.  Fractions are built only for the kept argmin, the hits and the
-    head.  The samples share one generator, which ``sample_point`` reseeds."""
+    probe.  The samples share one generator, which ``sample_point`` reseeds."""
     nvars, seed, widths = len(variables), cfg.seed, _draw_widths(cfg)
     rng = random.Random(0)
+    # The all-ones point, the equality case a = b, is a zero of every target,
+    # so each run pins the exact value 0 there; it counts for the minimum and
+    # the hits, not in ``samples_run``.
+    ones = (1, 1) * nvars
+    ones_value = evaluate(ones)
 
     def results():
-        yield from head
+        yield ones, ones_value
         for index in range(cfg.sample_count):
             pairs = sample_point(rng, seed, index, nvars, widths)
             yield pairs, evaluate(pairs)
@@ -342,33 +351,25 @@ def search_range(
         if num < 0:
             hits.append((_fractions(pairs), Fraction(num, den)))
     return SearchReport(
-        target=label,
+        target=target,
         variables=variables,
         samples_run=cfg.sample_count,
         seed=seed,
         min_value=Fraction(best_num, best_den),
         argmin=_fractions(best_pairs),
         counterexamples=hits,
-        probes=[(_fractions(pairs), Fraction(*value)) for pairs, value in head],
+        probes=[(_fractions(ones), Fraction(*ones_value))],
     )
 
 
-def random_search(
-    poly: Polynomial,
-    cfg: SearchConfig,
-    probes: Sequence[Mapping[str, Coeff]] = (),
-    label: str = "",
-) -> SearchReport:
-    """Search ``poly`` at ``cfg.sample_count`` seeded points plus the fixed
-    ``probes``, evaluated first and counted for the minimum and for
-    counterexamples but not in ``samples_run``: a probe wins a tie on the
-    minimum and probe hits are listed first."""
+def random_search(target: str, cfg: SearchConfig, c: Coeff | None = None) -> SearchReport:
+    """Search the target named ``target`` (``resolve_target(target, c)``)
+    at ``cfg.sample_count`` seeded points plus the all-ones probe, which
+    ``search_range`` evaluates first."""
+    poly = resolve_target(target, c)
     if cfg.zero_probability == 1:
         raise PreconditionError("zero_probability 1 would evaluate only the zero point")
-    probe_pairs = [_probe_pairs(poly, p) for p in probes]
-    evaluate = compile_evaluator(poly)
-    head = [(pairs, evaluate(pairs)) for pairs in probe_pairs]
-    return search_range(evaluate, poly.varset.names, cfg, head, label or str(poly)[:40])
+    return search_range(compile_evaluator(poly), poly.varset.names, cfg, target)
 
 
 # -- the proof's minimization over z ------------------------------------------
@@ -387,11 +388,12 @@ class MacroState(NamedTuple("MacroState", [("p", tuple), ("z", tuple)])):
     Coordinates pass ``poly._exact``: ints and Fractions are kept as given
     and anything else is refused; every derived value is computed in the
     same ring, so an all-int state, as the fuzz draws, stays on ints.
-    ``_make`` and ``_replace`` are the namedtuple's unchecked constructors;
-    only the fuzz uses ``_make``, on coordinates that already meet these
-    checks (see the module docstring)."""
+    ``_replace`` checks its copy too; ``_make`` is the namedtuple's
+    unchecked constructor, and only the fuzz uses it, on coordinates that
+    already meet these checks (see the module docstring)."""
 
     __slots__ = ()
+    _replace = _checked_replace
 
     def __new__(cls, p: Iterable[Coeff], z: Iterable[Coeff]):
         p = tuple(map(_exact, p))

@@ -30,7 +30,7 @@ library API, the tests build references with it, and perfbench/tracing.py
 hooks it as a layer.  The search's evaluator on int pairs is in ``explorer``.
 Coefficients and point values pass one exactness rule, ``_exact``: an int
 or a Fraction, never text (the CLI parses text).  A point is a Mapping from
-variable name to value, read by ``_point_values``.  An int or Fraction
+variable name to value, read by ``evaluate``.  An int or Fraction
 operand of ``+``, ``-`` or ``*`` becomes the one constant term (no term for
 0) without the validating constructor.
 
@@ -280,8 +280,14 @@ class Polynomial:
         return self._compose(ordered, Polynomial(target))
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:
-        """Exact value at a point assigning every variable (``_point_values``)."""
-        return self._compose(_point_values(self.varset, point), _ZERO)
+        """Exact value at ``point``, a Mapping from variable name to value;
+        each value passes ``_exact``, a missing name raises
+        ``StructuralError``, and names outside the VarSet are ignored."""
+        names = self.varset.names
+        missing = [name for name in names if name not in point]
+        if missing:
+            raise StructuralError(f"no value assigned to variables {missing}")
+        return self._compose([_exact(point[name]) for name in names], _ZERO)
 
     def _compose(self, values: list, zero):
         """``zero`` plus the sum over the terms of ``coeff * prod(values[i]**e_i)``,
@@ -312,16 +318,6 @@ class Polynomial:
 # The start of ``evaluate``'s sum, so that it returns a Fraction even at an
 # all-int point.
 _ZERO = Fraction(0)
-
-
-def _point_values(varset: VarSet, point: Mapping[str, Coeff]) -> list[Coeff]:
-    """The values of ``point``, a Mapping from variable name to value, in
-    ``varset`` order; each passes ``_exact``, and a missing name raises
-    ``StructuralError``.  Names outside ``varset`` are ignored."""
-    missing = [name for name in varset.names if name not in point]
-    if missing:
-        raise StructuralError(f"no value assigned to variables {missing}")
-    return [_exact(point[name]) for name in varset.names]
 
 
 def _raw(varset: VarSet, terms: dict[Monomial, Coeff]) -> Polynomial:

@@ -148,6 +148,13 @@ def test_search_zero_prob_one_exits_two(capsys):
     )
     assert code == 2
     assert "zero_probability" in err
+    # A misplaced c is reported first: the target is resolved before the check.
+    code, _, err = run(
+        ["search", "--target", "cs", "--c", "1", "--zero-prob", "1", "--samples", "1", "--seed", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: constant c only applies to target 'd-k', not 'cs'\n"
 
 
 def test_unwritable_json_path_exits_two(capsys, tmp_path, monkeypatch):

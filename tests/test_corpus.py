@@ -158,14 +158,6 @@ def test_weak_difference_drops_exactly_the_bracket():
     assert weak.evaluate(POINT_ONES) == 0
 
 
-def test_d_tilde_homogeneity_and_symmetries():
-    helpers.check_dtilde_invariances()
-
-
-def test_d_macro_permutation_invariance():
-    helpers.check_d_permutation_invariance()
-
-
 def test_builders_are_deterministic():
     assert helpers.inequality_parts().d_tilde == helpers.inequality_parts().d_tilde
     assert corpus.d_value(*helpers.macro_triples()) == corpus.d_value(*helpers.macro_triples())

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from cstriple import corpus
 from cstriple.explorer import (
     MacroState,
     SearchConfig,
@@ -18,20 +17,18 @@ from cstriple.explorer import (
 from cstriple.poly import Polynomial, PreconditionError, VarSet
 
 XY = VarSet(("x", "y"))
-ONES = {name: 1 for name in corpus.AB.names}
 
 # Each entry point with one rational input set to ``v``, the rest valid.
 ENTRY_POINTS = {
     "coefficient": lambda v: Polynomial(XY, {(1, 0): v}),
     "constant": lambda v: Polynomial.constant(XY, v),
     "evaluate": lambda v: Polynomial.variable(XY, "x").evaluate({"x": v, "y": 1}),
-    "probe": lambda v: random_search(
-        resolve_target("d-tilde"), SearchConfig(1, 0), probes=[{**ONES, "b2": v}]
-    ),
     "macro_p": lambda v: MacroState((v, 1, 1), (0, 0, 0)),
     "macro_z": lambda v: MacroState((1, 1, 1), (0, v, 0)),
+    "replace_z": lambda v: MacroState((1, 1, 1), (0, 0, 0))._replace(z=(0, v, 0)),
     "sharpness": sharpness_witness,
     "resolve_target": lambda v: resolve_target("d-k", v),
+    "search_c": lambda v: random_search("d-k", SearchConfig(1, 0), v),
     "zero_probability": lambda v: SearchConfig(1, 0, zero_probability=v),
 }
 NOT_INT_OR_FRACTION = ("3/5", "0.5", "1e3", Decimal("0.5"), Decimal("Infinity"), 0.1, True)

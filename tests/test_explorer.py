@@ -29,7 +29,6 @@ from cstriple.explorer import (
 )
 from cstriple.poly import StructuralError
 
-ONES = {name: 1 for name in corpus.AB.names}
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -51,8 +50,21 @@ def test_resolve_target_names(name):
     poly = resolve_target(name)
     assert poly == EXPECTED_TARGETS[name]()
     assert poly.varset == varset
-    # cli._cmd_search probes the all-ones point as an equality case of every target.
-    assert poly.evaluate({n: 1 for n in varset.names}) == 0
+
+
+# search_range's one fixed probe, the all-ones point, is where every target,
+# the k-form at any constant included, takes the exact value 0.
+@pytest.mark.parametrize(
+    "target, c",
+    [(name, None) for name in corpus.TARGETS] + [("d-k", Fraction(1, 3)), ("d-k", 5)],
+)
+def test_every_target_is_zero_at_the_all_ones_probe(target, c):
+    poly = resolve_target(target, c)
+    nvars = len(poly.varset)
+    assert poly.evaluate(dict.fromkeys(poly.varset.names, 1)) == 0
+    report = random_search(target, SearchConfig(1, 0), c)
+    assert report.target == target
+    assert report.probes == [((1,) * nvars, 0)]
 
 
 def test_resolve_target_refuses_an_unknown_name_and_a_misplaced_c():
@@ -106,7 +118,7 @@ def test_search_config_validation():
     # would evaluate only the zero point.
     only_zero = SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(1))
     with pytest.raises(PreconditionError):
-        random_search(resolve_target("d-tilde"), only_zero)
+        random_search("d-tilde", only_zero)
 
 
 def test_a_built_search_config_is_immutable():
@@ -123,6 +135,27 @@ def test_a_built_search_config_is_immutable():
         with pytest.raises(AttributeError):
             setattr(cfg, name, value)
     assert cfg == SearchConfig(5, 0)
+
+
+def test_replace_checks_the_copy_like_a_new_value():
+    # Each of these once built an unchecked value; the first two then hung
+    # the draw loop, which had no value below a bound of 0 to accept.
+    with pytest.raises(PreconditionError):
+        SearchConfig(5, 0)._replace(denominator_bound=0)
+    with pytest.raises(PreconditionError):
+        SearchConfig(5, 0)._replace(numerator_bound=0)
+    with pytest.raises(PreconditionError):
+        MacroState((1, 1, 1), (0, 0, 0))._replace(z=(-1, 0, 0))
+    assert SearchConfig(5, 0)._replace(seed=3) == SearchConfig(5, 3)
+    assert MacroState((1, 1, 1), (0, 0, 0))._replace(p=(2, 2, 2)) == MacroState((2, 2, 2), (0, 0, 0))
+
+
+def test_draw_widths_refuse_a_bound_below_one():
+    # _make skips SearchConfig's checks, so a run checks its bounds once more
+    # before any draw; no draw loop is started here.
+    for fields in ((5, 0, 100, 0, Fraction(1, 16)), (5, 0, 0, 100, Fraction(1, 16))):
+        with pytest.raises(PreconditionError):
+            explorer._draw_widths(SearchConfig._make(fields))
 
 
 def test_sample_point_respects_bounds_and_zero_probability():
@@ -189,7 +222,7 @@ def test_a_run_computes_the_draw_widths_once(monkeypatch):
     original = explorer._draw_widths
     monkeypatch.setattr(explorer, "_draw_widths", lambda cfg: widths.append(cfg) or original(cfg))
     search_cfg = SearchConfig(sample_count=50, seed=3)
-    random_search(resolve_target("d-tilde"), search_cfg, probes=[ONES])
+    random_search("d-tilde", search_cfg)
     assert widths == [search_cfg]
     fuzz_cfg = SearchConfig(sample_count=20, seed=3)
     minimize_fuzz(fuzz_cfg, require_negative_product=True)
@@ -207,64 +240,40 @@ def test_sample_point_is_pure_in_seed_and_index():
 
 
 def test_search_d_tilde_finds_no_counterexample():
-    poly = resolve_target("d-tilde")
     cfg = SearchConfig(sample_count=2000, seed=42)
-    report = random_search(poly, cfg, probes=[ONES], label="d-tilde")
+    report = random_search("d-tilde", cfg)
+    assert report.target == "d-tilde"
     assert report.samples_run == 2000
     assert report.counterexamples == []
     assert report.min_value >= 0
-    # the proportional probe is an equality case, so the exact minimum is 0
+    # the all-ones probe is an equality case, so the exact minimum is 0
     assert report.min_value == 0
-    assert report.probes[0][1] == 0
+    assert report.probes == [((1,) * 6, 0)]
 
 
 def test_search_report_argmin_matches_min_value():
     poly = resolve_target("weak")
     cfg = SearchConfig(sample_count=500, seed=7)
-    report = random_search(poly, cfg, label="weak")
+    report = random_search("weak", cfg)
     point = dict(zip(report.variables, report.argmin))
     assert poly.evaluate(point) == report.min_value
 
 
 def test_search_is_deterministic():
-    poly = resolve_target("cs")
     cfg = SearchConfig(sample_count=400, seed=2718)
-    first = random_search(poly, cfg, probes=[ONES], label="cs")
-    second = random_search(poly, cfg, probes=[ONES], label="cs")
+    first = random_search("cs", cfg)
+    second = random_search("cs", cfg)
     assert first.to_dict() == second.to_dict()
 
 
 def test_search_dk_above_half_finds_negative_hits():
     poly = resolve_target("d-k", c=Fraction(3, 5))
     cfg = SearchConfig(sample_count=2000, seed=1)
-    report = random_search(poly, cfg, label="d-k")
+    report = random_search("d-k", cfg, Fraction(3, 5))
     assert len(report.counterexamples) > 0
     for point, value in report.counterexamples:
         assert value < 0
         assert poly.evaluate(dict(zip(report.variables, point))) == value
-    # a crafted probe beyond the blow-up threshold k3^2 > 8/(2c-1) = 40
-    probe = {"k1": 0, "k2": 0, "k3": 7, "b1": 1, "b2": 1, "b3": 1}
-    hit = random_search(poly, cfg, probes=[probe], label="d-k")
-    assert hit.probes[0][1] == Fraction(-9, 5)
-    assert hit.min_value <= Fraction(-9, 5)
-
-
-def test_search_probe_validation():
-    poly = resolve_target("d-tilde")
-    cfg = SearchConfig(sample_count=5, seed=3)
-    with pytest.raises(StructuralError):
-        random_search(poly, cfg, probes=[{"a1": 1}])
-    # A probe is a point, a Mapping from name to value, not a sequence.
-    with pytest.raises(StructuralError):
-        random_search(poly, cfg, probes=[(1,) * 6])
-
-
-def test_probe_coordinates_refuse_floats_and_bools():
-    poly = resolve_target("d-tilde")
-    cfg = SearchConfig(sample_count=5, seed=3)
-    for bad in (0.5, False):
-        with pytest.raises(PreconditionError):
-            random_search(poly, cfg, probes=[{**ONES, "a2": bad}])
 
 
 @pytest.mark.parametrize(
@@ -288,31 +297,28 @@ def test_compiled_d_tilde_makes_at_most_110_multiplications():
     assert 0 < helpers.multiplications(compile_evaluator(resolve_target("d-tilde"))) <= 110
 
 
-def test_search_probes_win_ties_and_list_their_hits_first():
+def test_the_probe_and_then_the_first_tied_sample_win_ties():
     # At zero probability 1/2 some samples are the zero point, where d-tilde
     # is 0 like at the all-ones probe; the probe keeps the argmin.
-    poly = resolve_target("d-tilde")
     cfg = SearchConfig(200, 4, zero_probability=Fraction(1, 2))
-    report = random_search(poly, cfg, probes=[ONES])
+    report = random_search("d-tilde", cfg)
     assert report.min_value == 0
     assert report.argmin == (1,) * 6
-    # Among the samples, too, the first of the tied ones keeps it.
+    # Among the samples, too, the first of the tied ones keeps it: at c = 5
+    # with coordinates in {-1, 0, 1} the negative minimum recurs.
+    poly = resolve_target("d-k", c=Fraction(5))
+    cfg = SearchConfig(100, 0, numerator_bound=1, denominator_bound=1)
     evaluate = compile_evaluator(poly)
     rng = random.Random(0)
-    points = [sample_point(rng, 4, i, 6, explorer._draw_widths(cfg)) for i in range(200)]
+    points = [sample_point(rng, 0, i, 6, explorer._draw_widths(cfg)) for i in range(100)]
     values = [Fraction(*evaluate(pt)) for pt in points]
-    assert values.count(0) > 1
-    first = points[values.index(0)]
-    assert first != points[len(values) - 1 - values[::-1].index(0)]
-    report = random_search(poly, cfg)
-    assert report.min_value == 0
+    lowest = min(values)
+    assert lowest < 0 and values.count(lowest) > 1
+    first = points[values.index(lowest)]
+    assert first != points[len(values) - 1 - values[::-1].index(lowest)]
+    report = random_search("d-k", cfg, Fraction(5))
+    assert report.min_value == lowest
     assert report.argmin == tuple(Fraction(first[k], first[k + 1]) for k in range(0, 12, 2))
-    # At c = 5 about a fifth of the samples are hits; the probe's comes first.
-    poly = resolve_target("d-k", c=Fraction(5))
-    probe = {"k1": 0, "k2": 0, "k3": 1, "b1": 1, "b2": 1, "b3": 1}
-    report = random_search(poly, SearchConfig(100, 1), probes=[probe])
-    assert len(report.counterexamples) > 1
-    assert report.counterexamples[0] == ((0, 0, 1, 1, 1, 1), Fraction(-1))
 
 
 # -- greedy minimization ------------------------------------------------------

@@ -54,6 +54,7 @@ def test_readme_library_example_runs():
     assert namespace["value"] == 87
     assert namespace["evaluate"]((1, 1, 2, 1, 3, 1, 1, 1, 1, 1, 1, 1)) == (87, 1)
     assert namespace["witness"].value == Fraction(-9, 5)
+    assert len(namespace["search"].counterexamples) == 5
     assert namespace["report"].status == "verified"
 
 

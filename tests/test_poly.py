@@ -311,18 +311,6 @@ def test_normalization_is_idempotent():
         assert Polynomial(poly.varset, poly.terms) == poly
 
 
-def test_ring_axioms_thousand_triples():
-    assert helpers.check_ring_axioms(triples=1000) == 1000
-
-
-def test_substitution_homomorphism_five_hundred_cases():
-    assert helpers.check_substitution_homomorphism(cases=500) == 500
-
-
-def test_eval_subst_commutation_five_hundred_cases():
-    assert helpers.check_eval_subst_commutation(cases=500) == 500
-
-
 def test_compiled_evaluator_matches_reference():
     rng = random.Random(1234)
     for _ in range(300):
