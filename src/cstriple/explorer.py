@@ -24,7 +24,10 @@ Every uniform draw is defined in this module: an int below n is
 ``rng.getrandbits(n.bit_length())``, drawn again until it is below n.  That
 is the algorithm of CPython 3.11's ``randrange``, so the stream is the one
 it gave (the tests pin it against a reference draw written with it), but it
-no longer depends on how a later interpreter implements ``randrange``.
+no longer depends on how a later interpreter implements ``randrange``.  The
+one draw loop, ``_draw_pairs``, has two branches: a coordinate that may not
+be 0 (a fuzz p_i) skips the zero test and is drawn again while its
+numerator is 0; any other makes the zero test, then one draw.
 
 The search loop runs on plain ints, in a format only this module knows:
 ``sample_point`` gives each coordinate as a (numerator, denominator) pair,
@@ -67,7 +70,7 @@ from __future__ import annotations
 import random
 from _random import Random as _CRandom
 from fractions import Fraction
-from itertools import groupby, permutations
+from itertools import groupby, permutations, product
 from math import isqrt, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -156,39 +159,48 @@ def _draw_pairs(rng: random.Random, widths: tuple, count: int, nonzero: int = 0)
     """``count`` coordinates as the flat list n1, d1, ..., n_count, d_count:
     (0, 1) with probability zero_probability, else num in
     [-numerator_bound, numerator_bound] and den in [1, denominator_bound],
-    not reduced, so n_i == 0 exactly when coordinate i is 0.  The first
-    ``nonzero`` coordinates are never 0.
+    not reduced, so n_i == 0 exactly when coordinate i is 0.
 
-    Per coordinate, with zero probability zn/zd: the zero test r < zn with
-    r drawn below zd (skipped when zn is 0 and for the first ``nonzero``
-    coordinates); else the numerator, drawn below 2*numerator_bound + 1 and
-    shifted by -numerator_bound, then the denominator, drawn below
-    denominator_bound and shifted by +1, both drawn again while a first
-    ``nonzero`` coordinate has the numerator 0.  "Drawn below n" is
-    ``getrandbits(n.bit_length())`` until the value is below n (see the
-    module docstring), written out in the loop because this is the search's
-    hot path (about 18 draws a sample).  ``widths`` is ``_draw_widths(cfg)``."""
+    The loop has two branches.  The first ``nonzero`` coordinates make no
+    zero test and are never 0: their numerator, drawn below
+    2*numerator_bound + 1 and shifted by -numerator_bound, and denominator,
+    drawn below denominator_bound and shifted by +1, are drawn again while
+    the numerator is 0.  The rest make the zero test r < zn, r drawn below
+    zd for the zero probability zn/zd (skipped when zn is 0), then, unless
+    it hits, one numerator and one denominator draw.  "Drawn below n" is
+    ``getrandbits(n.bit_length())`` until the value is below n, written out
+    because this is the search's hot path.  ``widths`` is ``_draw_widths(cfg)``."""
     zn, zd, zk, nb, nw, nk, db, dk = widths
     getrandbits = rng.getrandbits
     out: list[int] = []
-    for k in range(count):
-        if zn and k >= nonzero:
-            r = getrandbits(zk)
-            while r >= zd:
-                r = getrandbits(zk)
-            if r < zn:
-                out += (0, 1)
-                continue
-        while True:
+    append = out.append
+    for _ in range(nonzero):
+        num = nb  # the raw draw nb is the numerator 0
+        while num == nb:
             num = getrandbits(nk)
             while num >= nw:
                 num = getrandbits(nk)
             den = getrandbits(dk)
             while den >= db:
                 den = getrandbits(dk)
-            if num != nb or k >= nonzero:  # the raw draw nb is the numerator 0
-                break
-        out += (num - nb, den + 1)
+        append(num - nb)
+        append(den + 1)
+    for _ in range(count - nonzero):
+        if zn:
+            r = getrandbits(zk)
+            while r >= zd:
+                r = getrandbits(zk)
+            if r < zn:
+                out += (0, 1)
+                continue
+        num = getrandbits(nk)
+        while num >= nw:
+            num = getrandbits(nk)
+        den = getrandbits(dk)
+        while den >= db:
+            den = getrandbits(dk)
+        append(num - nb)
+        append(den + 1)
     return out
 
 
@@ -469,12 +481,14 @@ def vertex_label(state: MacroState) -> str:
 
 
 _ORDERS = frozenset(permutations((1, 2, 3)))
+_DEFAULT_ORDER = (3, 2, 1)
 _INTS = (int, int, int)
 # The 0-based indices of the other two factors of each coordinate's step.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
+_Z_NAMES = ("z1", "z2", "z3")
 
 
-def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)) -> MinimizeTrace:
+def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) -> MinimizeTrace:
     """Lower each z coordinate in turn to its smallest feasible value.
 
     With the other two factors fixed at their current values, the feasible
@@ -489,28 +503,28 @@ def greedy_minimize_z(state: MacroState, order: tuple[int, int, int] = (3, 2, 1)
     recorded only when the value actually changes.  Requires nonzero p_i and
     a feasible starting state.
     """
-    # The type test comes first: it refuses bools, floats and unhashable items.
-    if tuple(map(type, order)) != _INTS or tuple(order) not in _ORDERS:
+    # Default by identity; else the type test first: no bools, floats or unhashable items.
+    if order is not _DEFAULT_ORDER and not (
+        isinstance(order, Iterable) and tuple(map(type, order)) == _INTS and tuple(order) in _ORDERS
+    ):
         raise PreconditionError(f"order must be a permutation of (1, 2, 3), got {order!r}")
     p = state.p
     if not (p[0] and p[1] and p[2]):
         raise PreconditionError("greedy minimization requires nonzero p coordinates")
-    if not state.is_feasible():
-        raise PreconditionError(
-            f"infeasible start: constraint value {state.feasibility()} < 0"
-        )
+    feasibility = corpus.feasibility_value(p, state.z)
+    if feasibility < 0:
+        raise PreconditionError(f"infeasible start: constraint value {feasibility} < 0")
     z = list(state.z)
     steps: list[MinimizeStep] = []
     for coord in order:
         i = coord - 1
         j, k = _OTHERS[i]
-        new_value = max(0, -p[i]) if (p[j] + z[j]) * (p[k] + z[k]) > 0 else 0
+        new_value = -p[i] if p[i] < 0 and (p[j] + z[j]) * (p[k] + z[k]) > 0 else 0
         if new_value != z[i]:
-            before = steps[-1].d_after if steps else corpus.d_value(p, z)
-            old_value = z[i]
-            z[i] = new_value
-            after = corpus.d_value(p, z)
-            steps.append(MinimizeStep(f"z{coord}", old_value, new_value, before, after))
+            before = d if steps else corpus.d_value(p, z)
+            old_value, z[i] = z[i], new_value
+            d = corpus.d_value(p, z)
+            steps.append(MinimizeStep(_Z_NAMES[i], old_value, new_value, before, d))
     final = MacroState._make((p, tuple(z)))
     return MinimizeTrace(state, tuple(steps), final, vertex_label(final))
 
@@ -532,6 +546,12 @@ class CaseClassification(NamedTuple):
         }
 
 
+# A vertex's 1-based permutation, keyed by which z_i are 0: as p_i != 0, the pinned
+# z_i = -p_i are the nonzero ones.  Pinned first, then the rest, each ascending.
+_PERMUTATIONS = {zero: tuple(sorted((1, 2, 3), key=lambda j: zero[j - 1]))
+                 for zero in product((False, True), repeat=3)}
+
+
 def case_classify(state: MacroState) -> CaseClassification:
     """Classify a vertex (every z_i in {0, -p_i}) into one of the four cases
     and evaluate its closed form ``corpus.case_value`` on the permuted p."""
@@ -543,11 +563,9 @@ def case_classify(state: MacroState) -> CaseClassification:
         raise PreconditionError(
             f"not a vertex: some z_i is neither 0 nor -p_i at p={_text(p)}, z={_text(z)}"
         )
-    # With p_i != 0 a vertex coordinate is pinned exactly when z_i != 0 (and
-    # z_i >= 0 makes -p_i > 0 there); pinned coordinates go first.
-    perm = [j for j in range(3) if z[j]] + [j for j in range(3) if not z[j]]
-    value = corpus.case_value(label, *(p[j] for j in perm))
-    return CaseClassification(label, tuple(j + 1 for j in perm), value)
+    a, b, c = perm = _PERMUTATIONS[not z[0], not z[1], not z[2]]
+    value = corpus.case_value(label, p[a - 1], p[b - 1], p[c - 1])
+    return CaseClassification(label, perm, value)
 
 
 # -- sharpness of the constant -------------------------------------------------
@@ -626,7 +644,7 @@ def _draw_state(
     the drawn one times the lcm of its six denominators, so all its
     coordinates are ints.  ``widths`` is the run's ``_draw_widths(cfg)``."""
     for _ in range(10000):
-        pairs = _draw_pairs(rng, widths, 6, nonzero=3)
+        pairs = _draw_pairs(rng, widths, 6, 3)
         n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = pairs
         if require_negative_product and n1 * n2 * n3 >= 0:
             continue
@@ -660,7 +678,7 @@ def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification |
         classification is None or classification.closed_form_value == d,
         not (negative_product and trace.case_label == "iv"),
     )
-    return [name for name, ok in zip(GUARANTEES, held) if not ok]
+    return [] if all(held) else [name for name, ok in zip(GUARANTEES, held) if not ok]
 
 
 def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> FuzzSummary:
@@ -681,9 +699,10 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
         # case_classify refuses a non-vertex; failed_guarantees counts it.
         mixed = trace.case_label == "mixed"
         failed = failed_guarantees(trace, None if mixed else case_classify(trace.final))
-        for name in failed:
-            failures[name] += 1
-        failed_samples += bool(failed)
+        if failed:
+            failed_samples += 1
+            for name in failed:
+                failures[name] += 1
     return FuzzSummary(
         samples_run=cfg.sample_count,
         passed=cfg.sample_count - failed_samples,

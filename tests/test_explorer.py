@@ -1,6 +1,7 @@
 """Tests for the exact search, the greedy minimizer, the case classifier,
 and the sharpness witness finder."""
 
+import itertools
 import json
 import math
 import random
@@ -430,14 +431,16 @@ def test_greedy_negative_p_example():
 def test_greedy_preconditions():
     with pytest.raises(PreconditionError):
         greedy_minimize_z(MacroState((0, 1, 1), (0, 0, 0)))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^infeasible start: constraint value -1 < 0$"):
         greedy_minimize_z(MacroState((-2, 1, 1), (1, 0, 0)))  # product (-1)(1)(1) < 0
     with pytest.raises(PreconditionError):
         greedy_minimize_z(MacroState((1, 1, 1), (0, 0, 0)), order=(1, 1, 3))
     # A bool or a float equal to 1 is no coordinate number, a repeat no
-    # permutation, and an unhashable item is refused, not a TypeError.
-    for order in ((True, 2, 3), (1.0, 2, 3), (1, 2, 3.0), [1, 1, 3], [[1], 2, 3]):
-        with pytest.raises(PreconditionError):
+    # permutation, and an unhashable item or a non-iterable order (the int
+    # 321, None) is refused, not a TypeError.
+    orders = ((True, 2, 3), (1.0, 2, 3), (1, 2, 3.0), [1, 1, 3], [[1], 2, 3], 321, None)
+    for order in orders:
+        with pytest.raises(PreconditionError, match=r"order must be a permutation of \(1, 2, 3\)"):
             greedy_minimize_z(MacroState((1, 1, 1), (0, 0, 0)), order=order)
     # Any sequence of the three ints is an order.
     state = MacroState((-1, -2, -3), (1, 2, 3))
@@ -490,6 +493,22 @@ def test_classify_case_ii_with_permutation():
     q1, q2, q3 = Fraction(-2), Fraction(-3), Fraction(5)
     expected = -q1 * q2 * (q1 + q2) - q1 * q2 * q3 + (-q1 - q2) * q3**2
     assert result.closed_form_value == expected
+    assert result.closed_form_value == state.d_value()
+
+
+# Every pattern of pinned coordinates (0-based), in ints and in Fractions.
+@pytest.mark.parametrize("pinned", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+@pytest.mark.parametrize("base", [(2, 3, 5), (Fraction(2, 3), Fraction(3, 7), Fraction(5, 11))])
+def test_classify_permutation_puts_the_pinned_indices_first(pinned, base):
+    # A pinned coordinate has p_i = -base_i and z_i = base_i, the others
+    # p_i = base_i and z_i = 0.
+    p = tuple(-b if i in pinned else b for i, b in enumerate(base))
+    z = tuple(b if i in pinned else 0 for i, b in enumerate(base))
+    state = MacroState(p, z)
+    result = case_classify(state)
+    rest = [i for i in range(3) if i not in pinned]
+    assert result.permutation == tuple(i + 1 for i in [*pinned, *rest])
+    assert result.label == corpus.CASE_LABELS[len(pinned)]
     assert result.closed_form_value == state.d_value()
 
 
@@ -662,6 +681,25 @@ def test_a_fuzz_state_builds_no_validated_macro_state(monkeypatch):
     assert built == []
 
 
+def test_each_fuzz_layer_is_called_through_the_module(monkeypatch):
+    # The benchmark's tracer times the layers by replacing these module
+    # attributes, so the fuzz must look each one up at call time.
+    calls = dict.fromkeys(("_draw_state", "_draw_pairs", "greedy_minimize_z", "case_classify"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _wrapped=getattr(explorer, name), **kwargs):
+            calls[_name] += 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, name, counted)
+    cfg = SearchConfig(50, 3)
+    minimize_fuzz(cfg, True)
+    attempts = sum(_reference_state(3, index, cfg, True)[2] for index in range(50))
+    assert attempts > 50
+    assert calls == {
+        "_draw_state": 50, "_draw_pairs": attempts, "greedy_minimize_z": 50, "case_classify": 50
+    }
+
+
 def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
     # MacroState._make skips MacroState's checks; every state the fuzz and
     # the descent build with it must pass them unchanged: the same values of
@@ -702,10 +740,10 @@ def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
 def _reference_state(seed, index, cfg, require_negative_product):
     # The documented fuzz draw on Fractions: three nonzero p_i, then three
     # z_i as absolute values of search coordinates; reject infeasible states
-    # and, when asked, a nonnegative p1*p2*p3.  Returns the state and the
-    # generator's state after the accepted draw.
+    # and, when asked, a nonnegative p1*p2*p3.  Returns the state, the
+    # generator's state after the accepted draw and the number of candidates.
     rng = helpers.sample_rng(seed, index)
-    while True:
+    for attempts in itertools.count(1):
         p = helpers.reference_pairs(rng, cfg, 3, nonzero=True)
         z = helpers.reference_pairs(rng, cfg, 3)
         p = [Fraction(n, d) for n, d in zip(p[::2], p[1::2])]
@@ -714,7 +752,7 @@ def _reference_state(seed, index, cfg, require_negative_product):
             continue
         if require_negative_product and p[0] * p[1] * p[2] >= 0:
             continue
-        return p + z, rng.getstate()
+        return p + z, rng.getstate(), attempts
 
 
 # Numerators in {-1, 0, 1} and denominators in {1, 2}: in most
@@ -736,7 +774,7 @@ def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
             explorer._reseed(rng, seed, index)
             state = explorer._draw_state(rng, explorer._draw_widths(cfg), require_negative_product)
             drawn = state.p + state.z
-            reference, rng_state = _reference_state(seed, index, cfg, require_negative_product)
+            reference, rng_state, _ = _reference_state(seed, index, cfg, require_negative_product)
             # Same draws consumed: the int test rejects exactly what the
             # Fraction test rejects.
             assert rng.getstate() == rng_state
