@@ -144,9 +144,10 @@ def c_values(p1, p2, p3):
     )
 
 
-def d_value(p, z):
-    """d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3 for triples ``p`` and ``z``."""
-    c1, c2, c3 = c_values(*p)
+def d_value(p, z, c=None):
+    """d = p1*p2*p3 + c1*z1 + c2*z2 + c3*z3 for triples ``p`` and ``z``; ``c``
+    defaults to ``c_values(*p)``, and a caller holding ``p`` fixed may pass it."""
+    c1, c2, c3 = c_values(*p) if c is None else c
     return p[0] * p[1] * p[2] + c1 * z[0] + c2 * z[1] + c3 * z[2]
 
 

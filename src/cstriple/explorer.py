@@ -57,7 +57,8 @@ with the namedtuple's unchecked ``MacroState._make``: ``_draw_state``
 passes ints it computed, with z_i >= 0 by ``abs``, and
 ``greedy_minimize_z`` passes the p of its input and z_i taken from that
 input, 0 or max(0, -p_i).  A fuzz state therefore makes no validating
-``MacroState`` construction.
+``MacroState`` construction.  The descent builds its records, which check
+nothing, with ``tuple.__new__``: all that their generated ``__new__`` does.
 
 ``resolve_target`` reads each search target from ``corpus.TARGETS``.
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
@@ -431,11 +432,12 @@ class MacroState(NamedTuple("MacroState", [("p", tuple), ("z", tuple)])):
         return corpus.d_value(self.p, self.z)
 
     def to_dict(self) -> dict:
+        c = self.c
         return {
             "p": [str(v) for v in self.p],
             "z": [str(v) for v in self.z],
-            "c": [str(v) for v in self.c],
-            "d": str(self.d_value()),
+            "c": [str(v) for v in c],
+            "d": str(corpus.d_value(self.p, self.z, c)),
         }
 
 
@@ -501,7 +503,8 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
 
     Coordinates are processed in ``order`` (default 3, 2, 1); a step is
     recorded only when the value actually changes.  Requires nonzero p_i and
-    a feasible starting state.
+    a feasible starting state.  The c_i depend on p alone, so c is formed
+    once; each recorded d is ``corpus.d_value`` of the current p and z with it.
     """
     # Default by identity; else the type test first: no bools, floats or unhashable items.
     if order is not _DEFAULT_ORDER and not (
@@ -514,6 +517,7 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
     feasibility = corpus.feasibility_value(p, state.z)
     if feasibility < 0:
         raise PreconditionError(f"infeasible start: constraint value {feasibility} < 0")
+    c = corpus.c_values(*p)
     z = list(state.z)
     steps: list[MinimizeStep] = []
     for coord in order:
@@ -521,12 +525,13 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
         j, k = _OTHERS[i]
         new_value = -p[i] if p[i] < 0 and (p[j] + z[j]) * (p[k] + z[k]) > 0 else 0
         if new_value != z[i]:
-            before = d if steps else corpus.d_value(p, z)
+            before = d if steps else corpus.d_value(p, z, c)
             old_value, z[i] = z[i], new_value
-            d = corpus.d_value(p, z)
-            steps.append(MinimizeStep(_Z_NAMES[i], old_value, new_value, before, d))
+            d = corpus.d_value(p, z, c)
+            record = (_Z_NAMES[i], old_value, new_value, before, d)
+            steps.append(tuple.__new__(MinimizeStep, record))
     final = MacroState._make((p, tuple(z)))
-    return MinimizeTrace(state, tuple(steps), final, vertex_label(final))
+    return tuple.__new__(MinimizeTrace, (state, tuple(steps), final, vertex_label(final)))
 
 
 class CaseClassification(NamedTuple):
@@ -552,13 +557,18 @@ _PERMUTATIONS = {zero: tuple(sorted((1, 2, 3), key=lambda j: zero[j - 1]))
                  for zero in product((False, True), repeat=3)}
 
 
-def case_classify(state: MacroState) -> CaseClassification:
+def case_classify(state: MacroState, *, label: str | None = None) -> CaseClassification:
     """Classify a vertex (every z_i in {0, -p_i}) into one of the four cases
-    and evaluate its closed form ``corpus.case_value`` on the permuted p."""
+    and evaluate its closed form ``corpus.case_value`` on the permuted p.
+
+    ``label``, when given, must be ``vertex_label(state)`` of a state with
+    nonzero p, as a descent's ``case_label`` is: the nonzero-p test and the
+    labelling are then skipped, and only "mixed" is still refused."""
     p, z = state.p, state.z
-    if not (p[0] and p[1] and p[2]):
-        raise PreconditionError("case analysis requires nonzero p coordinates")
-    label = vertex_label(state)
+    if label is None:
+        if not (p[0] and p[1] and p[2]):
+            raise PreconditionError("case analysis requires nonzero p coordinates")
+        label = vertex_label(state)
     if label == "mixed":
         raise PreconditionError(
             f"not a vertex: some z_i is neither 0 nor -p_i at p={_text(p)}, z={_text(z)}"
@@ -695,10 +705,11 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
         _reseed(rng, cfg.seed, index)
         state = _draw_state(rng, widths, require_negative_product)
         trace = greedy_minimize_z(state)
-        case_counts[trace.case_label] += 1
+        label = trace.case_label
+        case_counts[label] += 1
         # case_classify refuses a non-vertex; failed_guarantees counts it.
-        mixed = trace.case_label == "mixed"
-        failed = failed_guarantees(trace, None if mixed else case_classify(trace.final))
+        classification = None if label == "mixed" else case_classify(trace.final, label=label)
+        failed = failed_guarantees(trace, classification)
         if failed:
             failed_samples += 1
             for name in failed:

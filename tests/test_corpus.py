@@ -99,6 +99,23 @@ def test_d_values():
     assert d.evaluate({"p1": -1, "p2": -1, "p3": -1, "z1": 1, "z2": 0, "z3": 0}) == 2
 
 
+def test_d_value_with_its_c_passed_in_is_the_same_value():
+    # A caller holding p fixed passes c_values(*p) once; in every ring the
+    # value, and its type, is that of the default.
+    rng = random.Random(28)
+    triples = [helpers.macro_triples()]
+    for _ in range(100):
+        triples.append(([rng.randint(-9, 9) for _ in range(3)],
+                        [rng.randint(0, 9) for _ in range(3)]))
+        triples.append(([helpers.rand_fraction(rng, 9) for _ in range(3)],
+                        [abs(helpers.rand_fraction(rng, 9)) for _ in range(3)]))
+    for p, z in triples:
+        given, default = corpus.d_value(p, z, corpus.c_values(*p)), corpus.d_value(p, z)
+        assert given == default and type(given) is type(default)
+    # The c passed in is the one used: d = 1 + 5*z1 at p = (1, 1, 1), c = (5, 0, 0).
+    assert corpus.d_value((1, 1, 1), (1, 1, 1), (5, 0, 0)) == 6
+
+
 def test_constraint_values_and_factorization():
     constraint = corpus.feasibility_value(*helpers.macro_triples())
     assert (

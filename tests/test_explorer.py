@@ -456,6 +456,40 @@ def test_greedy_custom_order_lands_on_vertex_too():
     assert trace.final.d_value() >= 0
 
 
+def test_the_descent_forms_c_once_in_every_order(monkeypatch):
+    # The c_i depend on p alone, so the descent forms them once however many
+    # steps it takes; here every order takes at least one.
+    calls = []
+    c_values = corpus.c_values
+
+    def counted(*p):
+        calls.append(p)
+        return c_values(*p)
+
+    monkeypatch.setattr(corpus, "c_values", counted)
+    state = MacroState((-1, -2, -3), (1, 2, 3))
+    for order in itertools.permutations((1, 2, 3)):
+        calls.clear()
+        assert greedy_minimize_z(state, order).steps
+        assert calls == [state.p]
+
+
+def test_the_descent_builds_real_records():
+    # The records come from tuple.__new__, not their constructors; each is
+    # still an instance that equals the record its constructor builds.
+    trace = greedy_minimize_z(MacroState((-1, -1, -1), (1, 1, 1)))
+    assert type(trace) is explorer.MinimizeTrace
+    assert trace == explorer.MinimizeTrace(**trace._asdict())
+    for step in trace.steps:
+        assert type(step) is explorer.MinimizeStep
+        assert step == explorer.MinimizeStep(**step._asdict())
+    assert trace.steps[0].d_after == 5
+    assert trace.to_dict()["steps"] == [
+        {"coordinate": "z3", "old_value": "1", "new_value": "0", "d_before": "8", "d_after": "5"},
+        {"coordinate": "z2", "old_value": "1", "new_value": "0", "d_before": "5", "d_after": "2"},
+    ]
+
+
 def test_vertex_label_mixed_for_non_vertex():
     assert vertex_label(MacroState((-1, 1, 1), (5, 0, 0))) == "mixed"
 
@@ -510,12 +544,19 @@ def test_classify_permutation_puts_the_pinned_indices_first(pinned, base):
     assert result.permutation == tuple(i + 1 for i in [*pinned, *rest])
     assert result.label == corpus.CASE_LABELS[len(pinned)]
     assert result.closed_form_value == state.d_value()
+    # Handed the descent's label, the classifier skips its own labelling.
+    assert case_classify(state, label=vertex_label(state)) == result
 
 
 def test_classify_rejects_non_vertex_and_zero_p():
-    with pytest.raises(PreconditionError):
-        case_classify(MacroState((-1, 1, 1), (5, 0, 0)))
-    with pytest.raises(PreconditionError):
+    not_a_vertex = r"^not a vertex: some z_i is neither 0 nor -p_i at p=\(-1, 1, 1\), z=\(5, 0, 0\)$"
+    state = MacroState((-1, 1, 1), (5, 0, 0))
+    with pytest.raises(PreconditionError, match=not_a_vertex):
+        case_classify(state)
+    # A handed "mixed" label is refused the same way.
+    with pytest.raises(PreconditionError, match=not_a_vertex):
+        case_classify(state, label="mixed")
+    with pytest.raises(PreconditionError, match=r"^case analysis requires nonzero p coordinates$"):
         case_classify(MacroState((0, 1, 1), (0, 0, 0)))
 
 
@@ -698,6 +739,21 @@ def test_each_fuzz_layer_is_called_through_the_module(monkeypatch):
     assert calls == {
         "_draw_state": 50, "_draw_pairs": attempts, "greedy_minimize_z": 50, "case_classify": 50
     }
+
+
+def test_a_fuzz_state_forms_c_twice_and_labels_its_vertex_once(monkeypatch):
+    # The descent forms c once and the guarantee check once more, from the
+    # final state by itself; the classifier takes the descent's label.
+    calls = {"c_values": 0, "vertex_label": 0}
+    for module, name in ((corpus, "c_values"), (explorer, "vertex_label")):
+        def counted(*args, _name=name, _wrapped=getattr(module, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    summary = minimize_fuzz(SearchConfig(200, 5), True)
+    assert summary.passed == 200
+    assert calls == {"c_values": 2 * 200, "vertex_label": 200}
 
 
 def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
