@@ -25,9 +25,11 @@ Every uniform draw is defined in this module: an int below n is
 is the algorithm of CPython 3.11's ``randrange``, so the stream is the one
 it gave (the tests pin it against a reference draw written with it), but it
 no longer depends on how a later interpreter implements ``randrange``.  The
-one draw loop, ``_draw_pairs``, has two branches: a coordinate that may not
-be 0 (a fuzz p_i) skips the zero test and is drawn again while its
-numerator is 0; any other makes the zero test, then one draw.
+one draw is generated code: ``_compile_draw`` writes, once per draw widths,
+coordinate count and count of nonzero coordinates, and caches, a
+straight-line ``draw(getrandbits)`` with every width an int literal.  A
+coordinate that may not be 0 (a fuzz p_i) skips the zero test and is drawn
+again while its numerator is 0; any other makes the zero test, then one draw.
 
 The search loop runs on plain ints, in a format only this module knows:
 ``sample_point`` gives each coordinate as a (numerator, denominator) pair,
@@ -68,6 +70,7 @@ re-exported here under the same names.
 
 from __future__ import annotations
 
+import functools
 import random
 from _random import Random as _CRandom
 from fractions import Fraction
@@ -143,79 +146,71 @@ class SearchConfig(NamedTuple("SearchConfig", [
 
 
 def _draw_widths(cfg: SearchConfig) -> tuple[int, ...]:
-    """``cfg``'s draw widths, computed once a run: the zero probability zn/zd
-    and zk = zd.bit_length(), the numerator bound nb, nw = 2*nb + 1 and
-    nk = nw.bit_length(), the denominator bound db and dk = db.bit_length().
-    A bound below 1 is refused here too, as a config built by ``_make``
-    would leave the draw loop no value to accept."""
-    zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
+    """``cfg``'s draw widths, read once a run: the zero probability zn/zd,
+    the numerator bound nb and the denominator bound db.  A bound below 1 is
+    refused here too, as a config built by ``_make`` would leave the draw no
+    value to accept."""
     nb, db = cfg.numerator_bound, cfg.denominator_bound
     if nb < 1 or db < 1:
         raise PreconditionError("numerator and denominator bounds must be >= 1")
-    nw = 2 * nb + 1
-    return zn, zd, zd.bit_length(), nb, nw, nw.bit_length(), db, db.bit_length()
+    return cfg.zero_probability.numerator, cfg.zero_probability.denominator, nb, db
 
 
-def _draw_pairs(rng: random.Random, widths: tuple, count: int, nonzero: int = 0) -> list[int]:
-    """``count`` coordinates as the flat list n1, d1, ..., n_count, d_count:
-    (0, 1) with probability zero_probability, else num in
-    [-numerator_bound, numerator_bound] and den in [1, denominator_bound],
-    not reduced, so n_i == 0 exactly when coordinate i is 0.
+def _compile_draw(widths: tuple[int, ...], count: int, nonzero: int) -> Callable:
+    """``_generated_draw(widths, count, nonzero)``, ``widths`` the run's
+    ``_draw_widths(cfg)``.  Only ints reach ``compile()``: any other width
+    is refused here, before the cache, where a bool or an integral float or
+    Fraction would find the entry of the int it equals."""
+    if any(type(w) is not int for w in widths):
+        raise PreconditionError(f"draw widths must be ints, got {widths!r}")
+    return _generated_draw(widths, count, nonzero)
 
-    The loop has two branches.  The first ``nonzero`` coordinates make no
-    zero test and are never 0: their numerator, drawn below
-    2*numerator_bound + 1 and shifted by -numerator_bound, and denominator,
-    drawn below denominator_bound and shifted by +1, are drawn again while
-    the numerator is 0.  The rest make the zero test r < zn, r drawn below
-    zd for the zero probability zn/zd (skipped when zn is 0), then, unless
-    it hits, one numerator and one denominator draw.  "Drawn below n" is
-    ``getrandbits(n.bit_length())`` until the value is below n, written out
-    because this is the search's hot path.  ``widths`` is ``_draw_widths(cfg)``."""
-    zn, zd, zk, nb, nw, nk, db, dk = widths
-    getrandbits = rng.getrandbits
-    out: list[int] = []
-    append = out.append
-    for _ in range(nonzero):
-        num = nb  # the raw draw nb is the numerator 0
-        while num == nb:
-            num = getrandbits(nk)
-            while num >= nw:
-                num = getrandbits(nk)
-            den = getrandbits(dk)
-            while den >= db:
-                den = getrandbits(dk)
-        append(num - nb)
-        append(den + 1)
-    for _ in range(count - nonzero):
-        if zn:
-            r = getrandbits(zk)
-            while r >= zd:
-                r = getrandbits(zk)
-            if r < zn:
-                out += (0, 1)
-                continue
-        num = getrandbits(nk)
-        while num >= nw:
-            num = getrandbits(nk)
-        den = getrandbits(dk)
-        while den >= db:
-            den = getrandbits(dk)
-        append(num - nb)
-        append(den + 1)
-    return out
+
+@functools.lru_cache(maxsize=16)
+def _generated_draw(widths: tuple[int, ...], count: int, nonzero: int) -> Callable:
+    """``draw(getrandbits)``: ``count`` coordinates as the flat tuple n1, d1,
+    ..., n_count, d_count, (0, 1) with probability zn/zd, else num in
+    [-nb, nb] and den in [1, db], not reduced, so n_i == 0 exactly when
+    coordinate i is 0.  Straight-line code, compiled once per (widths,
+    count, nonzero) and cached; it keeps nothing between calls.
+
+    "x drawn below n" is ``getrandbits(n.bit_length())`` until x < n.  Each
+    coordinate draws its raw num below 2*nb + 1 (shifted by -nb on return)
+    and then its raw den below db (shifted by +1).  The first ``nonzero``
+    coordinates make no zero test and draw both again while the raw num is
+    nb, the numerator 0; the rest make the zero test r < zn, r drawn below
+    zd (skipped when zn is 0), and on a hit take the raw pair (nb, 0)."""
+    zn, zd, nb, db = widths
+    lines = ["def draw(getrandbits):"]
+
+    def below(name: str, n: int, pad: str) -> None:
+        get = f"{name} = getrandbits({n.bit_length()})"
+        lines.extend((pad + get, f"{pad}while {name} >= {n}:", f"{pad}    {get}"))
+
+    for i in range(count):
+        if i < nonzero:
+            lines += [f"    n{i} = {nb}", f"    while n{i} == {nb}:"]
+        elif zn:
+            below("r", zd, "    ")
+            lines += [f"    if r < {zn}:", f"        n{i} = {nb}", f"        d{i} = 0", "    else:"]
+        pad = "        " if i < nonzero or zn else "    "
+        below(f"n{i}", 2 * nb + 1, pad)
+        below(f"d{i}", db, pad)
+    lines.append(f"    return ({', '.join(f'n{i} - {nb}, d{i} + 1' for i in range(count))})")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<compile_draw>", "exec"), namespace)
+    return namespace["draw"]
 
 
 def _reseed(rng: random.Random, seed: int, index: int) -> None:
     _CRandom.seed(rng, (seed << 64) | index)  # what random.Random((seed << 64) | index) runs
 
 
-def sample_point(
-    rng: random.Random, seed: int, index: int, nvars: int, widths: tuple
-) -> tuple[int, ...]:
-    """Sample ``index`` of run ``seed`` on ``rng``, reseeded, as ``compile_evaluator``'s
-    pairs; ``widths`` is the run's ``_draw_widths(cfg)``."""
+def sample_point(rng: random.Random, seed: int, index: int, draw: Callable) -> tuple[int, ...]:
+    """Sample ``index`` of run ``seed``: ``rng``, reseeded, drawn by the
+    run's ``_compile_draw`` function ``draw``, as ``compile_evaluator``'s pairs."""
     _reseed(rng, seed, index)
-    return tuple(_draw_pairs(rng, widths, nvars))
+    return draw(rng.getrandbits)
 
 
 def _fractions(pairs: Sequence[int]) -> tuple[Fraction, ...]:
@@ -341,8 +336,10 @@ def search_range(
     minimum starts at 1/0, above every value, and only a strictly smaller
     value replaces it, so a tie goes to the first result and the probe comes
     first.  Fractions are built only for the kept argmin, the hits and the
-    probe.  The samples share one generator, which ``sample_point`` reseeds."""
-    nvars, seed, widths = len(variables), cfg.seed, _draw_widths(cfg)
+    probe.  The samples share one generator, which ``sample_point`` reseeds,
+    and one draw, generated once for the run's widths."""
+    nvars, seed = len(variables), cfg.seed
+    draw = _compile_draw(_draw_widths(cfg), nvars, 0)
     rng = random.Random(0)
     # The all-ones point, the equality case a = b, is a zero of every target,
     # so each run pins the exact value 0 there; it counts for the minimum and
@@ -353,7 +350,7 @@ def search_range(
     def results():
         yield ones, ones_value
         for index in range(cfg.sample_count):
-            pairs = sample_point(rng, seed, index, nvars, widths)
+            pairs = sample_point(rng, seed, index, draw)
             yield pairs, evaluate(pairs)
 
     best_num, best_den, best_pairs = 1, 0, ()
@@ -641,21 +638,19 @@ class FuzzSummary(NamedTuple):
         return self._asdict()
 
 
-def _draw_state(
-    rng: random.Random, widths: tuple, require_negative_product: bool
-) -> MacroState:
+def _draw_state(rng: random.Random, draw: Callable, require_negative_product: bool) -> MacroState:
     """Rejection-sample a feasible MacroState with nonzero p (and, when
     asked, p1*p2*p3 < 0) from one per-sample stream.
 
-    Each attempt is ``_draw_pairs(rng, widths, 6, nonzero=3)``, the ints
-    n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 with p_i = n_i/d_i != 0 and
-    z_i = |m_i|/e_i, and is tested on those ints (see the module docstring).
-    Only the accepted one becomes a state, built with ``MacroState._make``:
-    the drawn one times the lcm of its six denominators, so all its
-    coordinates are ints.  ``widths`` is the run's ``_draw_widths(cfg)``."""
+    Each attempt is ``draw(rng.getrandbits)``, with ``draw`` the run's
+    ``_compile_draw(widths, 6, 3)``: the ints n1, d1, n2, d2, n3, d3, m1,
+    e1, m2, e2, m3, e3 with p_i = n_i/d_i != 0 and z_i = |m_i|/e_i, tested
+    on those ints (see the module docstring).  Only the accepted one becomes
+    a state, built with ``MacroState._make``: the drawn one times the lcm of
+    its six denominators, so all its coordinates are ints."""
+    getrandbits = rng.getrandbits
     for _ in range(10000):
-        pairs = _draw_pairs(rng, widths, 6, 3)
-        n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = pairs
+        n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = draw(getrandbits)
         if require_negative_product and n1 * n2 * n3 >= 0:
             continue
         if (n1 * e1 + abs(m1) * d1) * (n2 * e2 + abs(m2) * d2) * (n3 * e3 + abs(m3) * d3) < 0:
@@ -700,10 +695,10 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
     failures = dict.fromkeys(GUARANTEES, 0)
     case_counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 0}
     failed_samples = 0
-    rng, widths = random.Random(0), _draw_widths(cfg)
+    rng, draw = random.Random(0), _compile_draw(_draw_widths(cfg), 6, 3)
     for index in range(cfg.sample_count):
         _reseed(rng, cfg.seed, index)
-        state = _draw_state(rng, widths, require_negative_product)
+        state = _draw_state(rng, draw, require_negative_product)
         trace = greedy_minimize_z(state)
         label = trace.case_label
         case_counts[label] += 1

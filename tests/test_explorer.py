@@ -1,6 +1,7 @@
 """Tests for the exact search, the greedy minimizer, the case classifier,
 and the sharpness witness finder."""
 
+import ast
 import itertools
 import json
 import math
@@ -153,23 +154,29 @@ def test_replace_checks_the_copy_like_a_new_value():
 
 def test_draw_widths_refuse_a_bound_below_one():
     # _make skips SearchConfig's checks, so a run checks its bounds once more
-    # before any draw; no draw loop is started here.
+    # before any draw; no draw is started here.
     for fields in ((5, 0, 100, 0, Fraction(1, 16)), (5, 0, 0, 100, Fraction(1, 16))):
         with pytest.raises(PreconditionError):
             explorer._draw_widths(SearchConfig._make(fields))
+
+
+def _draw(cfg, count=6, nonzero=0):
+    """The generated draw of a run of ``cfg``, as the search (``nonzero`` 0)
+    and the fuzz (6 coordinates, 3 nonzero) build it."""
+    return explorer._compile_draw(explorer._draw_widths(cfg), count, nonzero)
 
 
 def test_sample_point_respects_bounds_and_zero_probability():
     cfg = SearchConfig(sample_count=1, seed=9, numerator_bound=7, denominator_bound=3)
     rng = random.Random(0)
     for index in range(200):
-        pairs = sample_point(rng, 9, index, 6, explorer._draw_widths(cfg))
+        pairs = sample_point(rng, 9, index, _draw(cfg))
         assert len(pairs) == 12
         for num, den in zip(pairs[::2], pairs[1::2]):
             assert abs(num) <= 7
             assert 1 <= den <= 3
     always_zero = SearchConfig(sample_count=1, seed=9, zero_probability=1)
-    assert sample_point(rng, 9, 0, 6, explorer._draw_widths(always_zero)) == (0, 1) * 6
+    assert sample_point(rng, 9, 0, _draw(always_zero)) == (0, 1) * 6
 
 
 # Configurations whose draw widths are a power of two (denominator 64,
@@ -187,7 +194,7 @@ EDGE_WIDTHS = [
 INTERLEAVED = SearchConfig(
     sample_count=1, seed=2**64 - 1, numerator_bound=2**40, zero_probability=Fraction(1, 4)
 )
-INTERLEAVED_WIDTHS = explorer._draw_widths(INTERLEAVED)
+INTERLEAVED_DRAW = _draw(INTERLEAVED)
 
 
 @pytest.mark.parametrize(
@@ -213,9 +220,9 @@ def test_sample_point_follows_the_pinned_rng_stream(options):
         cfg = SearchConfig(sample_count=1, seed=seed, **options)
         for index in range(250):
             if interleave:
-                sample_point(rng, 2**64 - 1 - seed, index + 1, 6, INTERLEAVED_WIDTHS)
+                sample_point(rng, 2**64 - 1 - seed, index + 1, INTERLEAVED_DRAW)
             expected = tuple(helpers.reference_pairs(helpers.sample_rng(seed, index), cfg, 6))
-            assert sample_point(rng, seed, index, 6, explorer._draw_widths(cfg)) == expected
+            assert sample_point(rng, seed, index, _draw(cfg)) == expected
 
 
 def test_a_run_computes_the_draw_widths_once(monkeypatch):
@@ -230,11 +237,112 @@ def test_a_run_computes_the_draw_widths_once(monkeypatch):
     assert widths == [search_cfg, fuzz_cfg]
 
 
+# Configurations the generated draw is checked on directly: the default, no
+# zero test, bounds of 1, and the power-of-two and multi-word widths.
+DRAW_CONFIGS = [
+    {}, {"zero_probability": Fraction(0)}, {"numerator_bound": 1, "denominator_bound": 1}, *EDGE_WIDTHS
+]
+
+
+@pytest.mark.parametrize("options", DRAW_CONFIGS)
+def test_generated_draw_is_the_reference_draw(options):
+    # The first nonzero coordinates are the fuzz's p_i, the rest search
+    # coordinates; the same values from the same getrandbits calls.
+    cfg = SearchConfig(sample_count=1, seed=0, **options)
+    for count in range(1, 7):
+        for nonzero in (0, 3) if count >= 3 else (0,):
+            draw = _draw(cfg, count, nonzero)
+            for index in range(60):
+                rng, reference = helpers.sample_rng(0, index), helpers.sample_rng(0, index)
+                expected = helpers.reference_pairs(reference, cfg, nonzero, nonzero=True)
+                expected += helpers.reference_pairs(reference, cfg, count - nonzero)
+                assert draw(rng.getrandbits) == tuple(expected)
+                assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("field", ["numerator_bound", "denominator_bound"])
+@pytest.mark.parametrize("bound", [True, 5.0, Fraction(5)])
+def test_compile_draw_refuses_a_width_that_is_not_an_int(field, bound):
+    # Each bound equals an int whose draw is cached first, so the refusal
+    # must come before the cache, which would find that int's entry.
+    good = SearchConfig(sample_count=3, seed=0, **{field: int(bound)})
+    _draw(good)
+    bad = SearchConfig._make({**good._asdict(), field: bound}.values())
+    assert explorer._draw_widths(bad) == explorer._draw_widths(good)
+    with pytest.raises(PreconditionError, match="must be ints"):
+        _draw(bad)
+    with pytest.raises(PreconditionError, match="must be ints"):
+        random_search("d-tilde", bad)
+    with pytest.raises(PreconditionError, match="must be ints"):
+        minimize_fuzz(bad, require_negative_product=True)
+
+
+def test_only_int_literals_reach_compile(monkeypatch):
+    sources = []
+
+    def recording_compile(source, filename, mode):
+        sources.append((source, filename))
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(explorer, "compile", recording_compile, raising=False)
+    explorer._generated_draw.cache_clear()
+    for options in (*DRAW_CONFIGS, {"zero_probability": Fraction(1, 3)}):
+        for nonzero in (0, 3):
+            _draw(SearchConfig(sample_count=1, seed=0, **options), 6, nonzero)
+    assert len(sources) == 2 * (len(DRAW_CONFIGS) + 1)
+    for source, filename in sources:
+        assert filename == "<compile_draw>"
+        constants = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)]
+        assert constants and all(type(node.value) is int for node in constants)
+
+
+def test_runs_share_the_draw_of_their_widths(monkeypatch):
+    used = []
+    sample, draw_state = explorer.sample_point, explorer._draw_state
+    monkeypatch.setattr(
+        explorer, "sample_point",
+        lambda rng, seed, index, draw: used.append(draw) or sample(rng, seed, index, draw),
+    )
+    monkeypatch.setattr(
+        explorer, "_draw_state",
+        lambda rng, draw, negative: used.append(draw) or draw_state(rng, draw, negative),
+    )
+
+    def draw_of(run, cfg):
+        used.clear()
+        run(cfg)
+        assert used and all(draw is used[0] for draw in used)
+        return used[0]
+
+    for run in (lambda cfg: random_search("d-tilde", cfg), lambda cfg: minimize_fuzz(cfg, True)):
+        base = draw_of(run, SearchConfig(20, 3))
+        assert draw_of(run, SearchConfig(20, 4)) is base
+        assert draw_of(run, SearchConfig(35, 3)) is base
+        for options in ({"numerator_bound": 7}, {"denominator_bound": 7},
+                        {"zero_probability": Fraction(1, 3)}):
+            assert draw_of(run, SearchConfig(20, 3, **options)) is not base
+    # The same widths with another count or count of nonzero coordinates.
+    widths = explorer._draw_widths(SearchConfig(20, 3))
+    draws = [explorer._compile_draw(widths, count, nonzero) for count, nonzero in
+             ((6, 0), (6, 3), (4, 0), (4, 3))]
+    assert all(a is not b for a, b in itertools.combinations(draws, 2))
+
+
+def test_cold_and_warm_draw_cache_give_equal_reports():
+    cfg = SearchConfig(300, 8)
+    explorer._generated_draw.cache_clear()
+    cold = random_search("d-tilde", cfg).to_dict(), minimize_fuzz(cfg, True).to_dict()
+    assert explorer._generated_draw.cache_info().misses == 2
+    warm = random_search("d-tilde", cfg).to_dict(), minimize_fuzz(cfg, True).to_dict()
+    assert explorer._generated_draw.cache_info().hits == 2
+    assert cold == warm
+
+
 def test_sample_point_is_pure_in_seed_and_index():
-    widths = explorer._draw_widths(SearchConfig(sample_count=1, seed=123))
+    draw = _draw(SearchConfig(sample_count=1, seed=123))
     rng = random.Random(0)
-    assert sample_point(rng, 123, 5, 6, widths) == sample_point(random.Random(1), 123, 5, 6, widths)
-    assert sample_point(rng, 123, 5, 6, widths) != sample_point(rng, 124, 5, 6, widths)
+    assert sample_point(rng, 123, 5, draw) == sample_point(random.Random(1), 123, 5, draw)
+    assert sample_point(rng, 123, 5, draw) != sample_point(rng, 124, 5, draw)
 
 
 # -- random search ---------------------------------------------------------------
@@ -289,7 +397,7 @@ def test_compiled_target_returns_the_per_term_pair(target, c):
     cfg = SearchConfig(sample_count=1, seed=11)
     rng = random.Random(0)
     for index in range(300):
-        pairs = sample_point(rng, 11, index, len(poly.varset), explorer._draw_widths(cfg))
+        pairs = sample_point(rng, 11, index, _draw(cfg, len(poly.varset)))
         assert evaluate(pairs) == helpers.per_term_pair(poly, pairs)
 
 
@@ -311,7 +419,7 @@ def test_the_probe_and_then_the_first_tied_sample_win_ties():
     cfg = SearchConfig(100, 0, numerator_bound=1, denominator_bound=1)
     evaluate = compile_evaluator(poly)
     rng = random.Random(0)
-    points = [sample_point(rng, 0, i, 6, explorer._draw_widths(cfg)) for i in range(100)]
+    points = [sample_point(rng, 0, i, _draw(cfg)) for i in range(100)]
     values = [Fraction(*evaluate(pt)) for pt in points]
     lowest = min(values)
     assert lowest < 0 and values.count(lowest) > 1
@@ -696,13 +804,16 @@ def test_fuzz_rejection_exhaustion_is_a_precondition_error():
 
 
 def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
-    def no_draw(*args):
+    def no_draw(getrandbits):
         raise AssertionError("drew a candidate")
 
-    monkeypatch.setattr(explorer, "_draw_pairs", no_draw)
+    monkeypatch.setattr(explorer, "_compile_draw", lambda widths, count, nonzero: no_draw)
     cfg = SearchConfig(sample_count=1, seed=0, zero_probability=Fraction(1))
     with pytest.raises(PreconditionError, match="rejection sampling"):
         minimize_fuzz(cfg, require_negative_product=True)
+    # The patched draw is the one the fuzz draws with: a satisfiable run hits it.
+    with pytest.raises(AssertionError, match="drew a candidate"):
+        minimize_fuzz(cfg._replace(zero_probability=Fraction(1, 16)), require_negative_product=True)
 
 
 def test_a_fuzz_state_builds_no_validated_macro_state(monkeypatch):
@@ -725,19 +836,30 @@ def test_a_fuzz_state_builds_no_validated_macro_state(monkeypatch):
 def test_each_fuzz_layer_is_called_through_the_module(monkeypatch):
     # The benchmark's tracer times the layers by replacing these module
     # attributes, so the fuzz must look each one up at call time.
-    calls = dict.fromkeys(("_draw_state", "_draw_pairs", "greedy_minimize_z", "case_classify"), 0)
-    for name in calls:
+    calls = dict.fromkeys(("_draw_state", "draw", "greedy_minimize_z", "case_classify"), 0)
+    for name in ("_draw_state", "greedy_minimize_z", "case_classify"):
         def counted(*args, _name=name, _wrapped=getattr(explorer, name), **kwargs):
             calls[_name] += 1
             return _wrapped(*args, **kwargs)
 
         monkeypatch.setattr(explorer, name, counted)
+    compile_draw = explorer._compile_draw
+
+    def counting_compile(widths, count, nonzero):
+        # Each candidate is one call of the run's compiled draw.
+        def counted_draw(getrandbits, _draw=compile_draw(widths, count, nonzero)):
+            calls["draw"] += 1
+            return _draw(getrandbits)
+
+        return counted_draw
+
+    monkeypatch.setattr(explorer, "_compile_draw", counting_compile)
     cfg = SearchConfig(50, 3)
     minimize_fuzz(cfg, True)
     attempts = sum(_reference_state(3, index, cfg, True)[2] for index in range(50))
     assert attempts > 50
     assert calls == {
-        "_draw_state": 50, "_draw_pairs": attempts, "greedy_minimize_z": 50, "case_classify": 50
+        "_draw_state": 50, "draw": attempts, "greedy_minimize_z": 50, "case_classify": 50
     }
 
 
@@ -828,7 +950,7 @@ def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
         zero_factors = 0
         for index in range(count):
             explorer._reseed(rng, seed, index)
-            state = explorer._draw_state(rng, explorer._draw_widths(cfg), require_negative_product)
+            state = explorer._draw_state(rng, _draw(cfg, 6, 3), require_negative_product)
             drawn = state.p + state.z
             reference, rng_state, _ = _reference_state(seed, index, cfg, require_negative_product)
             # Same draws consumed: the int test rejects exactly what the
