@@ -25,9 +25,10 @@ Every uniform draw is defined in this module: an int below n is
 is the algorithm of CPython 3.11's ``randrange``, so the stream is the one
 it gave (the tests pin it against a reference draw written with it), but it
 no longer depends on how a later interpreter implements ``randrange``.  The
-one draw is generated code: ``_compile_draw`` writes, once per draw widths,
-coordinate count and count of nonzero coordinates, and caches, a
-straight-line ``draw(getrandbits)`` with every width an int literal.  A
+one draw is generated code: ``_generated_draw`` writes, once per zero
+probability, bounds, coordinate count and count of nonzero coordinates, and
+caches, a straight-line ``draw(getrandbits)`` with every width an int
+literal, as a built ``SearchConfig`` holds only ints and a Fraction.  A
 coordinate that may not be 0 (a fuzz p_i) skips the zero test and is drawn
 again while its numerator is 0; any other makes the zero test, then one draw.
 
@@ -52,15 +53,16 @@ guarantee is a sign, equality or order test, which a positive factor does
 not change.  The scaled state therefore takes the same steps, lands on the
 same vertex and passes or fails the same guarantees as the rational one.
 
-Every type here is a ``typing.NamedTuple``, immutable once built; the two
+Every type here is a ``typing.NamedTuple``, immutable once built.  The two
 inputs, ``SearchConfig`` and ``MacroState``, validate in ``__new__``, and
-their ``_replace`` builds its copy through it.  The fuzz builds its states
-with the namedtuple's unchecked ``MacroState._make``: ``_draw_state``
-passes ints it computed, with z_i >= 0 by ``abs``, and
+their ``_make`` builds through it, so ``_make``, ``_replace`` and
+``copy.replace`` run the same checks; only ``tuple.__new__`` skips them.
+The fuzz builds its states with ``tuple.__new__(MacroState, (p, z))``:
+``_draw_state`` passes ints it computed, with z_i >= 0 by ``abs``, and
 ``greedy_minimize_z`` passes the p of its input and z_i taken from that
 input, 0 or max(0, -p_i).  A fuzz state therefore makes no validating
 ``MacroState`` construction.  The descent builds its records, which check
-nothing, with ``tuple.__new__``: all that their generated ``__new__`` does.
+nothing, the same way: all that their generated ``__new__`` does.
 
 ``resolve_target`` reads each search target from ``corpus.TARGETS``.
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
@@ -100,10 +102,9 @@ def resolve_target(name: str, c: Coeff | None = None) -> Polynomial:
     return formula(*corpus.variables(varset), *(() if c is None else (_exact(c),)))
 
 
-def _checked_replace(self, **changes):
-    """``_replace`` of the two validated inputs: the copy with ``changes`` is
-    built, and checked, like a new value."""
-    return type(self)(**{**self._asdict(), **changes})
+# ``_make`` of the two validated inputs, which the namedtuple's ``_replace``
+# (and so ``copy.replace``) also calls: built, and checked, by ``__new__``.
+_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 # A class-body NamedTuple may not define __new__, so the two validated inputs
@@ -116,7 +117,7 @@ class SearchConfig(NamedTuple("SearchConfig", [
     sampled points.  An immutable value, checked when built."""
 
     __slots__ = ()
-    _replace = _checked_replace
+    _make = _checked_make
 
     def __new__(
         cls,
@@ -145,34 +146,15 @@ class SearchConfig(NamedTuple("SearchConfig", [
         return {**self._asdict(), "zero_probability": str(self.zero_probability)}
 
 
-def _draw_widths(cfg: SearchConfig) -> tuple[int, ...]:
-    """``cfg``'s draw widths, read once a run: the zero probability zn/zd,
-    the numerator bound nb and the denominator bound db.  A bound below 1 is
-    refused here too, as a config built by ``_make`` would leave the draw no
-    value to accept."""
-    nb, db = cfg.numerator_bound, cfg.denominator_bound
-    if nb < 1 or db < 1:
-        raise PreconditionError("numerator and denominator bounds must be >= 1")
-    return cfg.zero_probability.numerator, cfg.zero_probability.denominator, nb, db
-
-
-def _compile_draw(widths: tuple[int, ...], count: int, nonzero: int) -> Callable:
-    """``_generated_draw(widths, count, nonzero)``, ``widths`` the run's
-    ``_draw_widths(cfg)``.  Only ints reach ``compile()``: any other width
-    is refused here, before the cache, where a bool or an integral float or
-    Fraction would find the entry of the int it equals."""
-    if any(type(w) is not int for w in widths):
-        raise PreconditionError(f"draw widths must be ints, got {widths!r}")
-    return _generated_draw(widths, count, nonzero)
-
-
 @functools.lru_cache(maxsize=16)
-def _generated_draw(widths: tuple[int, ...], count: int, nonzero: int) -> Callable:
-    """``draw(getrandbits)``: ``count`` coordinates as the flat tuple n1, d1,
-    ..., n_count, d_count, (0, 1) with probability zn/zd, else num in
-    [-nb, nb] and den in [1, db], not reduced, so n_i == 0 exactly when
-    coordinate i is 0.  Straight-line code, compiled once per (widths,
-    count, nonzero) and cached; it keeps nothing between calls.
+def _generated_draw(zp: Fraction, nb: int, db: int, count: int, nonzero: int) -> Callable:
+    """``draw(getrandbits)`` of a ``SearchConfig``'s zero probability zp =
+    zn/zd, numerator bound nb and denominator bound db: ``count``
+    coordinates as the flat tuple n1, d1, ..., n_count, d_count, (0, 1)
+    with probability zn/zd, else num in [-nb, nb] and den in [1, db], not
+    reduced, so n_i == 0 exactly when coordinate i is 0.  Straight-line
+    code, compiled once per argument tuple and cached; it keeps nothing
+    between calls.
 
     "x drawn below n" is ``getrandbits(n.bit_length())`` until x < n.  Each
     coordinate draws its raw num below 2*nb + 1 (shifted by -nb on return)
@@ -180,7 +162,7 @@ def _generated_draw(widths: tuple[int, ...], count: int, nonzero: int) -> Callab
     coordinates make no zero test and draw both again while the raw num is
     nb, the numerator 0; the rest make the zero test r < zn, r drawn below
     zd (skipped when zn is 0), and on a hit take the raw pair (nb, 0)."""
-    zn, zd, nb, db = widths
+    zn, zd = zp.numerator, zp.denominator
     lines = ["def draw(getrandbits):"]
 
     def below(name: str, n: int, pad: str) -> None:
@@ -208,7 +190,7 @@ def _reseed(rng: random.Random, seed: int, index: int) -> None:
 
 def sample_point(rng: random.Random, seed: int, index: int, draw: Callable) -> tuple[int, ...]:
     """Sample ``index`` of run ``seed``: ``rng``, reseeded, drawn by the
-    run's ``_compile_draw`` function ``draw``, as ``compile_evaluator``'s pairs."""
+    run's ``_generated_draw`` function ``draw``, as ``compile_evaluator``'s pairs."""
     _reseed(rng, seed, index)
     return draw(rng.getrandbits)
 
@@ -338,8 +320,8 @@ def search_range(
     first.  Fractions are built only for the kept argmin, the hits and the
     probe.  The samples share one generator, which ``sample_point`` reseeds,
     and one draw, generated once for the run's widths."""
-    nvars, seed = len(variables), cfg.seed
-    draw = _compile_draw(_draw_widths(cfg), nvars, 0)
+    nvars, seed, zp = len(variables), cfg.seed, cfg.zero_probability
+    draw = _generated_draw(zp, cfg.numerator_bound, cfg.denominator_bound, nvars, 0)
     rng = random.Random(0)
     # The all-ones point, the equality case a = b, is a zero of every target,
     # so each run pins the exact value 0 there; it counts for the minimum and
@@ -398,12 +380,12 @@ class MacroState(NamedTuple("MacroState", [("p", tuple), ("z", tuple)])):
     Coordinates pass ``poly._exact``: ints and Fractions are kept as given
     and anything else is refused; every derived value is computed in the
     same ring, so an all-int state, as the fuzz draws, stays on ints.
-    ``_replace`` checks its copy too; ``_make`` is the namedtuple's
-    unchecked constructor, and only the fuzz uses it, on coordinates that
-    already meet these checks (see the module docstring)."""
+    ``_make``, ``_replace`` and ``copy.replace`` check their value too; only
+    ``tuple.__new__`` does not, and only the fuzz uses it, on coordinates
+    that already meet these checks (see the module docstring)."""
 
     __slots__ = ()
-    _replace = _checked_replace
+    _make = _checked_make
 
     def __new__(cls, p: Iterable[Coeff], z: Iterable[Coeff]):
         p = tuple(map(_exact, p))
@@ -418,12 +400,9 @@ class MacroState(NamedTuple("MacroState", [("p", tuple), ("z", tuple)])):
     def c(self) -> tuple[Fraction, Fraction, Fraction]:
         return corpus.c_values(*self.p)
 
-    def feasibility(self) -> Fraction:
-        """(p1+z1)(p2+z2)(p3+z3); feasible means >= 0."""
-        return corpus.feasibility_value(self.p, self.z)
-
     def is_feasible(self) -> bool:
-        return self.feasibility() >= 0
+        """(p1+z1)(p2+z2)(p3+z3) >= 0."""
+        return corpus.feasibility_value(self.p, self.z) >= 0
 
     def d_value(self) -> Fraction:
         return corpus.d_value(self.p, self.z)
@@ -527,7 +506,7 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
             d = corpus.d_value(p, z, c)
             record = (_Z_NAMES[i], old_value, new_value, before, d)
             steps.append(tuple.__new__(MinimizeStep, record))
-    final = MacroState._make((p, tuple(z)))
+    final = tuple.__new__(MacroState, (p, tuple(z)))
     return tuple.__new__(MinimizeTrace, (state, tuple(steps), final, vertex_label(final)))
 
 
@@ -643,11 +622,12 @@ def _draw_state(rng: random.Random, draw: Callable, require_negative_product: bo
     asked, p1*p2*p3 < 0) from one per-sample stream.
 
     Each attempt is ``draw(rng.getrandbits)``, with ``draw`` the run's
-    ``_compile_draw(widths, 6, 3)``: the ints n1, d1, n2, d2, n3, d3, m1,
-    e1, m2, e2, m3, e3 with p_i = n_i/d_i != 0 and z_i = |m_i|/e_i, tested
-    on those ints (see the module docstring).  Only the accepted one becomes
-    a state, built with ``MacroState._make``: the drawn one times the lcm of
-    its six denominators, so all its coordinates are ints."""
+    ``_generated_draw`` of 6 coordinates, 3 nonzero: the ints n1, d1, n2,
+    d2, n3, d3, m1, e1, m2, e2, m3, e3 with p_i = n_i/d_i != 0 and z_i =
+    |m_i|/e_i, tested on those ints (see the module docstring).  Only the
+    accepted one becomes a state, built with ``tuple.__new__``: the drawn
+    one times the lcm of its six denominators, so all its coordinates are
+    ints."""
     getrandbits = rng.getrandbits
     for _ in range(10000):
         n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = draw(getrandbits)
@@ -656,7 +636,7 @@ def _draw_state(rng: random.Random, draw: Callable, require_negative_product: bo
         if (n1 * e1 + abs(m1) * d1) * (n2 * e2 + abs(m2) * d2) * (n3 * e3 + abs(m3) * d3) < 0:
             continue
         scale = lcm(d1, d2, d3, e1, e2, e3)
-        return MacroState._make((
+        return tuple.__new__(MacroState, (
             (n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3)),
             (abs(m1) * (scale // e1), abs(m2) * (scale // e2), abs(m3) * (scale // e3)),
         ))
@@ -695,7 +675,8 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
     failures = dict.fromkeys(GUARANTEES, 0)
     case_counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 0}
     failed_samples = 0
-    rng, draw = random.Random(0), _compile_draw(_draw_widths(cfg), 6, 3)
+    rng, zp = random.Random(0), cfg.zero_probability
+    draw = _generated_draw(zp, cfg.numerator_bound, cfg.denominator_bound, 6, 3)
     for index in range(cfg.sample_count):
         _reseed(rng, cfg.seed, index)
         state = _draw_state(rng, draw, require_negative_product)

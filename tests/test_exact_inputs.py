@@ -26,10 +26,12 @@ ENTRY_POINTS = {
     "macro_p": lambda v: MacroState((v, 1, 1), (0, 0, 0)),
     "macro_z": lambda v: MacroState((1, 1, 1), (0, v, 0)),
     "replace_z": lambda v: MacroState((1, 1, 1), (0, 0, 0))._replace(z=(0, v, 0)),
+    "make_z": lambda v: MacroState._make(((1, 1, 1), (0, v, 0))),
     "sharpness": sharpness_witness,
     "resolve_target": lambda v: resolve_target("d-k", v),
     "search_c": lambda v: random_search("d-k", SearchConfig(1, 0), v),
     "zero_probability": lambda v: SearchConfig(1, 0, zero_probability=v),
+    "make_zero_probability": lambda v: SearchConfig._make((1, 0, 100, 100, v)),
 }
 NOT_INT_OR_FRACTION = ("3/5", "0.5", "1e3", Decimal("0.5"), Decimal("Infinity"), 0.1, True)
 

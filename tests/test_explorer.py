@@ -2,10 +2,12 @@
 and the sharpness witness finder."""
 
 import ast
+import copy
 import itertools
 import json
 import math
 import random
+import re
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -85,20 +87,44 @@ def test_resolve_target_refuses_a_float_or_bool_c():
     assert helpers.k_form_polynomial(Fraction(3, 5)) == resolve_target("d-k", Fraction(3, 5))
 
 
+def _copy_replace(value, **changes):
+    """``copy.replace(value, **changes)``; where Python has none (before
+    3.13), the namedtuple base's ``_replace``, which is what it runs."""
+    if hasattr(copy, "replace"):
+        return copy.replace(value, **changes)
+    return type(value).__bases__[0]._replace(value, **changes)
+
+
+def assert_every_door_refuses(good, **changes):
+    """``good`` with ``changes`` is refused, with one ``PreconditionError``
+    message, by ``__new__``, ``_make``, ``_replace`` and ``copy.replace``."""
+    cls, fields = type(good), {**good._asdict(), **changes}
+    with pytest.raises(PreconditionError) as refused:
+        cls(**fields)
+    same = f"^{re.escape(str(refused.value))}$"
+    for door in (
+        lambda: cls._make(fields.values()),
+        lambda: good._replace(**changes),
+        lambda: _copy_replace(good, **changes),
+    ):
+        with pytest.raises(PreconditionError, match=same):
+            door()
+
+
 def test_search_config_validation():
-    with pytest.raises(PreconditionError):
-        SearchConfig(sample_count=0, seed=1)
-    with pytest.raises(PreconditionError):
-        SearchConfig(sample_count=10, seed=-1)
-    with pytest.raises(PreconditionError):
-        SearchConfig(sample_count=10, seed=1, numerator_bound=0)
-    with pytest.raises(PreconditionError):
-        SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(3, 2))
+    good = SearchConfig(sample_count=10, seed=1)
     # The counts and bounds must be ints and the zero probability an int or
     # a Fraction; a bool is not taken for 0 or 1, nor 0.1 for its 56-bit
     # binary value.  An IntEnum member is no int either, as in MacroState.
+    # A bound below 1 would leave the draw loop no value to accept.
     ten = IntEnum("N", {"TEN": 10}).TEN
     for bad in (
+        {"sample_count": 0},
+        {"seed": -1},
+        {"seed": 2**64},
+        {"numerator_bound": 0},
+        {"denominator_bound": 0},
+        {"zero_probability": Fraction(3, 2)},
         {"sample_count": 10.0},
         {"sample_count": True},
         {"sample_count": ten},
@@ -112,10 +138,20 @@ def test_search_config_validation():
         {"denominator_bound": True},
         {"denominator_bound": ten},
         {"zero_probability": 0.1},
+        {"zero_probability": 0.5},
         {"zero_probability": True},
     ):
-        with pytest.raises(PreconditionError):
-            SearchConfig(**{"sample_count": 10, "seed": 1, **bad})
+        assert_every_door_refuses(good, **bad)
+    # A bool or an integral float or Fraction bound equals an int whose draw
+    # is cached first; refused when built, it never reaches that cache entry.
+    for field, bound in itertools.product(
+        ("numerator_bound", "denominator_bound"), (True, 5.0, Fraction(5))
+    ):
+        warm = SearchConfig(sample_count=3, seed=0, **{field: int(bound)})
+        _draw(warm)
+        cached = explorer._generated_draw.cache_info()
+        assert_every_door_refuses(warm, **{field: bound})
+        assert explorer._generated_draw.cache_info() == cached
     # 1 is a valid config (the fuzz draws z with it), but a search at 1
     # would evaluate only the zero point.
     only_zero = SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(1))
@@ -150,20 +186,21 @@ def test_replace_checks_the_copy_like_a_new_value():
         MacroState((1, 1, 1), (0, 0, 0))._replace(z=(-1, 0, 0))
     assert SearchConfig(5, 0)._replace(seed=3) == SearchConfig(5, 3)
     assert MacroState((1, 1, 1), (0, 0, 0))._replace(p=(2, 2, 2)) == MacroState((2, 2, 2), (0, 0, 0))
-
-
-def test_draw_widths_refuse_a_bound_below_one():
-    # _make skips SearchConfig's checks, so a run checks its bounds once more
-    # before any draw; no draw is started here.
-    for fields in ((5, 0, 100, 0, Fraction(1, 16)), (5, 0, 0, 100, Fraction(1, 16))):
-        with pytest.raises(PreconditionError):
-            explorer._draw_widths(SearchConfig._make(fields))
+    # _make builds through __new__ too, which stores the zero probability as
+    # a Fraction; a field the type does not have is the namedtuple's error.
+    made = SearchConfig._make((5, 0, 100, 100, 0))
+    assert made == SearchConfig(5, 0, zero_probability=0)
+    assert type(made.zero_probability) is Fraction
+    assert MacroState._make(((1, 1, 1), (0, 0, 0))) == MacroState((1, 1, 1), (0, 0, 0))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        SearchConfig(5, 0)._replace(bogus=1)
 
 
 def _draw(cfg, count=6, nonzero=0):
     """The generated draw of a run of ``cfg``, as the search (``nonzero`` 0)
     and the fuzz (6 coordinates, 3 nonzero) build it."""
-    return explorer._compile_draw(explorer._draw_widths(cfg), count, nonzero)
+    zp, nb, db = cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
+    return explorer._generated_draw(zp, nb, db, count, nonzero)
 
 
 def test_sample_point_respects_bounds_and_zero_probability():
@@ -225,16 +262,18 @@ def test_sample_point_follows_the_pinned_rng_stream(options):
             assert sample_point(rng, seed, index, _draw(cfg)) == expected
 
 
-def test_a_run_computes_the_draw_widths_once(monkeypatch):
-    widths = []
-    original = explorer._draw_widths
-    monkeypatch.setattr(explorer, "_draw_widths", lambda cfg: widths.append(cfg) or original(cfg))
-    search_cfg = SearchConfig(sample_count=50, seed=3)
+def test_a_run_looks_up_its_draw_once(monkeypatch):
+    looked_up = []
+    original = explorer._generated_draw
+    monkeypatch.setattr(
+        explorer, "_generated_draw", lambda *args: looked_up.append(args) or original(*args)
+    )
+    search_cfg = SearchConfig(sample_count=50, seed=3, numerator_bound=7)
     random_search("d-tilde", search_cfg)
-    assert widths == [search_cfg]
-    fuzz_cfg = SearchConfig(sample_count=20, seed=3)
+    assert looked_up == [(Fraction(1, 16), 7, 100, 6, 0)]
+    fuzz_cfg = SearchConfig(sample_count=20, seed=3, denominator_bound=9)
     minimize_fuzz(fuzz_cfg, require_negative_product=True)
-    assert widths == [search_cfg, fuzz_cfg]
+    assert looked_up == [(Fraction(1, 16), 7, 100, 6, 0), (Fraction(1, 16), 100, 9, 6, 3)]
 
 
 # Configurations the generated draw is checked on directly: the default, no
@@ -258,23 +297,6 @@ def test_generated_draw_is_the_reference_draw(options):
                 expected += helpers.reference_pairs(reference, cfg, count - nonzero)
                 assert draw(rng.getrandbits) == tuple(expected)
                 assert rng.getstate() == reference.getstate()
-
-
-@pytest.mark.parametrize("field", ["numerator_bound", "denominator_bound"])
-@pytest.mark.parametrize("bound", [True, 5.0, Fraction(5)])
-def test_compile_draw_refuses_a_width_that_is_not_an_int(field, bound):
-    # Each bound equals an int whose draw is cached first, so the refusal
-    # must come before the cache, which would find that int's entry.
-    good = SearchConfig(sample_count=3, seed=0, **{field: int(bound)})
-    _draw(good)
-    bad = SearchConfig._make({**good._asdict(), field: bound}.values())
-    assert explorer._draw_widths(bad) == explorer._draw_widths(good)
-    with pytest.raises(PreconditionError, match="must be ints"):
-        _draw(bad)
-    with pytest.raises(PreconditionError, match="must be ints"):
-        random_search("d-tilde", bad)
-    with pytest.raises(PreconditionError, match="must be ints"):
-        minimize_fuzz(bad, require_negative_product=True)
 
 
 def test_only_int_literals_reach_compile(monkeypatch):
@@ -322,8 +344,7 @@ def test_runs_share_the_draw_of_their_widths(monkeypatch):
                         {"zero_probability": Fraction(1, 3)}):
             assert draw_of(run, SearchConfig(20, 3, **options)) is not base
     # The same widths with another count or count of nonzero coordinates.
-    widths = explorer._draw_widths(SearchConfig(20, 3))
-    draws = [explorer._compile_draw(widths, count, nonzero) for count, nonzero in
+    draws = [_draw(SearchConfig(20, 3), count, nonzero) for count, nonzero in
              ((6, 0), (6, 3), (4, 0), (4, 3))]
     assert all(a is not b for a, b in itertools.combinations(draws, 2))
 
@@ -436,13 +457,12 @@ def test_the_probe_and_then_the_first_tied_sample_win_ties():
 def test_macro_state_invariants():
     state = MacroState((-1, -2, -3), (1, 2, 3))
     assert state.c == (Fraction(19), Fraction(13), Fraction(7))
-    assert state.feasibility() == 0
+    assert corpus.feasibility_value(state.p, state.z) == 0
     assert state.is_feasible()
     assert state.d_value() == 60
-    with pytest.raises(PreconditionError):
-        MacroState((1, 1, 1), (-1, 0, 0))
-    with pytest.raises(PreconditionError):
-        MacroState((1, 1), (0, 0))
+    good = MacroState((1, 1, 1), (0, 0, 0))
+    assert_every_door_refuses(good, z=(-1, 0, 0))
+    assert_every_door_refuses(good, p=(1, 1), z=(0, 0))
 
 
 def test_a_built_macro_state_is_immutable():
@@ -459,7 +479,8 @@ def test_a_built_macro_state_is_immutable():
 def test_macro_state_keeps_int_coordinates():
     state = MacroState((-1, -2, -3), (1, 2, 3))
     assert all(type(v) is int for v in state.p + state.z + state.c)
-    assert type(state.d_value()) is int and type(state.feasibility()) is int
+    assert type(state.d_value()) is int
+    assert type(corpus.feasibility_value(state.p, state.z)) is int
     as_fractions = MacroState(
         tuple(Fraction(v) for v in state.p), tuple(Fraction(v) for v in state.z)
     )
@@ -478,15 +499,13 @@ def test_macro_state_keeps_int_coordinates():
 def test_macro_state_refuses_floats_and_bools():
     # At 0.1 the state would hold 3602879701896397/36028797018963968.
     for p, z in [((0.1, 1, 1), (0, 0, 0)), ((1, 1, True), (0, 0, 0)), ((1, 1, 1), (0, 0.5, 0))]:
-        with pytest.raises(PreconditionError):
-            MacroState(p, z)
+        assert_every_door_refuses(MacroState((1, 1, 1), (0, 0, 0)), p=p, z=z)
 
 
 def test_macro_state_refuses_strings_that_are_not_rationals():
     # "1/0" is not a ZeroDivisionError and "abc" not a bare ValueError.
     for p, z in [(("1/0", 1, 1), (0, 0, 0)), (("abc", 1, 1), (0, 0, 0)), ((1, 1, 1), (0, "x", 0))]:
-        with pytest.raises(PreconditionError):
-            MacroState(p, z)
+        assert_every_door_refuses(MacroState((1, 1, 1), (0, 0, 0)), p=p, z=z)
 
 
 def test_macro_state_d_matches_polynomial_route():
@@ -502,7 +521,7 @@ def test_macro_state_d_matches_polynomial_route():
             "z1": z[0], "z2": z[1], "z3": z[2],
         }
         assert state.d_value() == d.evaluate(point)
-        assert constraint.evaluate(point) == state.feasibility()
+        assert constraint.evaluate(point) == corpus.feasibility_value(state.p, state.z)
         assert all(v >= 0 for v in state.c)
 
 
@@ -807,7 +826,7 @@ def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
     def no_draw(getrandbits):
         raise AssertionError("drew a candidate")
 
-    monkeypatch.setattr(explorer, "_compile_draw", lambda widths, count, nonzero: no_draw)
+    monkeypatch.setattr(explorer, "_generated_draw", lambda *args: no_draw)
     cfg = SearchConfig(sample_count=1, seed=0, zero_probability=Fraction(1))
     with pytest.raises(PreconditionError, match="rejection sampling"):
         minimize_fuzz(cfg, require_negative_product=True)
@@ -826,9 +845,8 @@ def test_a_fuzz_state_builds_no_validated_macro_state(monkeypatch):
 
     monkeypatch.setattr(MacroState, "__new__", counting_new)
     summary = minimize_fuzz(SearchConfig(50, 0), True)
-    # The accepted draw and the descent's final state come from the
-    # unchecked MacroState._make; a rejected candidate never becomes a
-    # MacroState.
+    # The accepted draw and the descent's final state come from
+    # tuple.__new__; a rejected candidate never becomes a MacroState.
     assert summary.samples_run == 50
     assert built == []
 
@@ -843,17 +861,17 @@ def test_each_fuzz_layer_is_called_through_the_module(monkeypatch):
             return _wrapped(*args, **kwargs)
 
         monkeypatch.setattr(explorer, name, counted)
-    compile_draw = explorer._compile_draw
+    generated_draw = explorer._generated_draw
 
-    def counting_compile(widths, count, nonzero):
-        # Each candidate is one call of the run's compiled draw.
-        def counted_draw(getrandbits, _draw=compile_draw(widths, count, nonzero)):
+    def counting_generate(*args):
+        # Each candidate is one call of the run's generated draw.
+        def counted_draw(getrandbits, _draw=generated_draw(*args)):
             calls["draw"] += 1
             return _draw(getrandbits)
 
         return counted_draw
 
-    monkeypatch.setattr(explorer, "_compile_draw", counting_compile)
+    monkeypatch.setattr(explorer, "_generated_draw", counting_generate)
     cfg = SearchConfig(50, 3)
     minimize_fuzz(cfg, True)
     attempts = sum(_reference_state(3, index, cfg, True)[2] for index in range(50))
@@ -879,18 +897,24 @@ def test_a_fuzz_state_forms_c_twice_and_labels_its_vertex_once(monkeypatch):
 
 
 def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
-    # MacroState._make skips MacroState's checks; every state the fuzz and
-    # the descent build with it must pass them unchanged: the same values of
-    # the same types, three ints or Fractions each, z >= 0.
+    # tuple.__new__ skips MacroState's checks; every state the fuzz draws
+    # and every final state of a descent is built with it and must pass them
+    # unchanged: the same values of the same types, three ints or Fractions
+    # each, z >= 0.
     built = []
-    raw = MacroState._make
+    draw_state, descend = explorer._draw_state, explorer.greedy_minimize_z
 
-    def recording_make(fields):
-        state = raw(fields)
-        built.append(state)
-        return state
+    def recording_draw(*args):
+        built.append(draw_state(*args))
+        return built[-1]
 
-    monkeypatch.setattr(MacroState, "_make", recording_make)
+    def recording_descent(*args):
+        trace = descend(*args)
+        built.append(trace.final)
+        return trace
+
+    monkeypatch.setattr(explorer, "_draw_state", recording_draw)
+    monkeypatch.setattr(explorer, "greedy_minimize_z", recording_descent)
     for seed, negative in ((0, True), (1, False)):
         minimize_fuzz(SearchConfig(250, seed), negative)
     assert len(built) == 2 * 500
@@ -905,7 +929,7 @@ def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
         state = MacroState(p, z)
         if 0 in p or not state.is_feasible():
             continue
-        assert greedy_minimize_z(state).final is built[-1]
+        assert explorer.greedy_minimize_z(state).final is built[-1]
         descents += 1
     assert len(built) == 2 * 500 + 300
     assert any(type(v) is Fraction for s in built[-300:] for v in s.p + s.z)
