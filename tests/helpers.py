@@ -119,6 +119,13 @@ def per_term_pair(poly: Polynomial, values) -> tuple[int, int]:
     return num, math.prod(d**e_max for d, e_max in zip(dens, top)) * scale
 
 
+def symbolic_pairs(varset: VarSet) -> tuple[Polynomial, ...]:
+    """Two symbols n_x, d_x per variable x of ``varset``, as the flat tuple
+    of Polynomials over a new VarSet that compiled evaluators take."""
+    symbols = VarSet(f"{kind}_{name}" for name in varset.names for kind in ("n", "d"))
+    return tuple(Polynomial.variable(symbols, name) for name in symbols.names)
+
+
 def multiplications(function) -> int:
     """The multiplications in ``function``'s bytecode, spelled
     BINARY_MULTIPLY/INPLACE_MULTIPLY up to Python 3.10 and BINARY_OP with

@@ -386,10 +386,12 @@ def test_search_accepts_a_negative_rational_constant(capsys):
 
 def test_search_rejects_bad_rational(capsys):
     # The rational syntax is ASCII: an Arabic-Indic "3/5" is no rational.
-    for bad in ("0.7", "\u0663/\u0665"):
+    for bad, message in (("0.7", "is not a rational"), ("\u0663/\u0665", "is not a rational"),
+                         ("1/0", "'1/0' has denominator zero")):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["search", "--target", "d-k", "--c", bad, "--samples", "10", "--seed", "1"])
         assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_minimize_hand_trace(capsys, tmp_path):
@@ -451,12 +453,18 @@ def test_minimize_non_vertex_prints_the_values_as_text(capsys, monkeypatch):
 
 
 def test_minimize_rejects_malformed_triple(capsys):
-    # Two coordinates, and an Arabic-Indic 3, which the ASCII syntax refuses.
-    for bad in ("1,2", "\u0663,1,1"):
+    # Two coordinates, and an Arabic-Indic 3, which the ASCII syntax refuses;
+    # an order with a repeated or a missing digit.
+    for argv, message in (
+        (["--p", "1,2"], "must be three comma-separated rationals"),
+        (["--p", "\u0663,1,1"], "is not a rational"),
+        (["--p", "-1,-1,-1", "--order", "112"], "'112' must be a permutation of the digits 123"),
+        (["--p", "-1,-1,-1", "--order", "12"], "'12' must be a permutation of the digits 123"),
+    ):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["minimize", "--p", bad, "--z", "0,0,0"])
+            cli.main(["minimize", "--z", "0,0,0", *argv])
         assert excinfo.value.code == 2
-    assert "is not a rational" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_sharpness_witness_commands(capsys, tmp_path):

@@ -2,6 +2,7 @@
 and the sharpness witness finder."""
 
 import ast
+import collections
 import copy
 import itertools
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from cstriple import corpus, explorer
+from cstriple import corpus, explorer, verifier
 from cstriple.explorer import (
     MacroState,
     PreconditionError,
@@ -408,18 +409,51 @@ def test_search_dk_above_half_finds_negative_hits():
 
 @pytest.mark.parametrize(
     "target, c",
-    [("d-tilde", None), ("d-k", Fraction(5)), ("d-k", Fraction(1, 3)), ("weak", None), ("cs", None)],
+    [("d-tilde", None), ("d-k", Fraction(5)), ("d-k", Fraction(1, 3)), ("weak", None), ("cs", None),
+     *((check, None) for check in verifier.CHECK_NAMES)],
 )
 def test_compiled_target_returns_the_per_term_pair(target, c):
-    # The nested Horner form only regroups the per-term sum: the same two
-    # ints, not just an equal Fraction (c = 1/3 gives Fraction coefficients).
-    poly = resolve_target(target, c)
-    evaluate = compile_evaluator(poly)
-    cfg = SearchConfig(sample_count=1, seed=11)
-    rng = random.Random(0)
-    for index in range(300):
-        pairs = sample_point(rng, 11, index, _draw(cfg, len(poly.varset)))
-        assert evaluate(pairs) == helpers.per_term_pair(poly, pairs)
+    # The nested Horner form only regroups the per-term sum.  The generated
+    # code only adds, subtracts and multiplies, so run on the symbols n_i,
+    # d_i it returns the same two polynomials as the sum exactly when it
+    # returns the same two ints at every point (c = 1/3 gives Fraction
+    # coefficients).  A check's row runs each side of its identities.
+    if target in verifier.CHECK_NAMES:
+        polys = [side for _, *sides in verifier.identity_components(target) for side in sides]
+    else:
+        polys = [resolve_target(target, c)]
+    for poly in polys:
+        symbols = helpers.symbolic_pairs(poly.varset)
+        assert compile_evaluator(poly)(symbols) == helpers.per_term_pair(poly, symbols)
+
+
+def test_the_symbolic_check_refutes_every_planted_mutant(monkeypatch):
+    # Each += and -= of the generated d-tilde source flipped, and each int
+    # literal, the arity included, plus 1 (30 mutants): the check above
+    # tells every one from the per-term pair, so it cannot pass vacuously.
+    sources = []
+    monkeypatch.setattr(explorer, "compile", lambda *args: sources.append(args[0]) or compile(*args),
+                        raising=False)
+    poly = resolve_target("d-tilde")
+    wrong_arity = compile_evaluator(poly).__globals__["_wrong_arity"]  # it raises
+    (source,) = sources
+    symbols = helpers.symbolic_pairs(poly.varset)
+    expected = helpers.per_term_pair(poly, symbols)
+
+    def run(text):
+        namespace = {"_wrong_arity": wrong_arity}
+        exec(compile(text, "<mutant>", "exec"), namespace)
+        try:
+            return namespace["evaluate"](symbols)
+        except StructuralError:  # a wrong arity literal
+            return None
+
+    assert run(source) == expected
+    sites = list(re.finditer(r"[+-]=|\b\d+\b", source))
+    assert {"+=", "-=", "12"} <= {site[0] for site in sites}
+    for site in sites:
+        planted = {"+=": "-=", "-=": "+="}.get(site[0]) or str(int(site[0]) + 1)
+        assert run(source[:site.start()] + planted + source[site.end():]) != expected
 
 
 def test_compiled_d_tilde_makes_at_most_110_multiplications():
@@ -657,15 +691,22 @@ def test_classify_case_ii_with_permutation():
     assert result.closed_form_value == state.d_value()
 
 
-# Every pattern of pinned coordinates (0-based), in ints and in Fractions.
+# Every pattern of pinned coordinates (0-based), in ints, in Fractions and
+# in the MACRO variables p1, p2, p3: on those the closed form equals d as a
+# polynomial, so for every p with that pattern.
 @pytest.mark.parametrize("pinned", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
-@pytest.mark.parametrize("base", [(2, 3, 5), (Fraction(2, 3), Fraction(3, 7), Fraction(5, 11))])
+@pytest.mark.parametrize(
+    "base",
+    [(2, 3, 5), (Fraction(2, 3), Fraction(3, 7), Fraction(5, 11)), helpers.macro_triples()[0]],
+    ids=["ints", "fractions", "symbols"],
+)
 def test_classify_permutation_puts_the_pinned_indices_first(pinned, base):
     # A pinned coordinate has p_i = -base_i and z_i = base_i, the others
-    # p_i = base_i and z_i = 0.
+    # p_i = base_i and z_i the int 0 (a zero Polynomial would be truthy).
+    # MacroState(...) refuses Polynomials, so the state is built unchecked.
     p = tuple(-b if i in pinned else b for i, b in enumerate(base))
     z = tuple(b if i in pinned else 0 for i, b in enumerate(base))
-    state = MacroState(p, z)
+    state = tuple.__new__(MacroState, (p, z))
     result = case_classify(state)
     rest = [i for i in range(3) if i not in pinned]
     assert result.permutation == tuple(i + 1 for i in [*pinned, *rest])
@@ -685,25 +726,6 @@ def test_classify_rejects_non_vertex_and_zero_p():
         case_classify(state, label="mixed")
     with pytest.raises(PreconditionError, match=r"^case analysis requires nonzero p coordinates$"):
         case_classify(MacroState((0, 1, 1), (0, 0, 0)))
-
-
-def test_classify_agrees_with_d_on_random_vertices():
-    rng = random.Random(99)
-    for _ in range(300):
-        p = []
-        z = []
-        for _ in range(3):
-            value = Fraction(0)
-            while value == 0:
-                value = helpers.rand_fraction(rng, 9)
-            p.append(value)
-            if value < 0 and rng.random() < 0.5:
-                z.append(-value)
-            else:
-                z.append(Fraction(0))
-        state = MacroState(tuple(p), tuple(z))
-        result = case_classify(state)
-        assert result.closed_form_value == state.d_value()
 
 
 # -- sharpness ---------------------------------------------------------------
@@ -814,12 +836,20 @@ def test_positive_product_needs_no_minimization():
         assert MacroState(p, (0, 0, 0)).d_value() == p[0] * p[1] * p[2] > 0
 
 
-def test_fuzz_rejection_exhaustion_is_a_precondition_error():
-    # With every z at 0 a feasible state has p1*p2*p3 >= 0, so no state
-    # with a negative product is ever accepted.
-    cfg = SearchConfig(sample_count=1, seed=0, zero_probability=Fraction(1))
-    with pytest.raises(PreconditionError):
-        minimize_fuzz(cfg, require_negative_product=True)
+def test_fuzz_rejection_exhaustion_is_a_precondition_error(monkeypatch):
+    # Every candidate has p = (1, 1, 1), so none has p1*p2*p3 < 0: the draw
+    # gives up after its 10000 attempts.
+    draws = []
+
+    def positive_draw(getrandbits):
+        draws.append(None)
+        return (1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1)
+
+    monkeypatch.setattr(explorer, "_generated_draw", lambda *args: positive_draw)
+    message = r"^rejection sampling found no admissible state in 10000 draws$"
+    with pytest.raises(PreconditionError, match=message):
+        minimize_fuzz(SearchConfig(sample_count=1, seed=0), require_negative_product=True)
+    assert len(draws) == 10000
 
 
 def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
@@ -835,65 +865,40 @@ def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
         minimize_fuzz(cfg._replace(zero_probability=Fraction(1, 16)), require_negative_product=True)
 
 
-def test_a_fuzz_state_builds_no_validated_macro_state(monkeypatch):
-    built = []
-    new = MacroState.__new__
+def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
+    # Counted by replacing module attributes, as the benchmark's tracer
+    # times the layers, so the fuzz must look each one up at call time.
+    # Per state: generated draws until one is accepted, built unchecked; one
+    # descent, which forms c once; one classification, which takes the
+    # descent's label; and c once more in the guarantee check.
+    returned = collections.defaultdict(list)
 
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
+    def counting(name, wrapped):
+        def counted(*args, **kwargs):
+            returned[name].append(wrapped(*args, **kwargs))
+            return returned[name][-1]
 
-    monkeypatch.setattr(MacroState, "__new__", counting_new)
-    summary = minimize_fuzz(SearchConfig(50, 0), True)
-    # The accepted draw and the descent's final state come from
-    # tuple.__new__; a rejected candidate never becomes a MacroState.
-    assert summary.samples_run == 50
-    assert built == []
+        return counted
 
-
-def test_each_fuzz_layer_is_called_through_the_module(monkeypatch):
-    # The benchmark's tracer times the layers by replacing these module
-    # attributes, so the fuzz must look each one up at call time.
-    calls = dict.fromkeys(("_draw_state", "draw", "greedy_minimize_z", "case_classify"), 0)
-    for name in ("_draw_state", "greedy_minimize_z", "case_classify"):
-        def counted(*args, _name=name, _wrapped=getattr(explorer, name), **kwargs):
-            calls[_name] += 1
-            return _wrapped(*args, **kwargs)
-
-        monkeypatch.setattr(explorer, name, counted)
+    for module, name in ((explorer, "_draw_state"), (explorer, "greedy_minimize_z"),
+                         (explorer, "case_classify"), (explorer, "vertex_label"),
+                         (corpus, "c_values"), (corpus, "d_value")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     generated_draw = explorer._generated_draw
-
-    def counting_generate(*args):
-        # Each candidate is one call of the run's generated draw.
-        def counted_draw(getrandbits, _draw=generated_draw(*args)):
-            calls["draw"] += 1
-            return _draw(getrandbits)
-
-        return counted_draw
-
-    monkeypatch.setattr(explorer, "_generated_draw", counting_generate)
-    cfg = SearchConfig(50, 3)
-    minimize_fuzz(cfg, True)
-    attempts = sum(_reference_state(3, index, cfg, True)[2] for index in range(50))
-    assert attempts > 50
-    assert calls == {
-        "_draw_state": 50, "draw": attempts, "greedy_minimize_z": 50, "case_classify": 50
-    }
-
-
-def test_a_fuzz_state_forms_c_twice_and_labels_its_vertex_once(monkeypatch):
-    # The descent forms c once and the guarantee check once more, from the
-    # final state by itself; the classifier takes the descent's label.
-    calls = {"c_values": 0, "vertex_label": 0}
-    for module, name in ((corpus, "c_values"), (explorer, "vertex_label")):
-        def counted(*args, _name=name, _wrapped=getattr(module, name)):
-            calls[_name] += 1
-            return _wrapped(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    summary = minimize_fuzz(SearchConfig(200, 5), True)
-    assert summary.passed == 200
-    assert calls == {"c_values": 2 * 200, "vertex_label": 200}
+    monkeypatch.setattr(explorer, "_generated_draw",
+                        lambda *args: counting("draw", generated_draw(*args)))
+    monkeypatch.setattr(MacroState, "__new__", counting("MacroState", MacroState.__new__))
+    cfg = SearchConfig(200, 5)
+    summary = minimize_fuzz(cfg, True)
+    assert (summary.samples_run, summary.passed) == (200, 200)
+    attempts = sum(_reference_state(5, index, cfg, True)[2] for index in range(200))
+    assert attempts > 200
+    # d before the first step and after each, then once at the final state.
+    d_values = sum(len(t.steps) + bool(t.steps) + 1 for t in returned["greedy_minimize_z"])
+    assert {name: len(values) for name, values in returned.items()} == {
+        "_draw_state": 200, "draw": attempts, "greedy_minimize_z": 200, "case_classify": 200,
+        "vertex_label": 200, "c_values": 2 * 200, "d_value": d_values,
+    }  # and no "MacroState": no validating construction
 
 
 def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):

@@ -27,6 +27,8 @@ def test_varset_rejects_duplicates_and_bad_names():
         VarSet(())
     with pytest.raises(StructuralError):
         VarSet(("2x",))
+    with pytest.raises(StructuralError, match=r"^unknown variable 'q'$"):
+        Polynomial.variable(XY, "q")
 
 
 def test_normalize_cancellation_to_zero():

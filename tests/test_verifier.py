@@ -1,8 +1,7 @@
 """Tests for the symbolic identity checks: positive runs, deliberate
-mutations, numeric cross-validation, and the report contract."""
+mutations, spot values, and the report contract."""
 
 import json
-import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +10,6 @@ import pytest
 
 import helpers
 from cstriple import cli, corpus, verifier
-from cstriple.explorer import compile_evaluator
 from cstriple.poly import Polynomial, StructuralError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -57,6 +55,8 @@ def test_a_replay_builds_each_shared_polynomial_once(monkeypatch, capsys):
 def test_unknown_check_name_is_structural():
     with pytest.raises(StructuralError):
         verifier.run_check("bogus")
+    with pytest.raises(StructuralError, match=r"^unknown case 'v'; valid: iv, iii, ii, i$"):
+        corpus.case_value("v", 1, 1, 1)
 
 
 def test_key_identity_spot_value():
@@ -200,21 +200,6 @@ def test_mutated_k_form_constant_refuted():
     ((name, lhs, _),) = verifier.identity_components("k-equivalence")
     report = verifier.check_equal(name, [(name, lhs, wrong)])
     assert report.status == verifier.STATUS_REFUTED
-
-
-def test_numeric_cross_validation_thousand_points():
-    rng = random.Random(424242)
-    for check in verifier.CHECK_NAMES:
-        components = [
-            (lhs, compile_evaluator(lhs), compile_evaluator(rhs))
-            for _, lhs, rhs in verifier.identity_components(check)
-        ]
-        for _ in range(1000):
-            for lhs, eval_lhs, eval_rhs in components:
-                point = [helpers.rand_fraction(rng, 10) for _ in lhs.varset.names]
-                value = Fraction(*eval_lhs(helpers.pairs(point)))
-                assert value == Fraction(*eval_rhs(helpers.pairs(point)))
-                assert value == lhs.evaluate(dict(zip(lhs.varset.names, point)))
 
 
 def test_report_serialization_schema():
