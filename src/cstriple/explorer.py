@@ -25,12 +25,14 @@ Every uniform draw is defined in this module: an int below n is
 is the algorithm of CPython 3.11's ``randrange``, so the stream is the one
 it gave (the tests pin it against a reference draw written with it), but it
 no longer depends on how a later interpreter implements ``randrange``.  The
-one draw is generated code: ``_generated_draw`` writes, once per zero
-probability, bounds, coordinate count and count of nonzero coordinates, and
-caches, a straight-line ``draw(getrandbits)`` with every width an int
-literal, as a built ``SearchConfig`` holds only ints and a Fraction.  A
-coordinate that may not be 0 (a fuzz p_i) skips the zero test and is drawn
-again while its numerator is 0; any other makes the zero test, then one draw.
+draw is generated code, from one emitter, ``_draw_lines``, with every width
+an int literal, as a built ``SearchConfig`` holds only ints and a Fraction.
+A coordinate that may not be 0 (a fuzz p_i) skips the zero test and is
+drawn again while its numerator is 0; any other makes the zero test, then
+one draw.  ``_generated_draw`` writes, once per zero probability, bounds and
+coordinate count, and caches, the search's straight-line
+``draw(getrandbits)``; ``_generated_rejection`` writes, once per zero
+probability, bounds and product test, and caches, the fuzz's rejection loop.
 
 The search loop runs on plain ints, in a format only this module knows:
 ``sample_point`` gives each coordinate as a (numerator, denominator) pair,
@@ -39,19 +41,21 @@ pair, and ``search_range`` folds the all-ones probe and then the samples in
 one pass, comparing values by cross-multiplication.  Fractions are built
 only for the kept minimum, the negative hits and the probe.
 
-The minimizer fuzz runs on plain ints too.  ``_draw_state`` draws each
-coordinate as such a pair, p_i = n_i/d_i and z_i = |m_i|/e_i, and tests the
-candidate on those ints: every d_i and e_i is at least 1, so p1*p2*p3 has
-the sign of n1*n2*n3, and p_i + z_i = (n_i*e_i + |m_i|*d_i)/(d_i*e_i) that
-of its numerator, so both rejection tests are exact.  Only the accepted
-candidate becomes a ``MacroState``, multiplied by the lcm L of its six
-denominators.  That is exact too: d, the feasibility product and every
-case closed form are homogeneous of degree 3 in (p, z), so they get the
-factor L^3 > 0; the greedy step's bound max(0, -p_i) and its test on the
-sign of the other two factors commute with the scaling; and every fuzz
-guarantee is a sign, equality or order test, which a positive factor does
-not change.  The scaled state therefore takes the same steps, lands on the
-same vertex and passes or fails the same guarantees as the rational one.
+The minimizer fuzz runs on plain ints too.  ``_draw_state`` makes one call
+of the run's rejection loop, which draws each candidate's coordinates as
+such pairs, p_i = n_i/d_i and z_i = |m_i|/e_i, and tests it on those ints:
+every d_i and e_i is at least 1, so p1*p2*p3 has the sign of n1*n2*n3, and
+p_i + z_i = (n_i*e_i + |m_i|*d_i)/(d_i*e_i) that of its numerator, so both
+rejection tests are exact.  The loop hands back only the accepted
+candidate's ints, and only that candidate becomes a ``MacroState``,
+multiplied by the lcm L of its six denominators.  That is exact too: d,
+the feasibility product and every case closed form are homogeneous of
+degree 3 in (p, z), so they get the factor L^3 > 0; the greedy step's bound
+max(0, -p_i) and its test on the sign of the other two factors commute
+with the scaling; and every fuzz guarantee is a sign, equality or order
+test, which a positive factor does not change.  The scaled state therefore
+takes the same steps, lands on the same vertex and passes or fails the same
+guarantees as the rational one (the tests check each degree on symbols).
 
 Every type here is a ``typing.NamedTuple``, immutable once built.  The two
 inputs, ``SearchConfig`` and ``MacroState``, validate in ``__new__``, and
@@ -146,24 +150,23 @@ class SearchConfig(NamedTuple("SearchConfig", [
         return {**self._asdict(), "zero_probability": str(self.zero_probability)}
 
 
-@functools.lru_cache(maxsize=16)
-def _generated_draw(zp: Fraction, nb: int, db: int, count: int, nonzero: int) -> Callable:
-    """``draw(getrandbits)`` of a ``SearchConfig``'s zero probability zp =
-    zn/zd, numerator bound nb and denominator bound db: ``count``
-    coordinates as the flat tuple n1, d1, ..., n_count, d_count, (0, 1)
-    with probability zn/zd, else num in [-nb, nb] and den in [1, db], not
-    reduced, so n_i == 0 exactly when coordinate i is 0.  Straight-line
-    code, compiled once per argument tuple and cached; it keeps nothing
-    between calls.
+def _draw_lines(zp: Fraction, nb: int, db: int, count: int, nonzero: int, indent: str) -> list[str]:
+    """The statements, led by ``indent``, that draw ``count`` coordinates of
+    a ``SearchConfig``'s zero probability zp = zn/zd, numerator bound nb and
+    denominator bound db into the raw locals n0, d0, n1, d1, ...: num =
+    n_i - nb in [-nb, nb] and den = d_i + 1 in [1, db], not reduced, and
+    (0, 1) with probability zp, so num == 0 exactly when coordinate i is 0.
+    The two generators below compile them once per argument tuple and cache
+    the function.
 
     "x drawn below n" is ``getrandbits(n.bit_length())`` until x < n.  Each
-    coordinate draws its raw num below 2*nb + 1 (shifted by -nb on return)
-    and then its raw den below db (shifted by +1).  The first ``nonzero``
-    coordinates make no zero test and draw both again while the raw num is
-    nb, the numerator 0; the rest make the zero test r < zn, r drawn below
-    zd (skipped when zn is 0), and on a hit take the raw pair (nb, 0)."""
+    coordinate draws its raw num below 2*nb + 1 and then its raw den below
+    db.  The first ``nonzero`` coordinates make no zero test and draw both
+    again while the raw num is nb, the numerator 0; the rest make the zero
+    test r < zn, r drawn below zd (skipped when zn is 0), and on a hit take
+    the raw pair (nb, 0).  Every width is an int literal."""
     zn, zd = zp.numerator, zp.denominator
-    lines = ["def draw(getrandbits):"]
+    lines: list[str] = []
 
     def below(name: str, n: int, pad: str) -> None:
         get = f"{name} = getrandbits({n.bit_length()})"
@@ -171,17 +174,53 @@ def _generated_draw(zp: Fraction, nb: int, db: int, count: int, nonzero: int) ->
 
     for i in range(count):
         if i < nonzero:
-            lines += [f"    n{i} = {nb}", f"    while n{i} == {nb}:"]
+            lines += [f"{indent}n{i} = {nb}", f"{indent}while n{i} == {nb}:"]
         elif zn:
-            below("r", zd, "    ")
-            lines += [f"    if r < {zn}:", f"        n{i} = {nb}", f"        d{i} = 0", "    else:"]
-        pad = "        " if i < nonzero or zn else "    "
+            below("r", zd, indent)
+            lines += [f"{indent}if r < {zn}:", f"{indent}    n{i} = {nb}", f"{indent}    d{i} = 0",
+                      f"{indent}else:"]
+        pad = indent + "    " if i < nonzero or zn else indent
         below(f"n{i}", 2 * nb + 1, pad)
         below(f"d{i}", db, pad)
-    lines.append(f"    return ({', '.join(f'n{i} - {nb}, d{i} + 1' for i in range(count))})")
+    return lines
+
+
+def _compiled(lines: list[str], name: str) -> Callable:
     namespace: dict = {}
     exec(compile("\n".join(lines), "<compile_draw>", "exec"), namespace)
-    return namespace["draw"]
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=16)
+def _generated_draw(zp: Fraction, nb: int, db: int, count: int) -> Callable:
+    """The search's straight-line ``draw(getrandbits)``: the flat tuple n1,
+    d1, ..., n_count, d_count of ``count`` coordinates drawn by
+    ``_draw_lines``, each with the zero test.  It keeps nothing between calls."""
+    lines = ["def draw(getrandbits):", *_draw_lines(zp, nb, db, count, 0, "    ")]
+    lines.append(f"    return ({', '.join(f'n{i} - {nb}, d{i} + 1' for i in range(count))})")
+    return _compiled(lines, "draw")
+
+
+@functools.lru_cache(maxsize=16)
+def _generated_rejection(zp: Fraction, nb: int, db: int, negative: bool) -> Callable:
+    """The fuzz's ``sample(getrandbits)``: at most 10000 candidates of 6
+    coordinates drawn by ``_draw_lines``, the 3 of p nonzero.  A candidate
+    is rejected when n1*n2*n3 >= 0 (only if ``negative``) or its feasibility
+    numerator product is negative (see the module docstring).  Returns the
+    accepted one's ints n1, d1, n2, d2, n3, d3, |m1|, e1, |m2|, e2, |m3|,
+    e3, or None after 10000 rejections.  It keeps nothing between calls."""
+    lines = ["def sample(getrandbits):", "    for _ in range(10000):",
+             *_draw_lines(zp, nb, db, 6, 3, "        ")]
+    # a_i, b_i: the numerator (of z_i, made nonnegative) and denominator of coordinate i.
+    lines += [f"        a{i} = n{i} - {nb}" for i in range(3)]
+    if negative:
+        lines += ["        if a0 * a1 * a2 >= 0:", "            continue"]
+    lines += [f"        a{i} = abs(n{i} - {nb})" for i in range(3, 6)]
+    lines += [f"        b{i} = d{i} + 1" for i in range(6)]
+    factors = " * ".join(f"(a{i} * b{i + 3} + a{i + 3} * b{i})" for i in range(3))
+    lines += [f"        if {factors} >= 0:",
+              f"            return {', '.join(f'a{i}, b{i}' for i in range(6))}"]
+    return _compiled(lines, "sample")
 
 
 def _reseed(rng: random.Random, seed: int, index: int) -> None:
@@ -321,7 +360,7 @@ def search_range(
     probe.  The samples share one generator, which ``sample_point`` reseeds,
     and one draw, generated once for the run's widths."""
     nvars, seed, zp = len(variables), cfg.seed, cfg.zero_probability
-    draw = _generated_draw(zp, cfg.numerator_bound, cfg.denominator_bound, nvars, 0)
+    draw = _generated_draw(zp, cfg.numerator_bound, cfg.denominator_bound, nvars)
     rng = random.Random(0)
     # The all-ones point, the equality case a = b, is a zero of every target,
     # so each run pins the exact value 0 there; it counts for the minimum and
@@ -480,7 +519,11 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
     Coordinates are processed in ``order`` (default 3, 2, 1); a step is
     recorded only when the value actually changes.  Requires nonzero p_i and
     a feasible starting state.  The c_i depend on p alone, so c is formed
-    once; each recorded d is ``corpus.d_value`` of the current p and z with it.
+    once.  d is linear in each z_i with slope c_i, so a step changes it by
+    exactly c_i*(new - old): the first step's d_before is ``corpus.d_value``
+    of the starting p and z, and every later d is carried by that identity.
+    On a state mixing int and Fraction coordinates a carried d may be a
+    Fraction where ``corpus.d_value`` gives the equal int; both print alike.
     """
     # Default by identity; else the type test first: no bools, floats or unhashable items.
     if order is not _DEFAULT_ORDER and not (
@@ -500,10 +543,11 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
         i = coord - 1
         j, k = _OTHERS[i]
         new_value = -p[i] if p[i] < 0 and (p[j] + z[j]) * (p[k] + z[k]) > 0 else 0
-        if new_value != z[i]:
+        old_value = z[i]
+        if new_value != old_value:
             before = d if steps else corpus.d_value(p, z, c)
-            old_value, z[i] = z[i], new_value
-            d = corpus.d_value(p, z, c)
+            d = before + c[i] * (new_value - old_value)
+            z[i] = new_value
             record = (_Z_NAMES[i], old_value, new_value, before, d)
             steps.append(tuple.__new__(MinimizeStep, record))
     final = tuple.__new__(MacroState, (p, tuple(z)))
@@ -551,7 +595,7 @@ def case_classify(state: MacroState, *, label: str | None = None) -> CaseClassif
         )
     a, b, c = perm = _PERMUTATIONS[not z[0], not z[1], not z[2]]
     value = corpus.case_value(label, p[a - 1], p[b - 1], p[c - 1])
-    return CaseClassification(label, perm, value)
+    return tuple.__new__(CaseClassification, (label, perm, value))
 
 
 # -- sharpness of the constant -------------------------------------------------
@@ -617,30 +661,21 @@ class FuzzSummary(NamedTuple):
         return self._asdict()
 
 
-def _draw_state(rng: random.Random, draw: Callable, require_negative_product: bool) -> MacroState:
-    """Rejection-sample a feasible MacroState with nonzero p (and, when
-    asked, p1*p2*p3 < 0) from one per-sample stream.
-
-    Each attempt is ``draw(rng.getrandbits)``, with ``draw`` the run's
-    ``_generated_draw`` of 6 coordinates, 3 nonzero: the ints n1, d1, n2,
-    d2, n3, d3, m1, e1, m2, e2, m3, e3 with p_i = n_i/d_i != 0 and z_i =
-    |m_i|/e_i, tested on those ints (see the module docstring).  Only the
-    accepted one becomes a state, built with ``tuple.__new__``: the drawn
-    one times the lcm of its six denominators, so all its coordinates are
-    ints."""
-    getrandbits = rng.getrandbits
-    for _ in range(10000):
-        n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = draw(getrandbits)
-        if require_negative_product and n1 * n2 * n3 >= 0:
-            continue
-        if (n1 * e1 + abs(m1) * d1) * (n2 * e2 + abs(m2) * d2) * (n3 * e3 + abs(m3) * d3) < 0:
-            continue
-        scale = lcm(d1, d2, d3, e1, e2, e3)
-        return tuple.__new__(MacroState, (
-            (n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3)),
-            (abs(m1) * (scale // e1), abs(m2) * (scale // e2), abs(m3) * (scale // e3)),
-        ))
-    raise PreconditionError("rejection sampling found no admissible state in 10000 draws")
+def _draw_state(rng: random.Random, sample: Callable) -> MacroState:
+    """Rejection-sample a feasible MacroState with nonzero p (and, if the
+    run asks for it, p1*p2*p3 < 0) from one per-sample stream, by one call
+    of the run's ``_generated_rejection`` loop ``sample``.  The accepted
+    candidate becomes a state, built with ``tuple.__new__``: times the lcm
+    of its six denominators, so all its coordinates are ints."""
+    candidate = sample(rng.getrandbits)
+    if candidate is None:
+        raise PreconditionError("rejection sampling found no admissible state in 10000 draws")
+    n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = candidate
+    scale = lcm(d1, d2, d3, e1, e2, e3)
+    return tuple.__new__(MacroState, (
+        (n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3)),
+        (m1 * (scale // e1), m2 * (scale // e2), m3 * (scale // e3)),
+    ))
 
 
 GUARANTEES = ("monotonicity", "vertex", "negativity", "closed_form", "case_iv_negative_product")
@@ -655,8 +690,12 @@ def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification |
     p1, p2, p3 = trace.final.p
     negative_product = p1 * p2 * p3 < 0
     d = trace.final.d_value()
+    monotone = True
+    for step in trace.steps:
+        if step.d_after > step.d_before:
+            monotone = False
     held = (
-        all(step.d_after <= step.d_before for step in trace.steps),
+        monotone,
         # z >= 0, so a pinned z_i = -p_i != 0 already has -p_i > 0.
         trace.case_label != "mixed",
         not negative_product or d >= 0,
@@ -676,10 +715,11 @@ def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> 
     case_counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 0}
     failed_samples = 0
     rng, zp = random.Random(0), cfg.zero_probability
-    draw = _generated_draw(zp, cfg.numerator_bound, cfg.denominator_bound, 6, 3)
+    sample = _generated_rejection(zp, cfg.numerator_bound, cfg.denominator_bound,
+                                  require_negative_product)
     for index in range(cfg.sample_count):
         _reseed(rng, cfg.seed, index)
-        state = _draw_state(rng, draw, require_negative_product)
+        state = _draw_state(rng, sample)
         trace = greedy_minimize_z(state)
         label = trace.case_label
         case_counts[label] += 1

@@ -12,6 +12,7 @@ import re
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +33,7 @@ from cstriple.explorer import (
     sharpness_witness,
     vertex_label,
 )
-from cstriple.poly import StructuralError
+from cstriple.poly import StructuralError, VarSet
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -197,11 +198,16 @@ def test_replace_checks_the_copy_like_a_new_value():
         SearchConfig(5, 0)._replace(bogus=1)
 
 
-def _draw(cfg, count=6, nonzero=0):
-    """The generated draw of a run of ``cfg``, as the search (``nonzero`` 0)
-    and the fuzz (6 coordinates, 3 nonzero) build it."""
+def _draw(cfg, count=6):
+    """The generated draw of a search of ``cfg`` over ``count`` variables."""
     zp, nb, db = cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
-    return explorer._generated_draw(zp, nb, db, count, nonzero)
+    return explorer._generated_draw(zp, nb, db, count)
+
+
+def _rejection(cfg, require_negative_product):
+    """The generated rejection loop of a fuzz of ``cfg``."""
+    zp, nb, db = cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
+    return explorer._generated_rejection(zp, nb, db, require_negative_product)
 
 
 def test_sample_point_respects_bounds_and_zero_probability():
@@ -264,17 +270,21 @@ def test_sample_point_follows_the_pinned_rng_stream(options):
 
 
 def test_a_run_looks_up_its_draw_once(monkeypatch):
+    # The search looks up its draw and the fuzz its rejection loop, once a run.
     looked_up = []
-    original = explorer._generated_draw
-    monkeypatch.setattr(
-        explorer, "_generated_draw", lambda *args: looked_up.append(args) or original(*args)
-    )
+    for name in ("_generated_draw", "_generated_rejection"):
+        def recording(*args, name=name, original=getattr(explorer, name)):
+            looked_up.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(explorer, name, recording)
     search_cfg = SearchConfig(sample_count=50, seed=3, numerator_bound=7)
     random_search("d-tilde", search_cfg)
-    assert looked_up == [(Fraction(1, 16), 7, 100, 6, 0)]
+    search = ("_generated_draw", (Fraction(1, 16), 7, 100, 6))
+    assert looked_up == [search]
     fuzz_cfg = SearchConfig(sample_count=20, seed=3, denominator_bound=9)
     minimize_fuzz(fuzz_cfg, require_negative_product=True)
-    assert looked_up == [(Fraction(1, 16), 7, 100, 6, 0), (Fraction(1, 16), 100, 9, 6, 3)]
+    assert looked_up == [search, ("_generated_rejection", (Fraction(1, 16), 100, 9, True))]
 
 
 # Configurations the generated draw is checked on directly: the default, no
@@ -286,18 +296,24 @@ DRAW_CONFIGS = [
 
 @pytest.mark.parametrize("options", DRAW_CONFIGS)
 def test_generated_draw_is_the_reference_draw(options):
-    # The first nonzero coordinates are the fuzz's p_i, the rest search
-    # coordinates; the same values from the same getrandbits calls.
+    # The search's draw of 1 to 6 coordinates, and the fuzz's loop, whose
+    # candidates' first 3 coordinates are nonzero p_i: the same values from
+    # the same getrandbits calls.
     cfg = SearchConfig(sample_count=1, seed=0, **options)
     for count in range(1, 7):
-        for nonzero in (0, 3) if count >= 3 else (0,):
-            draw = _draw(cfg, count, nonzero)
-            for index in range(60):
-                rng, reference = helpers.sample_rng(0, index), helpers.sample_rng(0, index)
-                expected = helpers.reference_pairs(reference, cfg, nonzero, nonzero=True)
-                expected += helpers.reference_pairs(reference, cfg, count - nonzero)
-                assert draw(rng.getrandbits) == tuple(expected)
-                assert rng.getstate() == reference.getstate()
+        draw = _draw(cfg, count)
+        for index in range(60):
+            rng, reference = helpers.sample_rng(0, index), helpers.sample_rng(0, index)
+            expected = helpers.reference_pairs(reference, cfg, count)
+            assert draw(rng.getrandbits) == tuple(expected)
+            assert rng.getstate() == reference.getstate()
+    for negative in (True, False):
+        sample = _rejection(cfg, negative)
+        for index in range(60):
+            rng, reference = helpers.sample_rng(0, index), helpers.sample_rng(0, index)
+            expected, _ = _reference_candidate(reference, cfg, negative)
+            assert sample(rng.getrandbits) == tuple(expected)
+            assert rng.getstate() == reference.getstate()
 
 
 def test_only_int_literals_reach_compile(monkeypatch):
@@ -309,10 +325,11 @@ def test_only_int_literals_reach_compile(monkeypatch):
 
     monkeypatch.setattr(explorer, "compile", recording_compile, raising=False)
     explorer._generated_draw.cache_clear()
+    explorer._generated_rejection.cache_clear()
     for options in (*DRAW_CONFIGS, {"zero_probability": Fraction(1, 3)}):
-        for nonzero in (0, 3):
-            _draw(SearchConfig(sample_count=1, seed=0, **options), 6, nonzero)
-    assert len(sources) == 2 * (len(DRAW_CONFIGS) + 1)
+        cfg = SearchConfig(sample_count=1, seed=0, **options)
+        _draw(cfg), _rejection(cfg, True), _rejection(cfg, False)
+    assert len(sources) == 3 * (len(DRAW_CONFIGS) + 1)
     for source, filename in sources:
         assert filename == "<compile_draw>"
         constants = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)]
@@ -327,8 +344,7 @@ def test_runs_share_the_draw_of_their_widths(monkeypatch):
         lambda rng, seed, index, draw: used.append(draw) or sample(rng, seed, index, draw),
     )
     monkeypatch.setattr(
-        explorer, "_draw_state",
-        lambda rng, draw, negative: used.append(draw) or draw_state(rng, draw, negative),
+        explorer, "_draw_state", lambda rng, sample: used.append(sample) or draw_state(rng, sample)
     )
 
     def draw_of(run, cfg):
@@ -344,19 +360,21 @@ def test_runs_share_the_draw_of_their_widths(monkeypatch):
         for options in ({"numerator_bound": 7}, {"denominator_bound": 7},
                         {"zero_probability": Fraction(1, 3)}):
             assert draw_of(run, SearchConfig(20, 3, **options)) is not base
-    # The same widths with another count or count of nonzero coordinates.
-    draws = [_draw(SearchConfig(20, 3), count, nonzero) for count, nonzero in
-             ((6, 0), (6, 3), (4, 0), (4, 3))]
+    # The same widths with another count, or the loop with or without the product test.
+    cfg = SearchConfig(20, 3)
+    draws = [_draw(cfg, 6), _draw(cfg, 4), _rejection(cfg, True), _rejection(cfg, False)]
     assert all(a is not b for a, b in itertools.combinations(draws, 2))
 
 
 def test_cold_and_warm_draw_cache_give_equal_reports():
     cfg = SearchConfig(300, 8)
-    explorer._generated_draw.cache_clear()
+    caches = explorer._generated_draw, explorer._generated_rejection
+    for cache in caches:
+        cache.cache_clear()
     cold = random_search("d-tilde", cfg).to_dict(), minimize_fuzz(cfg, True).to_dict()
-    assert explorer._generated_draw.cache_info().misses == 2
+    assert [cache.cache_info().misses for cache in caches] == [1, 1]
     warm = random_search("d-tilde", cfg).to_dict(), minimize_fuzz(cfg, True).to_dict()
-    assert explorer._generated_draw.cache_info().hits == 2
+    assert [cache.cache_info().hits for cache in caches] == [1, 1]
     assert cold == warm
 
 
@@ -838,25 +856,29 @@ def test_positive_product_needs_no_minimization():
 
 def test_fuzz_rejection_exhaustion_is_a_precondition_error(monkeypatch):
     # Every candidate has p = (1, 1, 1), so none has p1*p2*p3 < 0: the draw
-    # gives up after its 10000 attempts.
-    draws = []
+    # gives up after its 10000 attempts.  Under the default widths a
+    # candidate draws each p_i's raw numerator in 8 bits (101, numerator 1)
+    # and raw denominator in 7 (0, denominator 1), then each z_i's zero test
+    # in 5 (0, a hit).
+    widths = []
 
-    def positive_draw(getrandbits):
-        draws.append(None)
-        return (1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1)
+    class PositiveRandom(random.Random):
+        def getrandbits(self, k):
+            widths.append(k)
+            return {8: 101, 7: 0, 5: 0}[k]
 
-    monkeypatch.setattr(explorer, "_generated_draw", lambda *args: positive_draw)
+    monkeypatch.setattr(explorer, "random", SimpleNamespace(Random=PositiveRandom))
     message = r"^rejection sampling found no admissible state in 10000 draws$"
     with pytest.raises(PreconditionError, match=message):
         minimize_fuzz(SearchConfig(sample_count=1, seed=0), require_negative_product=True)
-    assert len(draws) == 10000
+    assert widths == [8, 7, 8, 7, 8, 7, 5, 5, 5] * 10000
 
 
 def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
     def no_draw(getrandbits):
         raise AssertionError("drew a candidate")
 
-    monkeypatch.setattr(explorer, "_generated_draw", lambda *args: no_draw)
+    monkeypatch.setattr(explorer, "_generated_rejection", lambda *args: no_draw)
     cfg = SearchConfig(sample_count=1, seed=0, zero_probability=Fraction(1))
     with pytest.raises(PreconditionError, match="rejection sampling"):
         minimize_fuzz(cfg, require_negative_product=True)
@@ -868,9 +890,10 @@ def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
 def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
     # Counted by replacing module attributes, as the benchmark's tracer
     # times the layers, so the fuzz must look each one up at call time.
-    # Per state: generated draws until one is accepted, built unchecked; one
-    # descent, which forms c once; one classification, which takes the
-    # descent's label; and c once more in the guarantee check.
+    # Per state: one call of the generated rejection loop, however many
+    # candidates it draws, built unchecked; one descent, which forms c once
+    # and d once if it steps; one classification, which takes the descent's
+    # label; and c and d once more in the guarantee check.
     returned = collections.defaultdict(list)
 
     def counting(name, wrapped):
@@ -884,28 +907,31 @@ def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
                          (explorer, "case_classify"), (explorer, "vertex_label"),
                          (corpus, "c_values"), (corpus, "d_value")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    generated_draw = explorer._generated_draw
-    monkeypatch.setattr(explorer, "_generated_draw",
-                        lambda *args: counting("draw", generated_draw(*args)))
+    for name, key in (("_generated_draw", "draw"), ("_generated_rejection", "sample")):
+        generate = getattr(explorer, name)
+        monkeypatch.setattr(
+            explorer, name, lambda *args, key=key, generate=generate: counting(key, generate(*args))
+        )
     monkeypatch.setattr(MacroState, "__new__", counting("MacroState", MacroState.__new__))
     cfg = SearchConfig(200, 5)
     summary = minimize_fuzz(cfg, True)
     assert (summary.samples_run, summary.passed) == (200, 200)
     attempts = sum(_reference_state(5, index, cfg, True)[2] for index in range(200))
     assert attempts > 200
-    # d before the first step and after each, then once at the final state.
-    d_values = sum(len(t.steps) + bool(t.steps) + 1 for t in returned["greedy_minimize_z"])
+    # d before the first step, carried by the step identity after each,
+    # then once at the final state.
+    d_values = sum(bool(t.steps) + 1 for t in returned["greedy_minimize_z"])
     assert {name: len(values) for name, values in returned.items()} == {
-        "_draw_state": 200, "draw": attempts, "greedy_minimize_z": 200, "case_classify": 200,
+        "_draw_state": 200, "sample": 200, "greedy_minimize_z": 200, "case_classify": 200,
         "vertex_label": 200, "c_values": 2 * 200, "d_value": d_values,
-    }  # and no "MacroState": no validating construction
+    }  # and no "draw" and no "MacroState": no validating construction
 
 
-def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
-    # tuple.__new__ skips MacroState's checks; every state the fuzz draws
-    # and every final state of a descent is built with it and must pass them
-    # unchanged: the same values of the same types, three ints or Fractions
-    # each, z >= 0.
+def _record_fuzz_states(monkeypatch):
+    """Every state two fuzz runs of 250 states draw, each followed by its
+    descent's final state: 2 x 500 states, all built with tuple.__new__.
+    The recording patches stay for the rest of the test, so a later
+    descent's final state is appended too."""
     built = []
     draw_state, descend = explorer._draw_state, explorer.greedy_minimize_z
 
@@ -923,19 +949,33 @@ def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
     for seed, negative in ((0, True), (1, False)):
         minimize_fuzz(SearchConfig(250, seed), negative)
     assert len(built) == 2 * 500
+    return built
+
+
+def _mixed_states(count):
+    """``count`` feasible states with nonzero p: Fractions, and ints mixed
+    in, as MacroState's caller may pass them."""
     rng = random.Random(7)
-    descents = 0
-    while descents < 300:
-        # Fractions, and ints mixed in, as MacroState's caller may pass them.
+    states = []
+    while len(states) < count:
         p = tuple(helpers.rand_fraction(rng, 9) if rng.random() < 0.8 else rng.randint(-9, 9)
                   for _ in range(3))
         z = tuple(abs(helpers.rand_fraction(rng, 9)) if rng.random() < 0.8 else 0
                   for _ in range(3))
         state = MacroState(p, z)
-        if 0 in p or not state.is_feasible():
-            continue
+        if 0 not in p and state.is_feasible():
+            states.append(state)
+    return states
+
+
+def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
+    # tuple.__new__ skips MacroState's checks; every state the fuzz draws
+    # and every final state of a descent is built with it and must pass them
+    # unchanged: the same values of the same types, three ints or Fractions
+    # each, z >= 0.
+    built = _record_fuzz_states(monkeypatch)
+    for state in _mixed_states(300):
         assert explorer.greedy_minimize_z(state).final is built[-1]
-        descents += 1
     assert len(built) == 2 * 500 + 300
     assert any(type(v) is Fraction for s in built[-300:] for v in s.p + s.z)
     for state in built:
@@ -944,22 +984,103 @@ def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
         assert list(map(type, checked.p + checked.z)) == list(map(type, state.p + state.z))
 
 
-def _reference_state(seed, index, cfg, require_negative_product):
-    # The documented fuzz draw on Fractions: three nonzero p_i, then three
-    # z_i as absolute values of search coordinates; reject infeasible states
-    # and, when asked, a nonnegative p1*p2*p3.  Returns the state, the
-    # generator's state after the accepted draw and the number of candidates.
-    rng = helpers.sample_rng(seed, index)
+def test_the_carried_d_column_is_the_recomputed_d(monkeypatch):
+    # The descent carries d by the step identity; every d_before and d_after
+    # it records must equal corpus.d_value of that step's z, in every order,
+    # on the fuzz's int states and on Fraction states with ints mixed in.
+    descend = explorer.greedy_minimize_z
+    states = _record_fuzz_states(monkeypatch) + _mixed_states(300)
+    steps = 0
+    for state in states:
+        for order in itertools.permutations((1, 2, 3)):
+            trace = descend(state, order)
+            z = list(state.z)
+            for step in trace.steps:
+                i = _Z_INDEX[step.coordinate]
+                assert step.old_value == z[i]
+                before = corpus.d_value(state.p, z)
+                z[i] = step.new_value
+                for carried, recomputed in ((step.d_before, before),
+                                            (step.d_after, corpus.d_value(state.p, z))):
+                    # Equal values that print alike; the types may differ (below).
+                    assert carried == recomputed and str(carried) == str(recomputed)
+            assert tuple(z) == trace.final.z
+            steps += len(trace.steps)
+    assert steps > len(states)
+    # Dropping the one Fraction z_1 leaves an all-int state: the recomputed
+    # d is the int 5 and the carried one Fraction(5).
+    (step, *_) = descend(MacroState((-1, -1, -1), (Fraction(1), 1, 1)), (1, 2, 3)).steps
+    assert step.coordinate == "z1" and step.d_after == corpus.d_value((-1, -1, -1), (0, 1, 1)) == 5
+    assert type(step.d_after) is Fraction and str(step.d_after) == "5"
+
+
+_Z_INDEX = {"z1": 0, "z2": 1, "z3": 2}
+
+
+def _step_identity_fails(slope):
+    """The 0-based i at which d(p, z with z_i := w) - d(p, z) differs from
+    slope(c, i) * (w - z_i), for the MACRO p, z and a fresh variable w."""
+    p1, p2, p3, z1, z2, z3, w = corpus.variables(VarSet((*corpus.MACRO.names, "w")))
+    p, z = (p1, p2, p3), (z1, z2, z3)
+    c, d = corpus.c_values(*p), corpus.d_value(p, z)
+    return [i for i in range(3)
+            if corpus.d_value(p, z[:i] + (w,) + z[i + 1:]) - d != slope(c, i) * (w - z[i])]
+
+
+def test_a_step_changes_d_by_c_i_times_the_change():
+    # d is linear in each z_i with slope c_i, so the descent carries d across
+    # a step by c_i*(new - old).  On symbols this holds for every state; a
+    # planted mutant that takes c of the wrong index fails at every i.
+    assert _step_identity_fails(lambda c, i: c[i]) == []
+    assert _step_identity_fails(lambda c, i: c[i - 1]) == [0, 1, 2]
+
+
+def test_the_lcm_scaling_is_exact_on_symbols():
+    # The module docstring's argument for scaling a drawn state by the lcm L
+    # of its denominators, on symbols: at (L*p, L*z), d, the feasibility
+    # product and every case closed form are L^3 times their value, and each
+    # c_i is L^2 times its value.
+    p1, p2, p3, z1, z2, z3, L = corpus.variables(VarSet((*corpus.MACRO.names, "L")))
+    p, z = (p1, p2, p3), (z1, z2, z3)
+    lp, lz = tuple(L * v for v in p), tuple(L * v for v in z)
+    cube = L * L * L
+    assert corpus.d_value(lp, lz) == cube * corpus.d_value(p, z)
+    assert corpus.feasibility_value(lp, lz) == cube * corpus.feasibility_value(p, z)
+    for label in corpus.CASE_LABELS:
+        assert corpus.case_value(label, *lp) == cube * corpus.case_value(label, *p)
+    assert corpus.c_values(*lp) == tuple(L * L * c for c in corpus.c_values(*p))
+    # Not vacuous: scaling p alone does not scale d by L^3.
+    assert corpus.d_value(lp, z) != cube * corpus.d_value(p, z)
+
+
+def _reference_candidate(rng, cfg, require_negative_product):
+    # The documented fuzz draw, tested on Fractions: three nonzero p_i, then
+    # three z_i as absolute values of search coordinates; reject infeasible
+    # states and, when asked, a nonnegative p1*p2*p3.  Returns the accepted
+    # candidate's drawn ints, with each z_i's numerator made nonnegative,
+    # and the number of candidates.
     for attempts in itertools.count(1):
-        p = helpers.reference_pairs(rng, cfg, 3, nonzero=True)
-        z = helpers.reference_pairs(rng, cfg, 3)
-        p = [Fraction(n, d) for n, d in zip(p[::2], p[1::2])]
-        z = [abs(Fraction(n, d)) for n, d in zip(z[::2], z[1::2])]
+        pairs = helpers.reference_pairs(rng, cfg, 3, nonzero=True)
+        pairs += helpers.reference_pairs(rng, cfg, 3)
+        pairs[6::2] = map(abs, pairs[6::2])
+        p, z = _fractions(pairs[:6]), _fractions(pairs[6:])
         if (p[0] + z[0]) * (p[1] + z[1]) * (p[2] + z[2]) < 0:
             continue
         if require_negative_product and p[0] * p[1] * p[2] >= 0:
             continue
-        return p + z, rng.getstate(), attempts
+        return pairs, attempts
+
+
+def _fractions(pairs):
+    return [Fraction(n, d) for n, d in zip(pairs[::2], pairs[1::2])]
+
+
+def _reference_state(seed, index, cfg, require_negative_product):
+    # The reference candidate of sample ``index`` as Fractions p + z, the
+    # generator's state after it and the number of candidates.
+    rng = helpers.sample_rng(seed, index)
+    pairs, attempts = _reference_candidate(rng, cfg, require_negative_product)
+    return _fractions(pairs), rng.getstate(), attempts
 
 
 # Numerators in {-1, 0, 1} and denominators in {1, 2}: in most
@@ -979,7 +1100,7 @@ def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
         zero_factors = 0
         for index in range(count):
             explorer._reseed(rng, seed, index)
-            state = explorer._draw_state(rng, _draw(cfg, 6, 3), require_negative_product)
+            state = explorer._draw_state(rng, _rejection(cfg, require_negative_product))
             drawn = state.p + state.z
             reference, rng_state, _ = _reference_state(seed, index, cfg, require_negative_product)
             # Same draws consumed: the int test rejects exactly what the
