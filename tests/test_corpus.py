@@ -97,6 +97,9 @@ def test_d_values():
     assert d.evaluate({"p1": 5, "p2": 2, "p3": 1, "z1": 1, "z2": 1, "z3": 1}) == 87
     # case-(iii) shape: -p1*(p2^2 + p3^2) = 1*2 = 2
     assert d.evaluate({"p1": -1, "p2": -1, "p3": -1, "z1": 1, "z2": 0, "z3": 0}) == 2
+    # At z = 0, d is p1*p2*p3 for every p: a positive product needs no lowering.
+    (p1, p2, p3), _ = helpers.macro_triples()
+    assert corpus.d_value((p1, p2, p3), (0, 0, 0)) == p1 * p2 * p3
 
 
 def test_d_value_with_its_c_passed_in_is_the_same_value():

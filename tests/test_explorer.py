@@ -4,9 +4,9 @@ and the sharpness witness finder."""
 import ast
 import collections
 import copy
+import inspect
 import itertools
 import json
-import math
 import random
 import re
 from enum import IntEnum
@@ -599,14 +599,6 @@ def test_greedy_already_at_vertex():
     assert trace.final.d_value() == 1
 
 
-def test_greedy_negative_p_example():
-    trace = greedy_minimize_z(MacroState((-1, -2, -3), (1, 2, 3)))
-    assert trace.initial.d_value() == 60
-    for p_i, z_i in zip(trace.final.p, trace.final.z):
-        assert z_i == 0 or z_i == -p_i
-    assert 0 <= trace.final.d_value() <= 60
-
-
 def test_greedy_preconditions():
     with pytest.raises(PreconditionError):
         greedy_minimize_z(MacroState((0, 1, 1), (0, 0, 0)))
@@ -625,14 +617,6 @@ def test_greedy_preconditions():
     state = MacroState((-1, -2, -3), (1, 2, 3))
     listed, default = greedy_minimize_z(state, [3, 2, 1]), greedy_minimize_z(state)
     assert listed.steps == default.steps and listed.final.z == default.final.z
-
-
-def test_greedy_custom_order_lands_on_vertex_too():
-    state = MacroState((-1, -2, -3), (1, 2, 3))
-    trace = greedy_minimize_z(state, order=(1, 2, 3))
-    for p_i, z_i in zip(trace.final.p, trace.final.z):
-        assert z_i == 0 or (z_i == -p_i and -p_i > 0)
-    assert trace.final.d_value() >= 0
 
 
 def test_the_descent_forms_c_once_in_every_order(monkeypatch):
@@ -667,6 +651,100 @@ def test_the_descent_builds_real_records():
         {"coordinate": "z3", "old_value": "1", "new_value": "0", "d_before": "8", "d_after": "5"},
         {"coordinate": "z2", "old_value": "1", "new_value": "0", "d_before": "5", "d_after": "2"},
     ]
+
+
+# One (p_i, z_i) per sign kind of a coordinate: p_i > 0 with z_i = 0 or
+# z_i > 0, and p_i < 0 with z_i = 0, 0 < z_i < -p_i, z_i = -p_i or z_i > -p_i.
+# Every branch of the descent reads only the signs of p_i, of the factors
+# p_i + z_i and of their products, and each step sets z_i to 0 or -p_i, a
+# kind again; so the 6^3 patterns in the six orders take every path the
+# descent has, and the scaled copies check each path's homogeneity.
+KINDS = ((1, 0), (1, 1), (-2, 0), (-2, 1), (-2, 2), (-2, 4))
+SCALE = 6
+_Z_INDEX = {"z1": 0, "z2": 1, "z3": 2}
+
+
+def _checked_descent(descend, state, order):
+    """``descend(state, order)``, each step checked to lower z_i to 0 or
+    -p_i with its recorded d equal to ``corpus.d_value`` recomputed there;
+    returns the trace and the classification of its final state."""
+    trace = descend(state, order)
+    p, z = state.p, list(state.z)
+    for coordinate, old, new, d_before, d_after in trace.steps:
+        i = _Z_INDEX[coordinate]
+        assert old == z[i] and new < old and new in (0, -p[i])
+        assert d_before == corpus.d_value(p, z)
+        z[i] = new
+        assert d_after == corpus.d_value(p, z)
+    assert trace.final == (p, tuple(z))
+    classification = case_classify(trace.final)
+    assert case_classify(trace.final, label=trace.case_label) == classification
+    # Monotonicity and d >= 0 at the vertex depend on magnitudes, not signs
+    # (they need c_i >= 0): on the representatives they are only samples.
+    assert failed_guarantees(trace, classification) == []
+    return trace, classification
+
+
+def _check_every_sign_path(descend):
+    """Runs ``descend`` on every kind pattern, refused when infeasible and
+    else in every order, each run again on its copy scaled by SCALE."""
+    refused, runs = 0, collections.Counter()
+    cube = SCALE**3
+    for pattern in itertools.product(KINDS, repeat=3):
+        p, z = zip(*pattern)
+        state = MacroState(p, z)
+        scaled = MacroState([SCALE * v for v in p], [SCALE * v for v in z])
+        if not state.is_feasible():
+            refused += 1
+            for start in (state, scaled):
+                with pytest.raises(PreconditionError, match="^infeasible start"):
+                    descend(start)
+            continue
+        for order in itertools.permutations((1, 2, 3)):
+            trace, classification = _checked_descent(descend, state, order)
+            scaled_trace, scaled_classification = _checked_descent(descend, scaled, order)
+            assert scaled_trace.steps == tuple(
+                (name, SCALE * old, SCALE * new, cube * before, cube * after)
+                for name, old, new, before, after in trace.steps
+            )
+            label, permutation, value = classification
+            assert scaled_classification == (label, permutation, cube * value)
+            runs[p[0] * p[1] * p[2] < 0, label] += 1
+    # A negative product always ends in case iii, a positive one in iii or iv.
+    assert refused == 62
+    assert runs == {(True, "iii"): 444, (False, "iii"): 72, (False, "iv"): 408}
+
+
+def test_the_descent_is_checked_on_every_sign_path():
+    _check_every_sign_path(greedy_minimize_z)
+
+
+# Each planted mutant of the descent's source, run through the enumeration,
+# fails it, so the enumeration cannot pass vacuously.
+@pytest.mark.parametrize("original, planted", [
+    ("(p[k] + z[k]) > 0", "(p[k] + z[k]) >= 0"),
+    ("new_value = -p[i]", "new_value = p[i]"),
+    ("c[i] *", "c[i - 1] *"),
+    ("_OTHERS[i]", "_OTHERS[i - 1]"),
+    ("new_value != old_value", "new_value <= old_value"),
+    ("feasibility < 0", "feasibility < -1"),
+])
+def test_the_sign_enumeration_refutes_every_planted_mutant(original, planted):
+    source = inspect.getsource(explorer.greedy_minimize_z)
+    assert source.count(original) == 1
+    namespace = dict(vars(explorer))
+    exec(compile(source.replace(original, planted), "<mutant>", "exec"), namespace)
+    # An infeasible start that is not refused fails the inner pytest.raises.
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        _check_every_sign_path(namespace["greedy_minimize_z"])
+
+
+def test_a_carried_d_may_be_a_fraction_equal_to_the_int_d():
+    # Dropping the one Fraction z_1 leaves an all-int state: the recomputed
+    # d is the int 5 and the carried one Fraction(5), which prints alike.
+    (step, *_) = greedy_minimize_z(MacroState((-1, -1, -1), (Fraction(1), 1, 1)), (1, 2, 3)).steps
+    assert step.coordinate == "z1" and step.d_after == corpus.d_value((-1, -1, -1), (0, 1, 1)) == 5
+    assert type(step.d_after) is Fraction and str(step.d_after) == "5"
 
 
 def test_vertex_label_mixed_for_non_vertex():
@@ -811,23 +889,6 @@ def test_sharpness_witness_point_is_safe_at_half():
 # -- minimizer fuzz ---------------------------------------------------------------
 
 
-def test_minimize_fuzz_no_failures():
-    summary = minimize_fuzz(SearchConfig(sample_count=800, seed=6), require_negative_product=True)
-    assert summary.failed == 0
-    assert summary.passed == 800
-    assert all(count == 0 for count in summary.failures.values())
-    assert summary.case_counts["iv"] == 0
-    assert summary.case_counts["mixed"] == 0
-    assert sum(summary.case_counts.values()) == 800
-
-
-def test_minimize_fuzz_mixed_products():
-    summary = minimize_fuzz(SearchConfig(sample_count=400, seed=13))
-    assert summary.failed == 0
-    # states with p1*p2*p3 > 0 stay where the product is nonnegative at z=0
-    assert summary.case_counts["mixed"] == 0
-
-
 def test_fuzz_counts_a_non_vertex_final_state(monkeypatch):
     # case_classify refuses such a state; the fuzz counts it instead.
     monkeypatch.setattr(explorer, "greedy_minimize_z", helpers.end_off_vertex)
@@ -835,23 +896,6 @@ def test_fuzz_counts_a_non_vertex_final_state(monkeypatch):
     assert summary.case_counts == {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 3}
     assert summary.failures == {**dict.fromkeys(explorer.GUARANTEES, 0), "vertex": 3}
     assert (summary.passed, summary.failed) == (0, 3)
-
-
-def test_fuzz_is_deterministic():
-    cfg = SearchConfig(sample_count=150, seed=77, numerator_bound=9, denominator_bound=9)
-    assert minimize_fuzz(cfg).to_dict() == minimize_fuzz(cfg).to_dict()
-
-
-def test_positive_product_needs_no_minimization():
-    # with p1*p2*p3 > 0 the value at z = 0 is already positive
-    rng = random.Random(3000)
-    found = 0
-    while found < 100:
-        p = tuple(helpers.rand_fraction(rng, 20) for _ in range(3))
-        if p[0] * p[1] * p[2] <= 0:
-            continue
-        found += 1
-        assert MacroState(p, (0, 0, 0)).d_value() == p[0] * p[1] * p[2] > 0
 
 
 def test_fuzz_rejection_exhaustion_is_a_precondition_error(monkeypatch):
@@ -984,39 +1028,6 @@ def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
         assert list(map(type, checked.p + checked.z)) == list(map(type, state.p + state.z))
 
 
-def test_the_carried_d_column_is_the_recomputed_d(monkeypatch):
-    # The descent carries d by the step identity; every d_before and d_after
-    # it records must equal corpus.d_value of that step's z, in every order,
-    # on the fuzz's int states and on Fraction states with ints mixed in.
-    descend = explorer.greedy_minimize_z
-    states = _record_fuzz_states(monkeypatch) + _mixed_states(300)
-    steps = 0
-    for state in states:
-        for order in itertools.permutations((1, 2, 3)):
-            trace = descend(state, order)
-            z = list(state.z)
-            for step in trace.steps:
-                i = _Z_INDEX[step.coordinate]
-                assert step.old_value == z[i]
-                before = corpus.d_value(state.p, z)
-                z[i] = step.new_value
-                for carried, recomputed in ((step.d_before, before),
-                                            (step.d_after, corpus.d_value(state.p, z))):
-                    # Equal values that print alike; the types may differ (below).
-                    assert carried == recomputed and str(carried) == str(recomputed)
-            assert tuple(z) == trace.final.z
-            steps += len(trace.steps)
-    assert steps > len(states)
-    # Dropping the one Fraction z_1 leaves an all-int state: the recomputed
-    # d is the int 5 and the carried one Fraction(5).
-    (step, *_) = descend(MacroState((-1, -1, -1), (Fraction(1), 1, 1)), (1, 2, 3)).steps
-    assert step.coordinate == "z1" and step.d_after == corpus.d_value((-1, -1, -1), (0, 1, 1)) == 5
-    assert type(step.d_after) is Fraction and str(step.d_after) == "5"
-
-
-_Z_INDEX = {"z1": 0, "z2": 1, "z3": 2}
-
-
 def _step_identity_fails(slope):
     """The 0-based i at which d(p, z with z_i := w) - d(p, z) differs from
     slope(c, i) * (w - z_i), for the MACRO p, z and a fresh variable w."""
@@ -1113,60 +1124,6 @@ def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
             zero_factors += any(p_i + z_i == 0 for p_i, z_i in zip(state.p, state.z))
         if options is BOUNDARY_WIDTHS:
             assert zero_factors > 0
-
-
-def _scaled(state):
-    scale = math.lcm(*(Fraction(v).denominator for v in state.p + state.z))
-    ints = [int(v * scale) for v in state.p + state.z]
-    return scale, MacroState(tuple(ints[:3]), tuple(ints[3:]))
-
-
-def test_greedy_and_classifier_commute_with_integer_scaling():
-    # d, the feasibility product and the case closed forms are homogeneous
-    # of degree 3 in (p, z), and the greedy bound max(0, -p_i) is of degree
-    # 1, so the lcm-scaled int copy of a state must take the same steps
-    # times L, with every d times L^3, and classify the same way.
-    rng = random.Random(2024)
-    signs = {True: 0, False: 0}
-    labels = set()
-    while min(signs.values()) < 150:
-        p = tuple(helpers.rand_fraction(rng, 12) for _ in range(3))
-        z = tuple(
-            -p[i] if p[i] < 0 and rng.random() < 0.3 else abs(helpers.rand_fraction(rng, 12))
-            for i in range(3)
-        )
-        state = MacroState(p, z)
-        if 0 in p or not state.is_feasible():
-            continue
-        signs[p[0] * p[1] * p[2] < 0] += 1
-        scale, ints = _scaled(state)
-        cube = scale**3
-        assert all(type(v) is int for v in ints.p + ints.z)
-        order = rng.choice([(3, 2, 1), (1, 2, 3), (2, 3, 1)])
-        trace, int_trace = greedy_minimize_z(state, order), greedy_minimize_z(ints, order)
-        assert int_trace.case_label == trace.case_label
-        assert int_trace.final.z == tuple(scale * v for v in trace.final.z)
-        assert int_trace.final.d_value() == cube * trace.final.d_value()
-        assert len(int_trace.steps) == len(trace.steps)
-        for step, int_step in zip(trace.steps, int_trace.steps):
-            assert int_step.coordinate == step.coordinate
-            assert int_step.old_value == scale * step.old_value
-            assert int_step.new_value == scale * step.new_value
-            assert int_step.d_before == cube * step.d_before
-            assert int_step.d_after == cube * step.d_after
-        result, int_result = case_classify(trace.final), case_classify(int_trace.final)
-        assert int_result.label == result.label
-        assert int_result.permutation == result.permutation
-        assert int_result.closed_form_value == cube * result.closed_form_value
-        assert failed_guarantees(int_trace, int_result) == failed_guarantees(trace, result)
-        # The descent only reaches cases iii and iv; pin z by hand for i and ii.
-        vertex = MacroState(p, tuple(-v if v < 0 and rng.random() < 0.7 else 0 for v in p))
-        scale, int_vertex = _scaled(vertex)
-        result, int_result = case_classify(vertex), case_classify(int_vertex)
-        labels.add(result.label)
-        assert (int_result.label, int_result.permutation) == (result.label, result.permutation)
-        assert int_result.closed_form_value == scale**3 * result.closed_form_value
-    assert labels == {"i", "ii", "iii", "iv"}
 
 
 def _fuzz_fixture_text():
