@@ -2,8 +2,8 @@
 
 Everything runs on exact rational arithmetic: canonical sparse polynomials
 for the symbolic identity checks, plain integer numerator/denominator pairs
-in the search loop (Fractions only for the reported minimum, hits and
-probes), and Fractions in the minimization tools.  See the README for the
+in the search loop and its hits (Fractions only for the reported minimum
+and probe), and Fractions in the minimization tools.  See the README for the
 math and the CLI.
 
 Each name is imported from the module that defines it (``poly``, ``corpus``,

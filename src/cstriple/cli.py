@@ -105,8 +105,10 @@ def _json_text(value, indent: str, out: list[str]) -> None:
     if isinstance(value, dict):
         out.append("{")
         for key, item in value.items():
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            _json_text(item, inner, out)
+            text = encode_basestring_ascii(item) if isinstance(item, str) else ""
+            out.append(separator + encode_basestring_ascii(key) + ": " + text)
+            if not text:  # not a str: an encoded one is never empty
+                _json_text(item, inner, out)
             separator = ",\n" + inner
         out.append("\n" + indent + "}")
     else:
@@ -184,13 +186,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     print(f"target={report.target} samples={report.samples_run} seed={report.seed}")
     print(f"min = {report.min_value} at {point_text(report.argmin)}")
-    print(f"counterexamples: {len(report.counterexamples)}")
-    for point, value in report.counterexamples[:3]:
-        print(f"  {point_text(point)} -> {value}")
+    print(f"counterexamples: {len(report.hits)}")
+    for pairs, num, den in report.hits[:3]:  # builds Fractions for these 3 alone
+        print(f"  {point_text(explorer._fractions(pairs))} -> {Fraction(num, den)}")
     config = cfg.to_dict()
     config["target"] = args.target
     config["c"] = str(args.c) if args.c is not None else None
-    return _finish(args, config, [report.to_dict()], not report.counterexamples)
+    return _finish(args, config, [report.to_dict()], not report.hits)
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:

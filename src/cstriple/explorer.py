@@ -39,7 +39,8 @@ The search loop runs on plain ints, in a format only this module knows:
 the evaluator ``compile_evaluator`` generates returns the value as such a
 pair, and ``search_range`` folds the all-ones probe and then the samples in
 one pass, comparing values by cross-multiplication.  Fractions are built
-only for the kept minimum, the negative hits and the probe.
+only for the kept minimum and the probe: a negative hit stays the ints it
+was folded as until ``_rational_text`` writes it as manifest text.
 
 The minimizer fuzz runs on plain ints too.  ``_draw_state`` makes one call
 of the run's rejection loop, which draws each candidate's coordinates as
@@ -81,7 +82,7 @@ import random
 from _random import Random as _CRandom
 from fractions import Fraction
 from itertools import groupby, permutations, product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import corpus
@@ -238,6 +239,12 @@ def _fractions(pairs: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
 
 
+def _rational_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def compile_evaluator(poly: Polynomial) -> Callable[[Sequence[int]], tuple[int, int]]:
     """Build a fast exact evaluator on integer coordinate pairs.
 
@@ -309,8 +316,10 @@ def compile_evaluator(poly: Polynomial) -> Callable[[Sequence[int]], tuple[int, 
 
 class SearchReport(NamedTuple):
     """Exact outcome of a random search.  ``min_value`` is always the value
-    of the target at ``argmin``; ``counterexamples`` lists every point
-    (probe or sample) with a strictly negative value, in evaluation order."""
+    of the target at ``argmin``; ``hits`` lists each point, probe or sample,
+    with a negative value, in order, as unreduced ints (pairs, num, den).
+    ``counterexamples``, the hits as Fractions, is built on each read, so
+    a caller that wants a few slices ``hits`` first."""
 
     target: str
     variables: tuple[str, ...]
@@ -318,11 +327,15 @@ class SearchReport(NamedTuple):
     seed: int
     min_value: Fraction
     argmin: tuple[Fraction, ...]
-    counterexamples: list[tuple[tuple[Fraction, ...], Fraction]]
+    hits: list[tuple[tuple[int, ...], int, int]]
     probes: list[tuple[tuple[Fraction, ...], Fraction]]
 
-    def _point_dict(self, point: tuple[Fraction, ...]) -> dict:
-        return {name: str(v) for name, v in zip(self.variables, point)}
+    @property
+    def counterexamples(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+        return [(_fractions(pairs), Fraction(num, den)) for pairs, num, den in self.hits]
+
+    def _pair_dict(self, pairs: tuple[int, ...]) -> dict:
+        return dict(zip(self.variables, map(_rational_text, pairs[::2], pairs[1::2])))
 
     def to_dict(self) -> dict:
         return {
@@ -331,14 +344,15 @@ class SearchReport(NamedTuple):
             "samples_run": self.samples_run,
             "seed": self.seed,
             "min_value": str(self.min_value),
-            "argmin": self._point_dict(self.argmin),
-            "counterexample_count": len(self.counterexamples),
+            "argmin": dict(zip(self.variables, map(str, self.argmin))),
+            "counterexample_count": len(self.hits),
             "counterexamples": [
-                {"point": self._point_dict(pt), "value": str(v)}
-                for pt, v in self.counterexamples
+                {"point": self._pair_dict(pairs), "value": _rational_text(num, den)}
+                for pairs, num, den in self.hits
             ],
             "probes": [
-                {"point": self._point_dict(pt), "value": str(v)} for pt, v in self.probes
+                {"point": dict(zip(self.variables, map(str, pt))), "value": str(v)}
+                for pt, v in self.probes
             ],
         }
 
@@ -354,33 +368,27 @@ def search_range(
     function of the target named ``target``), in one ordered pass.
 
     Values are compared by cross-multiplication, with every den > 0.  The
-    minimum starts at 1/0, above every value, and only a strictly smaller
-    value replaces it, so a tie goes to the first result and the probe comes
-    first.  Fractions are built only for the kept argmin, the hits and the
-    probe.  The samples share one generator, which ``sample_point`` reseeds,
-    and one draw, generated once for the run's widths."""
+    probe starts the minimum, and only a strictly smaller value replaces it,
+    so a tie goes to the first result.  Fractions are built only for the
+    kept argmin and the probe; a hit stays its pairs, num and den.  The
+    samples share one generator, which ``sample_point`` reseeds, and one
+    draw, generated once for the run's widths."""
     nvars, seed, zp = len(variables), cfg.seed, cfg.zero_probability
     draw = _generated_draw(zp, cfg.numerator_bound, cfg.denominator_bound, nvars)
     rng = random.Random(0)
     # The all-ones point, the equality case a = b, is a zero of every target,
     # so each run pins the exact value 0 there; it counts for the minimum and
     # the hits, not in ``samples_run``.
-    ones = (1, 1) * nvars
-    ones_value = evaluate(ones)
-
-    def results():
-        yield ones, ones_value
-        for index in range(cfg.sample_count):
-            pairs = sample_point(rng, seed, index, draw)
-            yield pairs, evaluate(pairs)
-
-    best_num, best_den, best_pairs = 1, 0, ()
-    hits: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for pairs, (num, den) in results():
+    ones = best_pairs = (1, 1) * nvars
+    ones_value = best_num, best_den = evaluate(ones)
+    hits = [(ones, best_num, best_den)] if best_num < 0 else []
+    for index in range(cfg.sample_count):
+        pairs = sample_point(rng, seed, index, draw)
+        num, den = evaluate(pairs)
         if num * best_den < best_num * den:
             best_num, best_den, best_pairs = num, den, pairs
         if num < 0:
-            hits.append((_fractions(pairs), Fraction(num, den)))
+            hits.append((pairs, num, den))
     return SearchReport(
         target=target,
         variables=variables,
@@ -388,7 +396,7 @@ def search_range(
         seed=seed,
         min_value=Fraction(best_num, best_den),
         argmin=_fractions(best_pairs),
-        counterexamples=hits,
+        hits=hits,
         probes=[(_fractions(ones), Fraction(*ones_value))],
     )
 

@@ -5,6 +5,7 @@ import argparse
 import errno
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -139,6 +140,51 @@ def test_search_dk_counterexamples_exit_one(capsys, tmp_path):
     manifest = json.loads(manifest_path.read_text())
     assert manifest["overall_status"] == "fail"
     assert manifest["reports"][0]["counterexample_count"] > 0
+
+
+@pytest.mark.parametrize("samples", ["200", "1500"])
+def test_a_search_builds_fractions_only_for_what_it_prints(capsys, tmp_path, monkeypatch, samples):
+    # The hits stay ints from the fold to the manifest text: however many
+    # there are, the CLI builds Fraction points for the argmin, the probe
+    # and the 3 hits it prints, and no more.
+    built, reports = [], []
+    fractions, search = explorer._fractions, explorer.random_search
+
+    def counted_fractions(pairs):
+        built.append(pairs)
+        return fractions(pairs)
+
+    def kept_search(*args):
+        reports.append(search(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(explorer, "_fractions", counted_fractions)
+    monkeypatch.setattr(explorer, "random_search", kept_search)
+    manifest_path = tmp_path / "dk.json"
+    code, out, _ = run(
+        ["search", "--target", "d-k", "--c", "5", "--samples", samples, "--seed", "0",
+         "--json", str(manifest_path)],
+        capsys,
+    )
+    assert code == 1
+    assert len(built) == 5
+    (report,) = reports
+    manifest = json.loads(manifest_path.read_text())["reports"][0]
+    assert len(report.hits) == manifest["counterexample_count"] > 3
+    assert out.count(" -> ") == 3
+    # The Fraction view lists each negative sample, in order, with its value
+    # as the polynomial itself (not the compiled evaluator) gives it.
+    poly = explorer.resolve_target("d-k", Fraction(5))
+    cfg = explorer.SearchConfig(int(samples), 0)
+    bounds = cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
+    draw = explorer._generated_draw(*bounds, len(report.variables))
+    expected = []
+    for index in range(cfg.sample_count):
+        point = fractions(explorer.sample_point(random.Random(), 0, index, draw))
+        value = poly.evaluate(dict(zip(report.variables, point)))
+        expected += [(point, value)] * (value < 0)
+    assert report.counterexamples == expected
+    assert [hit["value"] for hit in manifest["counterexamples"]] == [str(v) for _, v in expected]
 
 
 def test_search_zero_prob_one_exits_two(capsys):
@@ -679,8 +725,11 @@ def test_manifest_text_matches_json_dumps_on_fixtures(fixture):
         ["caf\u00e9 \u2264 \U0001d53c", "quote \" backslash \\ tab \t"],
         [True, False, None, 0, -1, -(10**30), 10**30, 0.5],
         ("tuple", ("nested",)),
+        {"a": "1/2", "b": {"c": "", "d": {"e": "caf\u00e9"}, "f": 3}, "g": ["h", {"i": "-7"}, "j"],
+         "k": [{"l": "m"}, "n", [{"o": "\"q\\"}]], "p": "last"},
     ],
-    ids=["empty-list", "empty-dict", "nested-empties", "non-ascii", "constants-numbers", "tuples"],
+    ids=["empty-list", "empty-dict", "nested-empties", "non-ascii", "constants-numbers", "tuples",
+         "str-values"],
 )
 def test_manifest_text_matches_json_dumps(value):
     assert cli.manifest_text(value) == json.dumps(value, indent=2)

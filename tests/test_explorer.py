@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -423,6 +424,29 @@ def test_search_dk_above_half_finds_negative_hits():
     for point, value in report.counterexamples:
         assert value < 0
         assert poly.evaluate(dict(zip(report.variables, point))) == value
+
+
+def test_rational_text_is_the_fraction_text():
+    # The manifest writes each hit from its unreduced ints: the text must be
+    # Fraction's, reduced, with no "/1" (n = 0 and d dividing n included).
+    big = 3**63 * 5  # about 100 bits
+    cases = [(n, d) for n in range(-30, 31) for d in range(1, 31)]
+    cases += [(0, 7), (0, big), (42, 7), (-42, 6), (big * 7, 7), (-big, big), (big, big + 2),
+              (big * 6, (2**101 + 1) * 4), (-(2**100 + 3), 2**99 * 3)]
+    for n, d in cases:
+        assert explorer._rational_text(n, d) == str(Fraction(n, d)), (n, d)
+    # Over the int-to-text digit limit both raise the same ValueError, the
+    # one the CLI reports as a result too long to print (exit 2).  A limit
+    # of 0, or none, converts ints of any length.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    over = 10 ** (limit + 1)
+    for n, d in ((over, 1), (-over, 3), (3, over + 1)) if limit else ():
+        with pytest.raises(ValueError) as ours:
+            explorer._rational_text(n, d)
+        with pytest.raises(ValueError) as fractions:
+            str(Fraction(n, d))
+        assert str(ours.value) == str(fractions.value)
+        assert "integer string conversion" in str(ours.value)
 
 
 @pytest.mark.parametrize(
