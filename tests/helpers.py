@@ -9,6 +9,7 @@ state.
 from __future__ import annotations
 
 import dis
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -78,28 +79,45 @@ def sample_rng(seed: int, index: int) -> random.Random:
     return random.Random((seed << 64) | index)
 
 
-def reference_pairs(rng: random.Random, cfg, count: int, nonzero: bool = False) -> list[int]:
-    """The documented coordinate draw of ``explorer``, written with
-    ``randrange``/``randint`` so that it pins the module's own
-    ``getrandbits`` draw to the stream those give.
+def same_state(rng: random.Random, reference: random.Random) -> bool:
+    """Whether two generators are in the same state: their next 624 words,
+    which fix a Mersenne Twister's state, are equal.  Both draw them."""
+    return rng.getrandbits(32 * 624) == reference.getrandbits(32 * 624)
 
-    Per coordinate, as the flat list n1, d1, ...: the zero test
-    ``randrange(zd) < zn`` for the zero probability zn/zd (skipped when zn
-    is 0 or with ``nonzero``), then the numerator ``randint(-N, N)`` and the
-    denominator ``randint(1, D)``; with ``nonzero`` both are drawn again
-    while the numerator is 0 (the fuzz's p_i)."""
-    zn, zd = cfg.zero_probability.numerator, cfg.zero_probability.denominator
-    nb, db = cfg.numerator_bound, cfg.denominator_bound
-    out: list[int] = []
-    for _ in range(count):
+
+def reference_draw(rng: random.Random, cfg, count=6, negative=None) -> tuple[list[int], int]:
+    """The documented draws of ``explorer``, written with ``randrange``/
+    ``randint`` to pin its own ``getrandbits`` draws to the stream those
+    give: the drawn ints n1, d1, ... and the number of candidates drawn.
+
+    Per coordinate: the zero test ``randrange(zd) < zn`` for the zero
+    probability zn/zd (skipped when zn is 0, or for a p_i), then
+    ``randint(-N, N)`` and ``randint(1, D)``, both drawn again while a p_i's
+    numerator is 0.  With ``negative`` None, the search's ``count``
+    coordinates; else the fuzz's candidates of three p_i and three z_i, the
+    z_i made nonnegative, until one is feasible on Fractions and, if
+    ``negative``, has p1*p2*p3 < 0."""
+    (zn, zd), nb, db = cfg.zero_probability.as_integer_ratio(), cfg.numerator_bound, cfg.denominator_bound
+
+    def coordinate(nonzero: bool) -> list[int]:
         if not nonzero and zn and rng.randrange(zd) < zn:
-            out += [0, 1]
-            continue
+            return [0, 1]
         num, den = rng.randint(-nb, nb), rng.randint(1, db)
         while nonzero and num == 0:
             num, den = rng.randint(-nb, nb), rng.randint(1, db)
-        out += [num, den]
-    return out
+        return [num, den]
+
+    if negative is None:
+        return [x for _ in range(count) for x in coordinate(False)], 1
+    for attempts in itertools.count(1):
+        pairs = [x for i in range(6) for x in coordinate(i < 3)]
+        pairs[6::2] = map(abs, pairs[6::2])
+        p = explorer._fractions(pairs[:6])
+        if negative and p[0] * p[1] * p[2] >= 0:
+            continue
+        z = explorer._fractions(pairs[6:])
+        if (p[0] + z[0]) * (p[1] + z[1]) * (p[2] + z[2]) >= 0:
+            return pairs, attempts
 
 
 def per_term_pair(poly: Polynomial, values) -> tuple[int, int]:

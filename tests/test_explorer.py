@@ -211,179 +211,139 @@ def _rejection(cfg, require_negative_product):
     return explorer._generated_rejection(zp, nb, db, require_negative_product)
 
 
-def test_sample_point_respects_bounds_and_zero_probability():
-    cfg = SearchConfig(sample_count=1, seed=9, numerator_bound=7, denominator_bound=3)
-    rng = random.Random(0)
-    for index in range(200):
-        pairs = sample_point(rng, 9, index, _draw(cfg))
-        assert len(pairs) == 12
-        for num, den in zip(pairs[::2], pairs[1::2]):
-            assert abs(num) <= 7
-            assert 1 <= den <= 3
-    always_zero = SearchConfig(sample_count=1, seed=9, zero_probability=1)
-    assert sample_point(rng, 9, 0, _draw(always_zero)) == (0, 1) * 6
+# Every draw is checked on each configuration, with its fuzz states counted
+# on seed 0 (on each of SEEDS for the default).  Power-of-two widths (zero
+# tests below 2 and 4, a denominator below 64) are where n.bit_length() and
+# (n - 1).bit_length() differ; 2**40 is wider than a 32-bit Mersenne Twister
+# word; on "boundary", most negative-product fuzz states have a factor
+# p_i + z_i of exactly 0, the edge of the int feasibility test.
+DRAW_ROWS = {
+    "default": (SearchConfig(1, 0), 200),
+    "no-zero-test": (SearchConfig(1, 0, zero_probability=0), 60),
+    "all-zero": (SearchConfig(1, 0, zero_probability=1), 60),
+    "zero-third": (SearchConfig(1, 0, zero_probability=Fraction(1, 3)), 60),
+    "bounds-1": (SearchConfig(1, 0, numerator_bound=1, denominator_bound=1), 60),
+    "bounds-7-3": (SearchConfig(1, 0, numerator_bound=7, denominator_bound=3), 60),
+    "denominator-64": (SearchConfig(1, 0, denominator_bound=64), 100),
+    "zero-half": (SearchConfig(1, 0, zero_probability=Fraction(1, 2)), 100),
+    "zero-quarter": (SearchConfig(1, 0, zero_probability=Fraction(1, 4)), 100),
+    "numerator-2**40": (SearchConfig(1, 0, numerator_bound=2**40), 100),
+    "boundary": (SearchConfig(1, 0, numerator_bound=1, denominator_bound=2), 100),
+}
+SEEDS = (0, 2**64 - 1)
 
 
-# Configurations whose draw widths are a power of two (denominator 64,
-# zero tests below 2 and 4), where n.bit_length() and (n-1).bit_length()
-# differ, and one wider than a 32-bit Mersenne Twister word.
-EDGE_WIDTHS = [
-    {"denominator_bound": 64},
-    {"zero_probability": Fraction(1, 2)},
-    {"zero_probability": Fraction(1, 4)},
-    {"numerator_bound": 2**40},
-]
-
-# Drawn on the same generator before every pinned draw of the "interleave"
-# case: another seed, another index and wider draws.
-INTERLEAVED = SearchConfig(
-    sample_count=1, seed=2**64 - 1, numerator_bound=2**40, zero_probability=Fraction(1, 4)
-)
-INTERLEAVED_DRAW = _draw(INTERLEAVED)
-
-
-@pytest.mark.parametrize(
-    "options",
-    [
-        {},
-        {"zero_probability": Fraction(0)},
-        {"zero_probability": Fraction(1, 3)},
-        {"numerator_bound": 1, "denominator_bound": 1},
-        {"numerator_bound": 7, "denominator_bound": 3},
-        *EDGE_WIDTHS,
-        {"interleave": True},
-    ],
-)
-def test_sample_point_follows_the_pinned_rng_stream(options):
-    # The stream of a fresh Random((seed << 64) | index), then the documented
-    # per-coordinate draw, on one generator that has drawn the samples before
-    # (as in a search run, which reseeds one generator for every sample).
-    options = dict(options)
-    interleave = options.pop("interleave", False)
-    rng = random.Random(0)
-    for seed in (0, 2**64 - 1):
-        cfg = SearchConfig(sample_count=1, seed=seed, **options)
-        for index in range(250):
-            if interleave:
-                sample_point(rng, 2**64 - 1 - seed, index + 1, INTERLEAVED_DRAW)
-            expected = tuple(helpers.reference_pairs(helpers.sample_rng(seed, index), cfg, 6))
-            assert sample_point(rng, seed, index, _draw(cfg)) == expected
-
-
-def test_a_run_looks_up_its_draw_once(monkeypatch):
-    # The search looks up its draw and the fuzz its rejection loop, once a run.
-    looked_up = []
-    for name in ("_generated_draw", "_generated_rejection"):
-        def recording(*args, name=name, original=getattr(explorer, name)):
-            looked_up.append((name, args))
-            return original(*args)
-
-        monkeypatch.setattr(explorer, name, recording)
-    search_cfg = SearchConfig(sample_count=50, seed=3, numerator_bound=7)
-    random_search("d-tilde", search_cfg)
-    search = ("_generated_draw", (Fraction(1, 16), 7, 100, 6))
-    assert looked_up == [search]
-    fuzz_cfg = SearchConfig(sample_count=20, seed=3, denominator_bound=9)
-    minimize_fuzz(fuzz_cfg, require_negative_product=True)
-    assert looked_up == [search, ("_generated_rejection", (Fraction(1, 16), 100, 9, True))]
-
-
-# Configurations the generated draw is checked on directly: the default, no
-# zero test, bounds of 1, and the power-of-two and multi-word widths.
-DRAW_CONFIGS = [
-    {}, {"zero_probability": Fraction(0)}, {"numerator_bound": 1, "denominator_bound": 1}, *EDGE_WIDTHS
-]
-
-
-@pytest.mark.parametrize("options", DRAW_CONFIGS)
-def test_generated_draw_is_the_reference_draw(options):
-    # The search's draw of 1 to 6 coordinates, and the fuzz's loop, whose
-    # candidates' first 3 coordinates are nonzero p_i: the same values from
-    # the same getrandbits calls.
-    cfg = SearchConfig(sample_count=1, seed=0, **options)
-    for count in range(1, 7):
-        draw = _draw(cfg, count)
-        for index in range(60):
-            rng, reference = helpers.sample_rng(0, index), helpers.sample_rng(0, index)
-            expected = helpers.reference_pairs(reference, cfg, count)
-            assert draw(rng.getrandbits) == tuple(expected)
-            assert rng.getstate() == reference.getstate()
-    for negative in (True, False):
-        sample = _rejection(cfg, negative)
-        for index in range(60):
-            rng, reference = helpers.sample_rng(0, index), helpers.sample_rng(0, index)
-            expected, _ = _reference_candidate(reference, cfg, negative)
-            assert sample(rng.getrandbits) == tuple(expected)
-            assert rng.getstate() == reference.getstate()
-
-
-def test_only_int_literals_reach_compile(monkeypatch):
-    sources = []
-
-    def recording_compile(source, filename, mode):
-        sources.append((source, filename))
-        return compile(source, filename, mode)
-
-    monkeypatch.setattr(explorer, "compile", recording_compile, raising=False)
+def _clear_draw_caches():
     explorer._generated_draw.cache_clear()
     explorer._generated_rejection.cache_clear()
-    for options in (*DRAW_CONFIGS, {"zero_probability": Fraction(1, 3)}):
-        cfg = SearchConfig(sample_count=1, seed=0, **options)
-        _draw(cfg), _rejection(cfg, True), _rejection(cfg, False)
-    assert len(sources) == 3 * (len(DRAW_CONFIGS) + 1)
-    for source, filename in sources:
-        assert filename == "<compile_draw>"
-        constants = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)]
-        assert constants and all(type(node.value) is int for node in constants)
 
 
-def test_runs_share_the_draw_of_their_widths(monkeypatch):
-    used = []
-    sample, draw_state = explorer.sample_point, explorer._draw_state
-    monkeypatch.setattr(
-        explorer, "sample_point",
-        lambda rng, seed, index, draw: used.append(draw) or sample(rng, seed, index, draw),
-    )
-    monkeypatch.setattr(
-        explorer, "_draw_state", lambda rng, sample: used.append(sample) or draw_state(rng, sample)
-    )
-
-    def draw_of(run, cfg):
-        used.clear()
-        run(cfg)
-        assert used and all(draw is used[0] for draw in used)
-        return used[0]
-
-    for run in (lambda cfg: random_search("d-tilde", cfg), lambda cfg: minimize_fuzz(cfg, True)):
-        base = draw_of(run, SearchConfig(20, 3))
-        assert draw_of(run, SearchConfig(20, 4)) is base
-        assert draw_of(run, SearchConfig(35, 3)) is base
-        for options in ({"numerator_bound": 7}, {"denominator_bound": 7},
-                        {"zero_probability": Fraction(1, 3)}):
-            assert draw_of(run, SearchConfig(20, 3, **options)) is not base
-    # The same widths with another count, or the loop with or without the product test.
-    cfg = SearchConfig(20, 3)
-    draws = [_draw(cfg, 6), _draw(cfg, 4), _rejection(cfg, True), _rejection(cfg, False)]
-    assert all(a is not b for a, b in itertools.combinations(draws, 2))
-
-
-def test_cold_and_warm_draw_cache_give_equal_reports():
-    cfg = SearchConfig(300, 8)
-    caches = explorer._generated_draw, explorer._generated_rejection
-    for cache in caches:
-        cache.cache_clear()
-    cold = random_search("d-tilde", cfg).to_dict(), minimize_fuzz(cfg, True).to_dict()
-    assert [cache.cache_info().misses for cache in caches] == [1, 1]
-    warm = random_search("d-tilde", cfg).to_dict(), minimize_fuzz(cfg, True).to_dict()
-    assert [cache.cache_info().hits for cache in caches] == [1, 1]
-    assert cold == warm
-
-
-def test_sample_point_is_pure_in_seed_and_index():
-    draw = _draw(SearchConfig(sample_count=1, seed=123))
+@pytest.mark.parametrize("row", DRAW_ROWS)
+def test_every_draw_is_the_reference_draw(row):
+    # Each draw of the row's configuration is ``helpers.reference_draw``'s, on one
+    # generator reseeded for every sample as in a run, and ends in its state.
+    cfg, states = DRAW_ROWS[row]
     rng = random.Random(0)
-    assert sample_point(rng, 123, 5, draw) == sample_point(random.Random(1), 123, 5, draw)
-    assert sample_point(rng, 123, 5, draw) != sample_point(rng, 124, 5, draw)
+    # The fuzz's loop accepts the candidate the Fraction tests accept, from the
+    # same draws, and its state is that candidate times a positive factor:
+    # v * d * n1 == v1 * d1 * n for each drawn v of each n/d, with v1 * n1 > 0.
+    # At zero probability 1 no z_i > 0 can make p1*p2*p3 < 0 feasible.
+    for negative in (False,) if cfg.zero_probability == 1 else (True, False):
+        sample, accepted, zero_factors = _rejection(cfg, negative), [], 0
+        for seed in SEEDS if row == "default" else SEEDS[:1]:
+            for index in range(states):
+                explorer._reseed(rng, seed, index)
+                state = explorer._draw_state(
+                    rng, lambda bits: accepted.append(sample(bits)) or accepted[-1])
+                reference = helpers.sample_rng(seed, index)
+                pairs, _ = helpers.reference_draw(reference, cfg, negative=negative)
+                assert accepted[-1] == tuple(pairs) and helpers.same_state(rng, reference)
+                drawn, (n1, d1) = state.p + state.z, pairs[:2]
+                assert all(type(v) is int for v in drawn) and drawn[0] * n1 > 0
+                assert all(v * d * n1 == drawn[0] * d1 * n
+                           for v, n, d in zip(drawn, pairs[::2], pairs[1::2]))
+                zero_factors += 0 in map(sum, zip(state.p, state.z))
+        assert zero_factors or row != "boundary"
+    # The search's draw of 1 to 6 coordinates.
+    draws = {count: _draw(cfg, count) for count in range(1, 7)}
+    for index in range(60):
+        for count, draw in draws.items():
+            reference = helpers.sample_rng(0, index)
+            expected, _ = helpers.reference_draw(reference, cfg, count)
+            assert sample_point(rng, 0, index, draw) == tuple(expected)
+            assert helpers.same_state(rng, reference)
+    # A sample is a function of its seed and index alone: the previous row's
+    # draw runs on the generator before each.
+    other = _draw(list(DRAW_ROWS.values())[list(DRAW_ROWS).index(row) - 1][0])
+    for seed in SEEDS:
+        for index in range(250):
+            other(rng.getrandbits)
+            expected, _ = helpers.reference_draw(helpers.sample_rng(seed, index), cfg)
+            assert sample_point(rng, seed, index, draws[6]) == tuple(expected)
+
+
+# Each planted mutant of the draw emitters fails the reference test on the
+# boundary row, so that test cannot pass vacuously.  a0 * a1 * a2 >= 0 made
+# > 0 is left out: no p_i is 0, so that mutant is equivalent.
+@pytest.mark.parametrize("function, original, planted", [
+    ("_draw_lines", 'below(f"n{i}", 2 * nb + 1, pad)\n        below(f"d{i}", db, pad)',
+     'below(f"d{i}", db, pad)\n        below(f"n{i}", 2 * nb + 1, pad)'),
+    ("_draw_lines", "if r < {zn}:", "if r <= {zn}:"),
+    ("_draw_lines", "2 * nb + 1", "2 * nb"),
+    ("_draw_lines", 'f"{indent}while n{i} == {nb}:"', 'f"{indent}if True:"'),
+    ("_generated_rejection", "{factors} >= 0", "{factors} > 0"),
+], ids=["denominator-first", "zero-test-at-zn", "numerator-below-2nb", "p-numerator-0",
+        "factor-0-rejected"])
+def test_the_reference_check_refutes_every_planted_mutant(monkeypatch, function, original, planted):
+    source = inspect.getsource(getattr(explorer, function))
+    assert source.count(original) == 1
+    namespace = dict(vars(explorer))
+    exec(compile(source.replace(original, planted), "<mutant>", "exec"), namespace)
+    monkeypatch.setattr(explorer, function, namespace[function])
+    _clear_draw_caches()  # drop the draws the real emitter wrote, and then the mutant's
+    try:
+        with pytest.raises(AssertionError):
+            test_every_draw_is_the_reference_draw("boundary")
+    finally:
+        _clear_draw_caches()
+
+
+@pytest.mark.parametrize("cache, run, last", [
+    (explorer._generated_draw, lambda cfg: random_search("d-tilde", cfg), 6),
+    (explorer._generated_rejection, lambda cfg: minimize_fuzz(cfg, True), True),
+], ids=["search", "fuzz"])
+def test_a_run_looks_up_its_cached_draw_once(monkeypatch, cache, run, last):
+    # The search looks up its draw and the fuzz its rejection loop once a run, by
+    # the exact key, and calls it once a sample.  Other seeds and sizes share it;
+    # another width, count or product test gets its own.  Cold and warm agree.
+    cfg = SearchConfig(20, 3)
+    assert len({_draw(cfg, 6), _draw(cfg, 4), _rejection(cfg, True), _rejection(cfg, False)}) == 4
+    looked_up = []  # the generator, the key, the cached function and its calls
+    for generator in (explorer._generated_draw, explorer._generated_rejection):
+        def lookup(*key, generator=generator):
+            draw, calls = generator(*key), []
+            looked_up.append((generator, key, draw, calls))
+            return lambda getrandbits: calls.append(getrandbits) or draw(getrandbits)
+
+        monkeypatch.setattr(explorer, generator.__name__, lookup)
+
+    def looked_up_by(cfg):
+        looked_up.clear()
+        report = run(cfg).to_dict()
+        ((generator, key, draw, calls),) = looked_up
+        assert generator is cache and len(calls) == cfg.sample_count
+        assert key == (cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound, last)
+        return report, draw
+
+    cache.cache_clear()
+    cold, draw = looked_up_by(SearchConfig(300, 8))
+    assert cache.cache_info()[:2] == (0, 1)  # hits, misses
+    assert looked_up_by(SearchConfig(300, 8)) == (cold, draw)
+    assert cache.cache_info()[:2] == (1, 1)
+    for cfg in (SearchConfig(20, 3), SearchConfig(35, 8)):
+        assert looked_up_by(cfg)[1] is draw
+    for options in ({"numerator_bound": 7}, {"denominator_bound": 7}, {"zero_probability": Fraction(1, 3)}):
+        assert looked_up_by(SearchConfig(20, 8, **options))[1] is not draw
 
 
 # -- random search ---------------------------------------------------------------
@@ -449,24 +409,47 @@ def test_rational_text_is_the_fraction_text():
         assert "integer string conversion" in str(ours.value)
 
 
-@pytest.mark.parametrize(
-    "target, c",
-    [("d-tilde", None), ("d-k", Fraction(5)), ("d-k", Fraction(1, 3)), ("weak", None), ("cs", None),
-     *((check, None) for check in verifier.CHECK_NAMES)],
-)
+# Every polynomial the search compiles, c = 1/3 giving Fraction
+# coefficients, and a check's name for each side of its identities.
+EVALUATED = [("d-tilde", None), ("d-k", Fraction(5)), ("d-k", Fraction(1, 3)), ("weak", None),
+             ("cs", None), *((check, None) for check in verifier.CHECK_NAMES)]
+
+
+def _evaluated_polys(target, c):
+    if target in verifier.CHECK_NAMES:
+        return [side for _, *sides in verifier.identity_components(target) for side in sides]
+    return [resolve_target(target, c)]
+
+
+@pytest.mark.parametrize("target, c", EVALUATED)
 def test_compiled_target_returns_the_per_term_pair(target, c):
     # The nested Horner form only regroups the per-term sum.  The generated
     # code only adds, subtracts and multiplies, so run on the symbols n_i,
     # d_i it returns the same two polynomials as the sum exactly when it
-    # returns the same two ints at every point (c = 1/3 gives Fraction
-    # coefficients).  A check's row runs each side of its identities.
-    if target in verifier.CHECK_NAMES:
-        polys = [side for _, *sides in verifier.identity_components(target) for side in sides]
-    else:
-        polys = [resolve_target(target, c)]
-    for poly in polys:
+    # returns the same two ints at every point.
+    for poly in _evaluated_polys(target, c):
         symbols = helpers.symbolic_pairs(poly.varset)
         assert compile_evaluator(poly)(symbols) == helpers.per_term_pair(poly, symbols)
+
+
+@pytest.mark.parametrize("target, c", [("draws", None), *EVALUATED])
+def test_only_int_literals_reach_compile(monkeypatch, target, c):
+    # No VarSet or config text reaches compile(): every row's draw and rejection
+    # loops, and each evaluator the search compiles, hold int literals and names.
+    sources = []
+    monkeypatch.setattr(explorer, "compile", lambda *args: sources.append(args[:2]) or compile(*args),
+                        raising=False)
+    if target == "draws":
+        _clear_draw_caches()
+        for cfg, _ in DRAW_ROWS.values():
+            _draw(cfg), _rejection(cfg, True), _rejection(cfg, False)
+        expected = ["<compile_draw>"] * 3 * len(DRAW_ROWS)
+    else:
+        expected = [compile_evaluator(p) and "<compile_evaluator>" for p in _evaluated_polys(target, c)]
+    assert [filename for _, filename in sources] == expected
+    for source, _ in sources:
+        constants = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)]
+        assert constants and all(type(node.value) is int for node in constants)
 
 
 def test_the_symbolic_check_refutes_every_planted_mutant(monkeypatch):
@@ -984,7 +967,8 @@ def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
     cfg = SearchConfig(200, 5)
     summary = minimize_fuzz(cfg, True)
     assert (summary.samples_run, summary.passed) == (200, 200)
-    attempts = sum(_reference_state(5, index, cfg, True)[2] for index in range(200))
+    attempts = sum(helpers.reference_draw(helpers.sample_rng(5, index), cfg, negative=True)[1]
+                   for index in range(200))
     assert attempts > 200
     # d before the first step, carried by the step identity after each,
     # then once at the final state.
@@ -1086,68 +1070,6 @@ def test_the_lcm_scaling_is_exact_on_symbols():
     assert corpus.c_values(*lp) == tuple(L * L * c for c in corpus.c_values(*p))
     # Not vacuous: scaling p alone does not scale d by L^3.
     assert corpus.d_value(lp, z) != cube * corpus.d_value(p, z)
-
-
-def _reference_candidate(rng, cfg, require_negative_product):
-    # The documented fuzz draw, tested on Fractions: three nonzero p_i, then
-    # three z_i as absolute values of search coordinates; reject infeasible
-    # states and, when asked, a nonnegative p1*p2*p3.  Returns the accepted
-    # candidate's drawn ints, with each z_i's numerator made nonnegative,
-    # and the number of candidates.
-    for attempts in itertools.count(1):
-        pairs = helpers.reference_pairs(rng, cfg, 3, nonzero=True)
-        pairs += helpers.reference_pairs(rng, cfg, 3)
-        pairs[6::2] = map(abs, pairs[6::2])
-        p, z = _fractions(pairs[:6]), _fractions(pairs[6:])
-        if (p[0] + z[0]) * (p[1] + z[1]) * (p[2] + z[2]) < 0:
-            continue
-        if require_negative_product and p[0] * p[1] * p[2] >= 0:
-            continue
-        return pairs, attempts
-
-
-def _fractions(pairs):
-    return [Fraction(n, d) for n, d in zip(pairs[::2], pairs[1::2])]
-
-
-def _reference_state(seed, index, cfg, require_negative_product):
-    # The reference candidate of sample ``index`` as Fractions p + z, the
-    # generator's state after it and the number of candidates.
-    rng = helpers.sample_rng(seed, index)
-    pairs, attempts = _reference_candidate(rng, cfg, require_negative_product)
-    return _fractions(pairs), rng.getstate(), attempts
-
-
-# Numerators in {-1, 0, 1} and denominators in {1, 2}: in most
-# negative-product states some factor p_i + z_i is exactly 0 (p_i = -1/2,
-# z_i = 1/2, say), the boundary of the int feasibility test.
-BOUNDARY_WIDTHS = {"numerator_bound": 1, "denominator_bound": 2}
-
-
-@pytest.mark.parametrize("require_negative_product", [True, False])
-def test_draw_state_is_a_scaled_reference_draw(require_negative_product):
-    configs = [(seed, {}, 200) for seed in (0, 5)] + [
-        (0, edge, 100) for edge in (*EDGE_WIDTHS, BOUNDARY_WIDTHS)
-    ]
-    for seed, options, count in configs:
-        cfg = SearchConfig(sample_count=1, seed=seed, **options)
-        rng = random.Random(0)  # reseeded for every state, as in minimize_fuzz
-        zero_factors = 0
-        for index in range(count):
-            explorer._reseed(rng, seed, index)
-            state = explorer._draw_state(rng, _rejection(cfg, require_negative_product))
-            drawn = state.p + state.z
-            reference, rng_state, _ = _reference_state(seed, index, cfg, require_negative_product)
-            # Same draws consumed: the int test rejects exactly what the
-            # Fraction test rejects.
-            assert rng.getstate() == rng_state
-            assert all(type(v) is int for v in drawn)
-            scale = drawn[0] / reference[0]
-            assert scale > 0
-            assert list(drawn) == [scale * v for v in reference]
-            zero_factors += any(p_i + z_i == 0 for p_i, z_i in zip(state.p, state.z))
-        if options is BOUNDARY_WIDTHS:
-            assert zero_factors > 0
 
 
 def _fuzz_fixture_text():
