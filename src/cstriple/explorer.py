@@ -29,18 +29,18 @@ draw is generated code, from one emitter, ``_draw_lines``, with every width
 an int literal, as a built ``SearchConfig`` holds only ints and a Fraction.
 A coordinate that may not be 0 (a fuzz p_i) skips the zero test and is
 drawn again while its numerator is 0; any other makes the zero test, then
-one draw.  ``_generated_draw`` writes, once per zero probability, bounds and
-coordinate count, and caches, the search's straight-line
-``draw(getrandbits)``; ``_generated_rejection`` writes, once per zero
-probability, bounds and product test, and caches, the fuzz's rejection loop.
+one draw.  ``_generated_search`` (once per polynomial, zero probability and
+bounds) and ``_generated_rejection`` (once per zero probability, bounds and
+product test) write and cache the search's and the fuzz's loops.
 
-The search loop runs on plain ints, in a format only this module knows:
-``sample_point`` gives each coordinate as a (numerator, denominator) pair,
-the evaluator ``compile_evaluator`` generates returns the value as such a
-pair, and ``search_range`` folds the all-ones probe and then the samples in
-one pass, comparing values by cross-multiplication.  Fractions are built
-only for the kept minimum and the probe: a negative hit stays the ints it
-was folded as until ``_rational_text`` writes it as manifest text.
+The search loop runs on plain ints, in a format only this module knows.
+After the all-ones probe, each pass reseeds the run's generator, draws each
+coordinate into locals as a (numerator, denominator) pair, values the point
+as such a pair with ``_evaluator_lines``'s statements and folds it by
+cross-multiplication.  Fractions are built only for the kept minimum and the
+probe: a negative hit stays ints until ``_rational_text`` writes it as text.
+``sample_point`` and ``compile_evaluator`` run the same draw and the same
+statements one by one; the tests check the loop against them.
 
 The minimizer fuzz runs on plain ints too.  ``_draw_state`` makes one call
 of the run's rejection loop, which draws each candidate's coordinates as
@@ -186,15 +186,14 @@ def _draw_lines(zp: Fraction, nb: int, db: int, count: int, nonzero: int, indent
     return lines
 
 
-def _compiled(lines: list[str], name: str) -> Callable:
-    namespace: dict = {}
-    exec(compile("\n".join(lines), "<compile_draw>", "exec"), namespace)
-    return namespace[name]
+def _compiled(lines: list[str], name: str, filename: str = "<compile_draw>", **names) -> Callable:
+    exec(compile("\n".join(lines), filename, "exec"), names)
+    return names[name]
 
 
 @functools.lru_cache(maxsize=16)
 def _generated_draw(zp: Fraction, nb: int, db: int, count: int) -> Callable:
-    """The search's straight-line ``draw(getrandbits)``: the flat tuple n1,
+    """``sample_point``'s straight-line ``draw(getrandbits)``: the flat tuple n1,
     d1, ..., n_count, d_count of ``count`` coordinates drawn by
     ``_draw_lines``, each with the zero test.  It keeps nothing between calls."""
     lines = ["def draw(getrandbits):", *_draw_lines(zp, nb, db, count, 0, "    ")]
@@ -230,7 +229,7 @@ def _reseed(rng: random.Random, seed: int, index: int) -> None:
 
 def sample_point(rng: random.Random, seed: int, index: int, draw: Callable) -> tuple[int, ...]:
     """Sample ``index`` of run ``seed``: ``rng``, reseeded, drawn by the
-    run's ``_generated_draw`` function ``draw``, as ``compile_evaluator``'s pairs."""
+    ``_generated_draw`` function ``draw``, as ``compile_evaluator``'s pairs."""
     _reseed(rng, seed, index)
     return draw(rng.getrandbits)
 
@@ -266,25 +265,35 @@ def compile_evaluator(poly: Polynomial) -> Callable[[Sequence[int]], tuple[int, 
     ``Fraction(*evaluate(pairs))`` equals ``Polynomial.evaluate``.
     """
     nvars = len(poly.varset)
+    body, value = _evaluator_lines(poly, "    ")
+    unpack = f"    {', '.join(f'n{i}_1, d{i}_1' for i in range(nvars))} = v"
+    lines = ["def evaluate(v):", f"    if len(v) != {2 * nvars}:", "        _wrong_arity(len(v))",
+             unpack, *body, f"    return {value}"]
+
+    def wrong_arity(n: int) -> None:
+        raise StructuralError(f"expected {2 * nvars} integers ({nvars} coordinate pairs), got {n}")
+
+    return _compiled(lines, "evaluate", "<compile_evaluator>", _wrong_arity=wrong_arity)
+
+
+def _evaluator_lines(poly: Polynomial, indent: str) -> tuple[list[str], str]:
+    """The statements, led by ``indent``, of ``compile_evaluator``'s scheme on
+    the locals n0_1, d0_1, n1_1, d1_1, ..., and the text "num, den" of the
+    value; ``compile_evaluator`` and ``_generated_search`` both run them."""
     terms = sorted(poly.terms.items())
-    max_exp = [max((mono[i] for mono, _ in terms), default=0) for i in range(nvars)]
+    max_exp = [max((mono[i] for mono, _ in terms), default=0) for i in range(len(poly.varset))]
     present = [i for i, top in enumerate(max_exp) if top]
     scale = lcm(*(c.denominator for _, c in terms))
-    lines = [
-        "def evaluate(v):",
-        f"    if len(v) != {2 * nvars}:",
-        "        _wrong_arity(len(v))",
-        f"    {', '.join(f'n{i}_1, d{i}_1' for i in range(nvars))} = v",
-    ]
+    lines: list[str] = []
     mixed = {}  # (i, e) -> the local holding m_i_e
     for i in present:
         top = max_exp[i]
         for base in (f"n{i}", f"d{i}"):
             for e in range(2, top + 1):
-                lines.append(f"    {base}_{e} = {base}_{e - 1} * {base}_1")
+                lines.append(f"{indent}{base}_{e} = {base}_{e - 1} * {base}_1")
         for e in sorted({mono[i] for mono, _ in terms}):
             mixed[i, e] = f"n{i}_{e}" if e == top else f"d{i}_{top}" if e == 0 else f"m{i}_{e}"
-            lines += [f"    m{i}_{e} = n{i}_{e} * d{i}_{top - e}"] * (0 < e < top)
+            lines += [f"{indent}m{i}_{e} = n{i}_{e} * d{i}_{top - e}"] * (0 < e < top)
 
     def group_sum(group: list[tuple[Monomial, Coeff]], level: int, outer: list[str]) -> str:
         """Emit the locals s_i of the group's sum over present[level:]; return it times outer."""
@@ -299,19 +308,44 @@ def compile_evaluator(poly: Polynomial) -> Callable[[Sequence[int]], tuple[int, 
         for k, (e, sub) in enumerate(edges):
             product = group_sum(sub, level + 1, [mixed[i, e]])
             op = "=" if not k else "-=" if product[0] == "-" else "+="
-            lines.append(f"    s{i} {op} {product[op == '-=':]}")
+            lines.append(f"{indent}s{i} {op} {product[op == '-=':]}")
         return " * ".join([f"s{i}", *outer])
 
     num = group_sum(terms, 0, []) if terms else 0
     den = [str(scale)] * (scale != 1) + [f"d{i}_{max_exp[i]}" for i in present]
-    lines.append(f"    return {num}, {' * '.join(den) or '1'}")
+    return lines, f"{num}, {' * '.join(den) or '1'}"
 
-    def wrong_arity(n: int) -> None:
-        raise StructuralError(f"expected {2 * nvars} integers ({nvars} coordinate pairs), got {n}")
 
-    namespace = {"_wrong_arity": wrong_arity}
-    exec(compile("\n".join(lines), "<compile_evaluator>", "exec"), namespace)
-    return namespace["evaluate"]
+@functools.lru_cache(maxsize=16)
+def _generated_search(poly: Polynomial, zp: Fraction, nb: int, db: int) -> Callable:
+    """``search(rng, first, stop)``: the probe, then keys first..stop-1, of a
+    search of ``poly`` at one draw configuration (see the module docstring).
+    Returns the kept minimum's num, den and pairs, and the hits."""
+    count = len(poly.varset)
+    pairs = f"({', '.join(f'n{i}_1, d{i}_1' for i in range(count))})"
+    evaluation, value = _evaluator_lines(poly, "        ")
+    smaller = "num * best_den < best_num * den"
+    lines = [  # best starts at 1/0, above every value, so the probe's pass replaces it
+        "def search(rng, first, stop):",
+        "    getrandbits, hits, best_num, best_den = rng.getrandbits, [], 1, 0",
+        f"    {' = '.join(f'n{i}_1 = d{i}_1' for i in range(count))} = 1",
+        "    for key in range(first - 1, stop):",
+        "        if key >= first:",
+        "            _seed(rng, key)",
+        *_draw_lines(zp, nb, db, count, 0, "            "),
+        *(f"            n{i}_1, d{i}_1 = n{i} - {nb}, d{i} + 1" for i in range(count)),
+        *evaluation,
+        f"        num, den = {value}",
+        "        if num < 0:",
+        f"            point = {pairs}",
+        "            hits.append((point, num, den))",
+        f"            if {smaller}:",
+        "                best_num, best_den, best = num, den, point",
+        f"        elif best_num > 0 and {smaller}:",
+        f"            best_num, best_den, best = num, den, {pairs}",
+        "    return best_num, best_den, best, hits",
+    ]
+    return _compiled(lines, "search", "<compile_search>", _seed=_CRandom.seed)
 
 
 class SearchReport(NamedTuple):
@@ -357,58 +391,39 @@ class SearchReport(NamedTuple):
         }
 
 
-def search_range(
-    evaluate: Callable[[Sequence[int]], tuple[int, int]],
-    variables: tuple[str, ...],
-    cfg: SearchConfig,
-    target: str,
-) -> SearchReport:
+def search_range(search: Callable, variables: tuple[str, ...], cfg: SearchConfig,
+                 target: str) -> SearchReport:
     """Fold the all-ones probe, then samples 0..sample_count-1 over
-    ``variables``, evaluated with ``evaluate`` (the ``compile_evaluator``
-    function of the target named ``target``), in one ordered pass.
-
-    Values are compared by cross-multiplication, with every den > 0.  The
-    probe starts the minimum, and only a strictly smaller value replaces it,
-    so a tie goes to the first result.  Fractions are built only for the
-    kept argmin and the probe; a hit stays its pairs, num and den.  The
-    samples share one generator, which ``sample_point`` reseeds, and one
-    draw, generated once for the run's widths."""
-    nvars, seed, zp = len(variables), cfg.seed, cfg.zero_probability
-    draw = _generated_draw(zp, cfg.numerator_bound, cfg.denominator_bound, nvars)
-    rng = random.Random(0)
+    ``variables``, in one ordered pass of ``search``, the target's
+    ``_generated_search`` loop, by cross-multiplication (num >= 0 not at all
+    while the minimum is <= 0); only a smaller value replaces the minimum."""
+    rng, first = random.Random(0), cfg.seed << 64
     # The all-ones point, the equality case a = b, is a zero of every target,
     # so each run pins the exact value 0 there; it counts for the minimum and
-    # the hits, not in ``samples_run``.
-    ones = best_pairs = (1, 1) * nvars
-    ones_value = best_num, best_den = evaluate(ones)
-    hits = [(ones, best_num, best_den)] if best_num < 0 else []
-    for index in range(cfg.sample_count):
-        pairs = sample_point(rng, seed, index, draw)
-        num, den = evaluate(pairs)
-        if num * best_den < best_num * den:
-            best_num, best_den, best_pairs = num, den, pairs
-        if num < 0:
-            hits.append((pairs, num, den))
+    # the hits, not in ``samples_run``.  A pass that stops at ``first`` is it alone.
+    probe_num, probe_den, ones, _ = search(rng, first, first)
+    best_num, best_den, best_pairs, hits = search(rng, first, first + cfg.sample_count)
     return SearchReport(
         target=target,
         variables=variables,
         samples_run=cfg.sample_count,
-        seed=seed,
+        seed=cfg.seed,
         min_value=Fraction(best_num, best_den),
         argmin=_fractions(best_pairs),
         hits=hits,
-        probes=[(_fractions(ones), Fraction(*ones_value))],
+        probes=[(_fractions(ones), Fraction(probe_num, probe_den))],
     )
 
 
 def random_search(target: str, cfg: SearchConfig, c: Coeff | None = None) -> SearchReport:
     """Search the target named ``target`` (``resolve_target(target, c)``)
-    at ``cfg.sample_count`` seeded points plus the all-ones probe, which
-    ``search_range`` evaluates first."""
+    at ``cfg.sample_count`` seeded points plus the all-ones probe, by its
+    cached ``_generated_search`` loop, which ``search_range`` runs."""
     poly = resolve_target(target, c)
     if cfg.zero_probability == 1:
         raise PreconditionError("zero_probability 1 would evaluate only the zero point")
-    return search_range(compile_evaluator(poly), poly.varset.names, cfg, target)
+    loop = _generated_search(poly, cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound)
+    return search_range(loop, poly.varset.names, cfg, target)
 
 
 # -- the proof's minimization over z ------------------------------------------

@@ -417,9 +417,10 @@ def test_a_failed_stdout_write_exits_two(sink, unbuffered):
 
 
 def test_search_c_flag_requires_dk_target(capsys):
-    code, _, err = run(["search", "--target", "weak", "--c", "1", "--samples", "10", "--seed", "1"], capsys)
-    assert code == 2
-    assert "error" in err
+    argv = ["search", "--target", "weak", "--c", "1", "--samples", "10", "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: constant c only applies to target 'd-k', not 'weak'\n"
 
 
 def test_search_accepts_a_negative_rational_constant(capsys):

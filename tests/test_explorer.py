@@ -145,16 +145,16 @@ def test_search_config_validation():
         {"zero_probability": True},
     ):
         assert_every_door_refuses(good, **bad)
-    # A bool or an integral float or Fraction bound equals an int whose draw
-    # is cached first; refused when built, it never reaches that cache entry.
+    # A bool or an integral float or Fraction bound equals an int whose search
+    # loop is cached first; refused when built, it never reaches that entry.
     for field, bound in itertools.product(
         ("numerator_bound", "denominator_bound"), (True, 5.0, Fraction(5))
     ):
         warm = SearchConfig(sample_count=3, seed=0, **{field: int(bound)})
-        _draw(warm)
-        cached = explorer._generated_draw.cache_info()
+        random_search("cs", warm)
+        cached = explorer._generated_search.cache_info()
         assert_every_door_refuses(warm, **{field: bound})
-        assert explorer._generated_draw.cache_info() == cached
+        assert explorer._generated_search.cache_info() == cached
     # 1 is a valid config (the fuzz draws z with it), but a search at 1
     # would evaluate only the zero point.
     only_zero = SearchConfig(sample_count=10, seed=1, zero_probability=Fraction(1))
@@ -199,16 +199,19 @@ def test_replace_checks_the_copy_like_a_new_value():
         SearchConfig(5, 0)._replace(bogus=1)
 
 
+def _widths(cfg):
+    """The draw configuration of ``cfg``: its zero probability and bounds."""
+    return cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
+
+
 def _draw(cfg, count=6):
     """The generated draw of a search of ``cfg`` over ``count`` variables."""
-    zp, nb, db = cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
-    return explorer._generated_draw(zp, nb, db, count)
+    return explorer._generated_draw(*_widths(cfg), count)
 
 
 def _rejection(cfg, require_negative_product):
     """The generated rejection loop of a fuzz of ``cfg``."""
-    zp, nb, db = cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound
-    return explorer._generated_rejection(zp, nb, db, require_negative_product)
+    return explorer._generated_rejection(*_widths(cfg), require_negative_product)
 
 
 # Every draw is checked on each configuration, with its fuzz states counted
@@ -236,6 +239,7 @@ SEEDS = (0, 2**64 - 1)
 def _clear_draw_caches():
     explorer._generated_draw.cache_clear()
     explorer._generated_rejection.cache_clear()
+    explorer._generated_search.cache_clear()
 
 
 @pytest.mark.parametrize("row", DRAW_ROWS)
@@ -282,9 +286,44 @@ def test_every_draw_is_the_reference_draw(row):
             assert sample_point(rng, seed, index, draws[6]) == tuple(expected)
 
 
+def _pieces_search(poly, cfg):
+    """``search_range``'s min_value, argmin, hits and probes, from the pieces
+    that the search loop inlines, run one by one: the all-ones probe, then
+    each ``sample_point`` of ``cfg``, valued by ``compile_evaluator``, and
+    the first least value kept."""
+    nvars = len(poly.varset)
+    evaluate, draw, rng = compile_evaluator(poly), _draw(cfg, nvars), random.Random()
+    points = [(1, 1) * nvars, *(sample_point(rng, cfg.seed, i, draw) for i in range(cfg.sample_count))]
+    values = [Fraction(*evaluate(point)) for point in points]
+    low, first = min(values), explorer._fractions(points[0])
+    return (low, explorer._fractions(points[values.index(low)]),
+            [(point, *evaluate(point)) for point, value in zip(points, values) if value < 0],
+            [(first, values[0])])
+
+
+@pytest.mark.parametrize("row", DRAW_ROWS)
+def test_the_search_loop_is_its_pieces(row):
+    # At every configuration and over 1 to 6 variables, the generated loop
+    # reports what the pieces it inlines give.  Below 0 everywhere, every
+    # point is a hit, each the sample_point of its index; at small bounds
+    # the values tie often, and the first of the tied points is the argmin.
+    cfg = DRAW_ROWS[row][0]._replace(sample_count=40, seed=5)
+    for count in range(1, 7):
+        x = corpus.variables(VarSet(f"x{i}" for i in range(count)))
+        negative = -1 - sum(v * v for v in x)
+        for poly in (negative, 1 + x[0] * x[0]):
+            search = explorer._generated_search(poly, *_widths(cfg))
+            report = explorer.search_range(search, poly.varset.names, cfg, "pieces")
+            reported = report.min_value, report.argmin, report.hits, report.probes
+            assert reported == _pieces_search(poly, cfg)
+            assert len(report.hits) == (cfg.sample_count + 1 if poly is negative else 0)
+
+
 # Each planted mutant of the draw emitters fails the reference test on the
-# boundary row, so that test cannot pass vacuously.  a0 * a1 * a2 >= 0 made
-# > 0 is left out: no p_i is 0, so that mutant is equivalent.
+# boundary row, and each of the search loop's fold the loop test there, so
+# neither test passes vacuously.  a0 * a1 * a2 >= 0 made > 0 is left out: no
+# p_i is 0, so that mutant is equivalent.  The fold's skip of a value >= 0,
+# made unconditional, skips the probe too, and the loop returns no argmin.
 @pytest.mark.parametrize("function, original, planted", [
     ("_draw_lines", 'below(f"n{i}", 2 * nb + 1, pad)\n        below(f"d{i}", db, pad)',
      'below(f"d{i}", db, pad)\n        below(f"n{i}", 2 * nb + 1, pad)'),
@@ -292,58 +331,71 @@ def test_every_draw_is_the_reference_draw(row):
     ("_draw_lines", "2 * nb + 1", "2 * nb"),
     ("_draw_lines", 'f"{indent}while n{i} == {nb}:"', 'f"{indent}if True:"'),
     ("_generated_rejection", "{factors} >= 0", "{factors} > 0"),
+    ("_generated_search", '"num * best_den < best_num * den"', '"num * best_den <= best_num * den"'),
+    ("_generated_search", '"            hits.append((point, num, den))"', '"            pass"'),
+    ("_generated_search", '"        elif best_num > 0 and', '"        elif False and'),
 ], ids=["denominator-first", "zero-test-at-zn", "numerator-below-2nb", "p-numerator-0",
-        "factor-0-rejected"])
+        "factor-0-rejected", "tie-replaces", "hit-dropped", "skip-unconditional"])
 def test_the_reference_check_refutes_every_planted_mutant(monkeypatch, function, original, planted):
     source = inspect.getsource(getattr(explorer, function))
     assert source.count(original) == 1
     namespace = dict(vars(explorer))
     exec(compile(source.replace(original, planted), "<mutant>", "exec"), namespace)
     monkeypatch.setattr(explorer, function, namespace[function])
-    _clear_draw_caches()  # drop the draws the real emitter wrote, and then the mutant's
+    _clear_draw_caches()  # drop the code the real emitters wrote, and then the mutant's
+    check = {"_generated_search": test_the_search_loop_is_its_pieces}.get(
+        function, test_every_draw_is_the_reference_draw)
     try:
-        with pytest.raises(AssertionError):
-            test_every_draw_is_the_reference_draw("boundary")
+        with pytest.raises((AssertionError, UnboundLocalError)):
+            check("boundary")
     finally:
         _clear_draw_caches()
 
 
-@pytest.mark.parametrize("cache, run, last", [
-    (explorer._generated_draw, lambda cfg: random_search("d-tilde", cfg), 6),
-    (explorer._generated_rejection, lambda cfg: minimize_fuzz(cfg, True), True),
+@pytest.mark.parametrize("cache, run, other, key, calls", [
+    (explorer._generated_search, lambda cfg: random_search("d-tilde", cfg),
+     lambda cfg: random_search("cs", cfg), lambda cfg: (resolve_target("d-tilde"), *_widths(cfg)),
+     lambda cfg: 2),
+    (explorer._generated_rejection, lambda cfg: minimize_fuzz(cfg, True),
+     lambda cfg: minimize_fuzz(cfg, False), lambda cfg: (*_widths(cfg), True),
+     lambda cfg: cfg.sample_count),
 ], ids=["search", "fuzz"])
-def test_a_run_looks_up_its_cached_draw_once(monkeypatch, cache, run, last):
-    # The search looks up its draw and the fuzz its rejection loop once a run, by
-    # the exact key, and calls it once a sample.  Other seeds and sizes share it;
-    # another width, count or product test gets its own.  Cold and warm agree.
+def test_a_run_looks_up_its_cached_draw_once(monkeypatch, cache, run, other, key, calls):
+    # The search looks up its loop and the fuzz its rejection loop once a run,
+    # by the exact key.  The search calls it twice, for the probe and then for
+    # the samples, and the fuzz once a sample.  Other seeds and sizes share
+    # it; another polynomial, width or product test gets its own.  Cold and
+    # warm agree.
     cfg = SearchConfig(20, 3)
     assert len({_draw(cfg, 6), _draw(cfg, 4), _rejection(cfg, True), _rejection(cfg, False)}) == 4
     looked_up = []  # the generator, the key, the cached function and its calls
-    for generator in (explorer._generated_draw, explorer._generated_rejection):
+    generators = explorer._generated_draw, explorer._generated_rejection, explorer._generated_search
+    for generator in generators:
         def lookup(*key, generator=generator):
-            draw, calls = generator(*key), []
-            looked_up.append((generator, key, draw, calls))
-            return lambda getrandbits: calls.append(getrandbits) or draw(getrandbits)
+            found, made = generator(*key), []
+            looked_up.append((generator, key, found, made))
+            return lambda *args: made.append(args) or found(*args)
 
         monkeypatch.setattr(explorer, generator.__name__, lookup)
 
-    def looked_up_by(cfg):
+    def looked_up_by(cfg, run=run):
         looked_up.clear()
         report = run(cfg).to_dict()
-        ((generator, key, draw, calls),) = looked_up
-        assert generator is cache and len(calls) == cfg.sample_count
-        assert key == (cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound, last)
-        return report, draw
+        ((generator, found_key, found, made),) = looked_up
+        assert generator is cache and len(made) == calls(cfg)
+        assert run is other or found_key == key(cfg)
+        return report, found
 
     cache.cache_clear()
-    cold, draw = looked_up_by(SearchConfig(300, 8))
+    cold, found = looked_up_by(SearchConfig(300, 8))
     assert cache.cache_info()[:2] == (0, 1)  # hits, misses
-    assert looked_up_by(SearchConfig(300, 8)) == (cold, draw)
+    assert looked_up_by(SearchConfig(300, 8)) == (cold, found)
     assert cache.cache_info()[:2] == (1, 1)
     for cfg in (SearchConfig(20, 3), SearchConfig(35, 8)):
-        assert looked_up_by(cfg)[1] is draw
+        assert looked_up_by(cfg)[1] is found
     for options in ({"numerator_bound": 7}, {"denominator_bound": 7}, {"zero_probability": Fraction(1, 3)}):
-        assert looked_up_by(SearchConfig(20, 8, **options))[1] is not draw
+        assert looked_up_by(SearchConfig(20, 8, **options))[1] is not found
+    assert looked_up_by(SearchConfig(300, 8), other)[1] is not found
 
 
 # -- random search ---------------------------------------------------------------
@@ -410,9 +462,10 @@ def test_rational_text_is_the_fraction_text():
 
 
 # Every polynomial the search compiles, c = 1/3 giving Fraction
-# coefficients, and a check's name for each side of its identities.
-EVALUATED = [("d-tilde", None), ("d-k", Fraction(5)), ("d-k", Fraction(1, 3)), ("weak", None),
-             ("cs", None), *((check, None) for check in verifier.CHECK_NAMES)]
+# coefficients and c = 1 the one 23-term k-form trie that no check side
+# has, and a check's name for each side of its identities.
+EVALUATED = [("d-tilde", None), ("d-k", Fraction(5)), ("d-k", Fraction(1, 3)), ("d-k", Fraction(1)),
+             ("weak", None), ("cs", None), *((check, None) for check in verifier.CHECK_NAMES)]
 
 
 def _evaluated_polys(target, c):
@@ -432,24 +485,55 @@ def test_compiled_target_returns_the_per_term_pair(target, c):
         assert compile_evaluator(poly)(symbols) == helpers.per_term_pair(poly, symbols)
 
 
+def _search(poly, cfg=SearchConfig(1, 0)):
+    """The search loop of ``poly`` at ``cfg``'s draw, compiled anew."""
+    return explorer._generated_search.__wrapped__(poly, *_widths(cfg))
+
+
 @pytest.mark.parametrize("target, c", [("draws", None), *EVALUATED])
 def test_only_int_literals_reach_compile(monkeypatch, target, c):
-    # No VarSet or config text reaches compile(): every row's draw and rejection
-    # loops, and each evaluator the search compiles, hold int literals and names.
+    # No VarSet or config text reaches compile(): every row's draw, rejection
+    # and search loops, and each evaluator and search loop the search
+    # compiles, hold int literals and names.
     sources = []
     monkeypatch.setattr(explorer, "compile", lambda *args: sources.append(args[:2]) or compile(*args),
                         raising=False)
     if target == "draws":
         _clear_draw_caches()
         for cfg, _ in DRAW_ROWS.values():
-            _draw(cfg), _rejection(cfg, True), _rejection(cfg, False)
-        expected = ["<compile_draw>"] * 3 * len(DRAW_ROWS)
+            _draw(cfg), _rejection(cfg, True), _rejection(cfg, False), _search(resolve_target("cs"), cfg)
+        expected = ["<compile_draw>"] * 3 + ["<compile_search>"]
     else:
-        expected = [compile_evaluator(p) and "<compile_evaluator>" for p in _evaluated_polys(target, c)]
-    assert [filename for _, filename in sources] == expected
+        polys = _evaluated_polys(target, c)
+        for poly in polys:
+            compile_evaluator(poly), _search(poly)
+        expected = ["<compile_evaluator>", "<compile_search>"]
+    runs = len(DRAW_ROWS if target == "draws" else polys)
+    assert [filename for _, filename in sources] == expected * runs
     for source, _ in sources:
         constants = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)]
         assert constants and all(type(node.value) is int for node in constants)
+
+
+@pytest.mark.parametrize("target, c", EVALUATED)
+def test_the_search_loop_evaluates_with_the_evaluator_lines(monkeypatch, target, c):
+    # The loop values each sample with the statements compile_evaluator runs,
+    # line for line, one block deeper, right after the draw: the symbolic
+    # check above covers the loop's arithmetic too.
+    sources = []
+    monkeypatch.setattr(explorer, "compile", lambda *args: sources.append(args[0]) or compile(*args),
+                        raising=False)
+    for poly in _evaluated_polys(target, c):
+        sources.clear()
+        compile_evaluator(poly), _search(poly)
+        evaluator, loop = (source.splitlines() for source in sources)
+        *statements, value = evaluator[4:]
+        expected = [f"    {line}" for line in statements]
+        expected.append(f"        num, den = {value.removeprefix('    return ')}")
+        start = loop.index(expected[-1]) - len(statements)
+        assert loop[start:start + len(expected)] == expected
+        last = len(poly.varset) - 1
+        assert loop[start - 1] == f"            n{last}_1, d{last}_1 = n{last} - 100, d{last} + 1"
 
 
 def test_the_symbolic_check_refutes_every_planted_mutant(monkeypatch):
