@@ -30,7 +30,7 @@ an int literal, as a built ``SearchConfig`` holds only ints and a Fraction.
 A coordinate that may not be 0 (a fuzz p_i) skips the zero test and is
 drawn again while its numerator is 0; any other makes the zero test, then
 one draw.  ``_generated_search`` (once per polynomial, zero probability and
-bounds) and ``_generated_rejection`` (once per zero probability, bounds and
+bounds) and ``_generated_fuzz`` (once per zero probability, bounds and
 product test) write and cache the search's and the fuzz's loops.
 
 The search loop runs on plain ints, in a format only this module knows.
@@ -42,14 +42,16 @@ probe: a negative hit stays ints until ``_rational_text`` writes it as text.
 ``sample_point`` and ``compile_evaluator`` run the same draw and the same
 statements one by one; the tests check the loop against them.
 
-The minimizer fuzz runs on plain ints too.  ``_draw_state`` makes one call
-of the run's rejection loop, which draws each candidate's coordinates as
-such pairs, p_i = n_i/d_i and z_i = |m_i|/e_i, and tests it on those ints:
-every d_i and e_i is at least 1, so p1*p2*p3 has the sign of n1*n2*n3, and
-p_i + z_i = (n_i*e_i + |m_i|*d_i)/(d_i*e_i) that of its numerator, so both
-rejection tests are exact.  The loop hands back only the accepted
-candidate's ints, and only that candidate becomes a ``MacroState``,
-multiplied by the lcm L of its six denominators.  That is exact too: d,
+The fuzz loop runs on plain ints too.  Each pass reseeds the run's
+generator and runs ``_rejection_lines``' loop, which draws each candidate's
+coordinates as such pairs, p_i = n_i/d_i and z_i = |m_i|/e_i, and tests it
+on those ints: every d_i and e_i is at least 1, so p1*p2*p3 has the sign of
+n1*n2*n3, and p_i + z_i = (n_i*e_i + |m_i|*d_i)/(d_i*e_i) that of its
+numerator, so both rejection tests are exact.  The accepted candidate,
+times the lcm L of its six denominators, goes through ``_state_lines``'
+statements in locals as through ``greedy_minimize_z``, ``case_classify``
+and ``failed_guarantees``, which the tests check the loop against, and the
+loop tallies its label and broken guarantees.  The scaling is exact: d,
 the feasibility product and every case closed form are homogeneous of
 degree 3 in (p, z), so they get the factor L^3 > 0; the greedy step's bound
 max(0, -p_i) and its test on the sign of the other two factors commute
@@ -62,12 +64,11 @@ Every type here is a ``typing.NamedTuple``, immutable once built.  The two
 inputs, ``SearchConfig`` and ``MacroState``, validate in ``__new__``, and
 their ``_make`` builds through it, so ``_make``, ``_replace`` and
 ``copy.replace`` run the same checks; only ``tuple.__new__`` skips them.
-The fuzz builds its states with ``tuple.__new__(MacroState, (p, z))``:
-``_draw_state`` passes ints it computed, with z_i >= 0 by ``abs``, and
-``greedy_minimize_z`` passes the p of its input and z_i taken from that
-input, 0 or max(0, -p_i).  A fuzz state therefore makes no validating
-``MacroState`` construction.  The descent builds its records, which check
-nothing, the same way: all that their generated ``__new__`` does.
+``_draw_state`` builds its state with ``tuple.__new__(MacroState, (p, z))``
+from ints it computed, with z_i >= 0 by ``abs``, and ``greedy_minimize_z``
+its final state from the p of its input and z_i taken from that input, 0
+or max(0, -p_i).  The descent builds its records, which check nothing, the
+same way: all that their generated ``__new__`` does.
 
 ``resolve_target`` reads each search target from ``corpus.TARGETS``.
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
@@ -201,25 +202,32 @@ def _generated_draw(zp: Fraction, nb: int, db: int, count: int) -> Callable:
     return _compiled(lines, "draw")
 
 
+def _rejection_lines(zp: Fraction, nb: int, db: int, negative: bool, indent: str,
+                     exhausted: str) -> list[str]:
+    """The statements, led by ``indent``, that draw at most 10000 candidates
+    of 6 coordinates by ``_draw_lines``, the 3 of p nonzero, and reject one
+    when n1*n2*n3 >= 0 (only if ``negative``) or its feasibility numerator
+    product is negative (see the module docstring).  The accepted one leaves
+    n1, d1, n2, d2, n3, d3, |m1|, e1, |m2|, e2, |m3|, e3 in a0, b0, ..., a5,
+    b5; after 10000 rejections, the statement ``exhausted`` runs."""
+    inner = indent + "    "
+    lines = [f"{indent}for _ in range(10000):", *_draw_lines(zp, nb, db, 6, 3, inner)]
+    # a_i, b_i: the numerator (of z_i, made nonnegative) and denominator of coordinate i.
+    lines += [f"{inner}a{i} = n{i} - {nb}" for i in range(3)]
+    if negative:
+        lines += [f"{inner}if a0 * a1 * a2 >= 0:", f"{inner}    continue"]
+    lines += [f"{inner}a{i} = abs(n{i} - {nb})" for i in range(3, 6)]
+    lines += [f"{inner}b{i} = d{i} + 1" for i in range(6)]
+    factors = " * ".join(f"(a{i} * b{i + 3} + a{i + 3} * b{i})" for i in range(3))
+    return lines + [f"{inner}if {factors} >= 0:", f"{inner}    break", f"{indent}else:", inner + exhausted]
+
+
 @functools.lru_cache(maxsize=16)
 def _generated_rejection(zp: Fraction, nb: int, db: int, negative: bool) -> Callable:
-    """The fuzz's ``sample(getrandbits)``: at most 10000 candidates of 6
-    coordinates drawn by ``_draw_lines``, the 3 of p nonzero.  A candidate
-    is rejected when n1*n2*n3 >= 0 (only if ``negative``) or its feasibility
-    numerator product is negative (see the module docstring).  Returns the
-    accepted one's ints n1, d1, n2, d2, n3, d3, |m1|, e1, |m2|, e2, |m3|,
-    e3, or None after 10000 rejections.  It keeps nothing between calls."""
-    lines = ["def sample(getrandbits):", "    for _ in range(10000):",
-             *_draw_lines(zp, nb, db, 6, 3, "        ")]
-    # a_i, b_i: the numerator (of z_i, made nonnegative) and denominator of coordinate i.
-    lines += [f"        a{i} = n{i} - {nb}" for i in range(3)]
-    if negative:
-        lines += ["        if a0 * a1 * a2 >= 0:", "            continue"]
-    lines += [f"        a{i} = abs(n{i} - {nb})" for i in range(3, 6)]
-    lines += [f"        b{i} = d{i} + 1" for i in range(6)]
-    factors = " * ".join(f"(a{i} * b{i + 3} + a{i + 3} * b{i})" for i in range(3))
-    lines += [f"        if {factors} >= 0:",
-              f"            return {', '.join(f'a{i}, b{i}' for i in range(6))}"]
+    """``_draw_state``'s ``sample(getrandbits)``: ``_rejection_lines``' accepted
+    candidate, or None after 10000 rejections; it keeps nothing between calls."""
+    lines = ["def sample(getrandbits):", *_rejection_lines(zp, nb, db, negative, "    ", "return"),
+             f"    return {', '.join(f'a{i}, b{i}' for i in range(6))}"]
     return _compiled(lines, "sample")
 
 
@@ -443,8 +451,8 @@ class MacroState(NamedTuple("MacroState", [("p", tuple), ("z", tuple)])):
     and anything else is refused; every derived value is computed in the
     same ring, so an all-int state, as the fuzz draws, stays on ints.
     ``_make``, ``_replace`` and ``copy.replace`` check their value too; only
-    ``tuple.__new__`` does not, and only the fuzz uses it, on coordinates
-    that already meet these checks (see the module docstring)."""
+    ``tuple.__new__`` does not, and only the draw and the descent use it, on
+    coordinates that already meet these checks (see the module docstring)."""
 
     __slots__ = ()
     _make = _checked_make
@@ -526,6 +534,9 @@ _INTS = (int, int, int)
 # The 0-based indices of the other two factors of each coordinate's step.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 _Z_NAMES = ("z1", "z2", "z3")
+_NONZERO_P = "greedy minimization requires nonzero p coordinates"
+_INFEASIBLE = "infeasible start: constraint value {} < 0"
+_NO_STATE = "rejection sampling found no admissible state in 10000 draws"
 
 
 def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) -> MinimizeTrace:
@@ -555,10 +566,10 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
         raise PreconditionError(f"order must be a permutation of (1, 2, 3), got {order!r}")
     p = state.p
     if not (p[0] and p[1] and p[2]):
-        raise PreconditionError("greedy minimization requires nonzero p coordinates")
+        raise PreconditionError(_NONZERO_P)
     feasibility = corpus.feasibility_value(p, state.z)
     if feasibility < 0:
-        raise PreconditionError(f"infeasible start: constraint value {feasibility} < 0")
+        raise PreconditionError(_INFEASIBLE.format(feasibility))
     c = corpus.c_values(*p)
     z = list(state.z)
     steps: list[MinimizeStep] = []
@@ -692,7 +703,7 @@ def _draw_state(rng: random.Random, sample: Callable) -> MacroState:
     of its six denominators, so all its coordinates are ints."""
     candidate = sample(rng.getrandbits)
     if candidate is None:
-        raise PreconditionError("rejection sampling found no admissible state in 10000 draws")
+        raise PreconditionError(_NO_STATE)
     n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = candidate
     scale = lcm(d1, d2, d3, e1, e2, e3)
     return tuple.__new__(MacroState, (
@@ -728,36 +739,75 @@ def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification |
     return [] if all(held) else [name for name, ok in zip(GUARANTEES, held) if not ok]
 
 
+# The names the fuzz loop reads besides its locals; it looks up each corpus formula at call time.
+_FUZZ_NAMES = {"corpus": corpus, "PreconditionError": PreconditionError, "_MIXED": "mixed", "lcm": lcm,
+               "_PERMUTATIONS": _PERMUTATIONS, "_seed": _CRandom.seed, "_NONZERO_P": _NONZERO_P,
+               "_INFEASIBLE": _INFEASIBLE, "_NO_STATE": _NO_STATE}
+
+
+def _state_lines(indent: str) -> list[str]:
+    """The statements, led by ``indent``, of ``greedy_minimize_z`` (order 3,
+    2, 1, both input checks), ``vertex_label``, ``case_classify`` and
+    ``failed_guarantees`` on the int state p0, p1, p2, z0, z1, z2.  They leave
+    the final z, the carried d in ``d`` if ``stepped``, ``label``, the closed
+    form ``value`` unless ``mixed``, and ``broken``, one flag per GUARANTEES."""
+    lines = ["if not (p0 and p1 and p2):", "    raise PreconditionError(_NONZERO_P)",
+             "f = (p0 + z0) * (p1 + z1) * (p2 + z2)",
+             "if f < 0:", "    raise PreconditionError(_INFEASIBLE.format(f))",
+             "p, c, stepped, rising = (p0, p1, p2), corpus.c_values(p0, p1, p2), 0, 0"]
+    for i in (2, 1, 0):
+        j, k = _OTHERS[i]
+        lines += [f"w = -p{i} if p{i} < 0 and (p{j} + z{j}) * (p{k} + z{k}) > 0 else 0",
+                  f"if w != z{i}:",
+                  "    if not stepped:",
+                  "        d, stepped = corpus.d_value(p, (z0, z1, z2), c), 1",
+                  f"    after = d + c[{i}] * (w - z{i})",
+                  f"    rising, d, z{i} = rising or after > d, after, w"]
+    # Every nonzero z_i of a vertex is pinned at -p_i; a mixed state has pinned >= 1.
+    lines += ["mixed = z0 and z0 != -p0 or z1 and z1 != -p1 or z2 and z2 != -p2",
+              "pinned = (z0 != 0) + (z1 != 0) + (z2 != 0)",
+              "if mixed:", "    label = _MIXED", "else:",
+              "    label = corpus.CASE_LABELS[pinned]",
+              "    i, j, k = _PERMUTATIONS[not z0, not z1, not z2]",
+              "    value = corpus.case_value(label, p[i - 1], p[j - 1], p[k - 1])",
+              "last, negative = corpus.d_value(p, (z0, z1, z2), c), p0 * p1 * p2 < 0",
+              "broken = (rising, mixed, negative and last < 0, not mixed and value != last,",
+              "          negative and not pinned)"]
+    return [indent + line for line in lines]
+
+
+@functools.lru_cache(maxsize=16)
+def _generated_fuzz(zp: Fraction, nb: int, db: int, negative: bool) -> Callable:
+    """``fuzz(rng, first, stop, cases)``: keys first..stop-1 of a fuzz at one
+    draw configuration and product test, each label counted in ``cases``;
+    returns how many states break a guarantee, and how many break each."""
+    lines = ["def fuzz(rng, first, stop, cases):",
+             f"    getrandbits, failed, failures = rng.getrandbits, 0, [0] * {len(GUARANTEES)}",
+             "    for key in range(first, stop):",
+             "        _seed(rng, key)",
+             *_rejection_lines(zp, nb, db, negative, "        ", "raise PreconditionError(_NO_STATE)"),
+             "        s = lcm(b0, b1, b2, b3, b4, b5)",
+             *(f"        p{i}, z{i} = a{i} * (s // b{i}), a{i + 3} * (s // b{i + 3})" for i in range(3)),
+             *_state_lines("        "),
+             "        cases[label] += 1",
+             "        if any(broken):",
+             "            failed += 1",
+             "            failures = [n + bad for n, bad in zip(failures, broken)]",
+             "    return failed, failures"]
+    return _compiled(lines, "fuzz", "<compile_fuzz>", **_FUZZ_NAMES)
+
+
 def minimize_fuzz(cfg: SearchConfig, require_negative_product: bool = False) -> FuzzSummary:
     """Run the greedy minimizer and classifier on random feasible states and
-    count, per guarantee of ``failed_guarantees``, the states violating it."""
+    count, per guarantee of ``failed_guarantees``, the states violating it,
+    in one call of the run's cached ``_generated_fuzz`` loop."""
     if require_negative_product and cfg.zero_probability == 1:
         # Every z_i is then 0, so a feasible state has p1*p2*p3 >= 0.
         raise PreconditionError("rejection sampling: zero_probability 1 admits no p1*p2*p3 < 0")
-    failures = dict.fromkeys(GUARANTEES, 0)
+    loop = _generated_fuzz(cfg.zero_probability, cfg.numerator_bound, cfg.denominator_bound,
+                           require_negative_product)
     case_counts = {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 0}
-    failed_samples = 0
-    rng, zp = random.Random(0), cfg.zero_probability
-    sample = _generated_rejection(zp, cfg.numerator_bound, cfg.denominator_bound,
-                                  require_negative_product)
-    for index in range(cfg.sample_count):
-        _reseed(rng, cfg.seed, index)
-        state = _draw_state(rng, sample)
-        trace = greedy_minimize_z(state)
-        label = trace.case_label
-        case_counts[label] += 1
-        # case_classify refuses a non-vertex; failed_guarantees counts it.
-        classification = None if label == "mixed" else case_classify(trace.final, label=label)
-        failed = failed_guarantees(trace, classification)
-        if failed:
-            failed_samples += 1
-            for name in failed:
-                failures[name] += 1
-    return FuzzSummary(
-        samples_run=cfg.sample_count,
-        passed=cfg.sample_count - failed_samples,
-        failed=failed_samples,
-        failures=failures,
-        case_counts=case_counts,
-        seed=cfg.seed,
-    )
+    first = cfg.seed << 64
+    failed, failures = loop(random.Random(0), first, first + cfg.sample_count, case_counts)
+    return FuzzSummary(cfg.sample_count, cfg.sample_count - failed, failed,
+                       dict(zip(GUARANTEES, failures)), case_counts, cfg.seed)

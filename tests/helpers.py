@@ -307,6 +307,33 @@ def end_off_vertex(state: explorer.MacroState, order=(3, 2, 1)) -> explorer.Mini
     return explorer.MinimizeTrace(state, (), final, explorer.vertex_label(final))
 
 
+def insert_state_lines(monkeypatch, insertions: dict[str, list[str]], **names) -> None:
+    """Make the fuzz loop run each list of ``insertions`` right before its
+    first per-state statement that starts with the list's key, with
+    ``names`` added to the names the loop reads.  While the patch lasts the
+    loop is compiled anew on each run, so no patched code reaches its cache."""
+    state_lines = explorer._state_lines
+
+    def patched(indent: str) -> list[str]:
+        lines = state_lines(indent)
+        for at, inserted in insertions.items():
+            where = next(n for n, line in enumerate(lines) if line.startswith(indent + at))
+            lines[where:where] = [indent + line for line in inserted]
+        return lines
+
+    monkeypatch.setattr(explorer, "_state_lines", patched)
+    monkeypatch.setattr(explorer, "_generated_fuzz", explorer._generated_fuzz.__wrapped__)
+    for name, value in names.items():
+        monkeypatch.setitem(explorer._FUZZ_NAMES, name, value)
+
+
+def end_fuzz_off_vertex(monkeypatch) -> None:
+    """``end_off_vertex`` for the fuzz loop: right after its descent, every
+    state is set to p = (-1, 1, 1), z = (5, 0, 0), with c formed anew."""
+    off_vertex = ["p0, p1, p2 = p = (-1, 1, 1)", "z0, z1, z2 = 5, 0, 0", "c = corpus.c_values(*p)"]
+    insert_state_lines(monkeypatch, {"mixed = ": off_vertex})
+
+
 def mutate_coefficient(poly: Polynomial, term_index: int, delta: int) -> Polynomial:
     """Copy of ``poly`` with one coefficient shifted by ``delta`` (a genuine
     single-coefficient mutation for any delta != 0)."""

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from cstriple import cli, explorer
+from cstriple import cli, corpus, explorer
 
 
 def run(argv, capsys):
@@ -685,7 +685,8 @@ def test_fuzz_manifest_is_the_library_summary(capsys, tmp_path):
 
 
 def test_fuzz_exits_one_on_a_failed_guarantee(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(explorer, "failed_guarantees", lambda trace, result: ["closed_form"])
+    # No int d equals 1/2, so every state breaks the closed-form guarantee alone.
+    monkeypatch.setattr(corpus, "case_value", lambda label, q1, q2, q3: Fraction(1, 2))
     manifest_path = tmp_path / "fuzz.json"
     code, out, _ = run(["fuzz", *FUZZ_ARGS, "--json", str(manifest_path)], capsys)
     assert code == 1
@@ -697,7 +698,7 @@ def test_fuzz_exits_one_on_a_failed_guarantee(capsys, tmp_path, monkeypatch):
 
 
 def test_fuzz_exits_one_on_a_non_vertex_final_state(capsys, monkeypatch):
-    monkeypatch.setattr(explorer, "greedy_minimize_z", helpers.end_off_vertex)
+    helpers.end_fuzz_off_vertex(monkeypatch)
     code, out, _ = run(["fuzz", "--samples", "3", "--seed", "0"], capsys)
     assert code == 1
     assert "mixed=3" in out

@@ -210,8 +210,13 @@ def _draw(cfg, count=6):
 
 
 def _rejection(cfg, require_negative_product):
-    """The generated rejection loop of a fuzz of ``cfg``."""
+    """The generated rejection loop of ``_draw_state`` at ``cfg``."""
     return explorer._generated_rejection(*_widths(cfg), require_negative_product)
+
+
+def _fuzz(cfg, require_negative_product):
+    """The generated loop of a fuzz of ``cfg``."""
+    return explorer._generated_fuzz(*_widths(cfg), require_negative_product)
 
 
 # Every draw is checked on each configuration, with its fuzz states counted
@@ -239,6 +244,7 @@ SEEDS = (0, 2**64 - 1)
 def _clear_draw_caches():
     explorer._generated_draw.cache_clear()
     explorer._generated_rejection.cache_clear()
+    explorer._generated_fuzz.cache_clear()
     explorer._generated_search.cache_clear()
 
 
@@ -251,10 +257,12 @@ def test_every_draw_is_the_reference_draw(row):
     # The fuzz's loop accepts the candidate the Fraction tests accept, from the
     # same draws, and its state is that candidate times a positive factor:
     # v * d * n1 == v1 * d1 * n for each drawn v of each n/d, with v1 * n1 > 0.
-    # At zero probability 1 no z_i > 0 can make p1*p2*p3 < 0 feasible.
+    # At zero probability 1 no z_i > 0 can make p1*p2*p3 < 0 feasible.  The
+    # fuzz loop counts the labels that the descents of these states reach.
     for negative in (False,) if cfg.zero_probability == 1 else (True, False):
         sample, accepted, zero_factors = _rejection(cfg, negative), [], 0
         for seed in SEEDS if row == "default" else SEEDS[:1]:
+            labels = collections.Counter()
             for index in range(states):
                 explorer._reseed(rng, seed, index)
                 state = explorer._draw_state(
@@ -267,6 +275,9 @@ def test_every_draw_is_the_reference_draw(row):
                 assert all(v * d * n1 == drawn[0] * d1 * n
                            for v, n, d in zip(drawn, pairs[::2], pairs[1::2]))
                 zero_factors += 0 in map(sum, zip(state.p, state.z))
+                labels[greedy_minimize_z(state).case_label] += 1
+            summary = minimize_fuzz(cfg._replace(sample_count=states, seed=seed), negative)
+            assert labels == collections.Counter(summary.case_counts)
         assert zero_factors or row != "boundary"
     # The search's draw of 1 to 6 coordinates.
     draws = {count: _draw(cfg, count) for count in range(1, 7)}
@@ -330,7 +341,7 @@ def test_the_search_loop_is_its_pieces(row):
     ("_draw_lines", "if r < {zn}:", "if r <= {zn}:"),
     ("_draw_lines", "2 * nb + 1", "2 * nb"),
     ("_draw_lines", 'f"{indent}while n{i} == {nb}:"', 'f"{indent}if True:"'),
-    ("_generated_rejection", "{factors} >= 0", "{factors} > 0"),
+    ("_rejection_lines", "{factors} >= 0", "{factors} > 0"),
     ("_generated_search", '"num * best_den < best_num * den"', '"num * best_den <= best_num * den"'),
     ("_generated_search", '"            hits.append((point, num, den))"', '"            pass"'),
     ("_generated_search", '"        elif best_num > 0 and', '"        elif False and'),
@@ -356,20 +367,21 @@ def test_the_reference_check_refutes_every_planted_mutant(monkeypatch, function,
     (explorer._generated_search, lambda cfg: random_search("d-tilde", cfg),
      lambda cfg: random_search("cs", cfg), lambda cfg: (resolve_target("d-tilde"), *_widths(cfg)),
      lambda cfg: 2),
-    (explorer._generated_rejection, lambda cfg: minimize_fuzz(cfg, True),
+    (explorer._generated_fuzz, lambda cfg: minimize_fuzz(cfg, True),
      lambda cfg: minimize_fuzz(cfg, False), lambda cfg: (*_widths(cfg), True),
-     lambda cfg: cfg.sample_count),
+     lambda cfg: 1),
 ], ids=["search", "fuzz"])
 def test_a_run_looks_up_its_cached_draw_once(monkeypatch, cache, run, other, key, calls):
-    # The search looks up its loop and the fuzz its rejection loop once a run,
-    # by the exact key.  The search calls it twice, for the probe and then for
-    # the samples, and the fuzz once a sample.  Other seeds and sizes share
-    # it; another polynomial, width or product test gets its own.  Cold and
-    # warm agree.
+    # The search and the fuzz each look up their loop once a run, by the
+    # exact key.  The search calls it twice, for the probe and then for the
+    # samples, and the fuzz once.  Other seeds and sizes share it; another
+    # polynomial, width or product test gets its own.  Cold and warm agree.
     cfg = SearchConfig(20, 3)
-    assert len({_draw(cfg, 6), _draw(cfg, 4), _rejection(cfg, True), _rejection(cfg, False)}) == 4
+    drawn = _draw(cfg, 6), _draw(cfg, 4), _rejection(cfg, True), _rejection(cfg, False)
+    assert len({*drawn, _fuzz(cfg, True), _fuzz(cfg, False)}) == 6
     looked_up = []  # the generator, the key, the cached function and its calls
-    generators = explorer._generated_draw, explorer._generated_rejection, explorer._generated_search
+    generators = (explorer._generated_draw, explorer._generated_rejection, explorer._generated_fuzz,
+                  explorer._generated_search)
     for generator in generators:
         def lookup(*key, generator=generator):
             found, made = generator(*key), []
@@ -492,8 +504,8 @@ def _search(poly, cfg=SearchConfig(1, 0)):
 
 @pytest.mark.parametrize("target, c", [("draws", None), *EVALUATED])
 def test_only_int_literals_reach_compile(monkeypatch, target, c):
-    # No VarSet or config text reaches compile(): every row's draw, rejection
-    # and search loops, and each evaluator and search loop the search
+    # No VarSet or config text reaches compile(): every row's draw, rejection,
+    # fuzz and search loops, and each evaluator and search loop the search
     # compiles, hold int literals and names.
     sources = []
     monkeypatch.setattr(explorer, "compile", lambda *args: sources.append(args[:2]) or compile(*args),
@@ -501,8 +513,9 @@ def test_only_int_literals_reach_compile(monkeypatch, target, c):
     if target == "draws":
         _clear_draw_caches()
         for cfg, _ in DRAW_ROWS.values():
-            _draw(cfg), _rejection(cfg, True), _rejection(cfg, False), _search(resolve_target("cs"), cfg)
-        expected = ["<compile_draw>"] * 3 + ["<compile_search>"]
+            _draw(cfg), _rejection(cfg, True), _rejection(cfg, False), _fuzz(cfg, True), _fuzz(cfg, False)
+            _search(resolve_target("cs"), cfg)
+        expected = ["<compile_draw>"] * 3 + ["<compile_fuzz>"] * 2 + ["<compile_search>"]
     else:
         polys = _evaluated_polys(target, c)
         for poly in polys:
@@ -830,6 +843,92 @@ def test_the_sign_enumeration_refutes_every_planted_mutant(original, planted):
         _check_every_sign_path(namespace["greedy_minimize_z"])
 
 
+def _state_function(state_lines):
+    """The fuzz loop's per-state statements of ``state_lines`` compiled alone,
+    as ``compile_evaluator`` wraps ``_evaluator_lines``: from a state's six
+    ints to its label, the broken guarantees' names, the final z, the
+    carried d (None without a step) and the closed form (None off a vertex)."""
+    lines = ["def state(p0, p1, p2, z0, z1, z2):", *state_lines("    "),
+             "    return label, broken, (z0, z1, z2), d if stepped else None, None if mixed else value"]
+    state = explorer._compiled(lines, "state", "<state>", **explorer._FUZZ_NAMES)
+
+    def run(p, z):
+        label, broken, *rest = state(*p, *z)
+        return label, [name for name, bad in zip(explorer.GUARANTEES, broken) if bad], *rest
+
+    return run
+
+
+def _check_every_state_path(state_lines):
+    """Runs the statements of ``state_lines`` on every kind pattern and its
+    copy scaled by SCALE, and on a zero p: each refused with the message of
+    ``greedy_minimize_z`` where it refuses, else reporting what the
+    descent in order (3, 2, 1), its classification and check report."""
+    run, refused = _state_function(state_lines), set()
+    with pytest.raises(PreconditionError, match="^greedy minimization requires nonzero p"):
+        run((1, 0, 1), (0, 0, 0))
+    for pattern in itertools.product(KINDS, repeat=3):
+        p, z = zip(*pattern)
+        for state in (MacroState(p, z), MacroState([SCALE * v for v in p], [SCALE * v for v in z])):
+            if not state.is_feasible():
+                refused.add(pattern)
+                with pytest.raises(PreconditionError) as library:
+                    greedy_minimize_z(state)
+                with pytest.raises(PreconditionError, match="^infeasible start") as loop:
+                    run(state.p, state.z)
+                assert str(loop.value) == str(library.value)
+                continue
+            trace = greedy_minimize_z(state)
+            classification = case_classify(trace.final, label=trace.case_label)
+            assert run(state.p, state.z) == (
+                trace.case_label, failed_guarantees(trace, classification), trace.final.z,
+                trace.steps[-1].d_after if trace.steps else None, classification.closed_form_value)
+    assert len(refused) == 62
+
+
+def test_the_fuzz_state_lines_are_checked_on_every_sign_path():
+    _check_every_state_path(explorer._state_lines)
+
+
+def test_the_fuzz_loop_runs_the_state_lines(monkeypatch):
+    # The loop checks each state with _state_lines' statements, line for
+    # line, right after it scales the accepted candidate and right before it
+    # tallies: the enumeration above covers the loop's per-state work.
+    sources = []
+    monkeypatch.setattr(explorer, "compile", lambda *args: sources.append(args[0]) or compile(*args),
+                        raising=False)
+    state = explorer._state_lines("        ")
+    for negative in (True, False):
+        sources.clear()
+        explorer._generated_fuzz.__wrapped__(*_widths(SearchConfig(1, 0)), negative)
+        loop = sources[0].splitlines()
+        start = loop.index(state[0])
+        assert loop[start:start + len(state)] == state
+        assert loop[start - 1].startswith("        p2, z2 = a2 * (s // b2)")
+        assert loop[start + len(state)] == "        cases[label] += 1"
+
+
+# Each planted mutant of the per-state emitter, the six of the descent's
+# enumeration and two in the classification, fails the enumeration above.
+@pytest.mark.parametrize("original, planted", [
+    ("(p{k} + z{k}) > 0", "(p{k} + z{k}) >= 0"),
+    ("w = -p{i} if", "w = p{i} if"),
+    ("c[{i}] *", "c[{i - 1}] *"),
+    ("_OTHERS[i]", "_OTHERS[i - 1]"),
+    ("if w != z{i}:", "if w <= z{i}:"),
+    ('"if f < 0:"', '"if f < -1:"'),
+    ("p[i - 1], p[j - 1]", "p[j - 1], p[i - 1]"),
+    ("negative and not pinned", "negative and pinned == 1"),
+])
+def test_the_state_enumeration_refutes_every_planted_mutant(original, planted):
+    source = inspect.getsource(explorer._state_lines)
+    assert source.count(original) == 1
+    namespace = dict(vars(explorer))
+    exec(compile(source.replace(original, planted), "<mutant>", "exec"), namespace)
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        _check_every_state_path(namespace["_state_lines"])
+
+
 def test_a_carried_d_may_be_a_fraction_equal_to_the_int_d():
     # Dropping the one Fraction z_1 leaves an all-int state: the recomputed
     # d is the int 5 and the carried one Fraction(5), which prints alike.
@@ -982,7 +1081,7 @@ def test_sharpness_witness_point_is_safe_at_half():
 
 def test_fuzz_counts_a_non_vertex_final_state(monkeypatch):
     # case_classify refuses such a state; the fuzz counts it instead.
-    monkeypatch.setattr(explorer, "greedy_minimize_z", helpers.end_off_vertex)
+    helpers.end_fuzz_off_vertex(monkeypatch)
     summary = minimize_fuzz(SearchConfig(3, 0))
     assert summary.case_counts == {"i": 0, "ii": 0, "iii": 0, "iv": 0, "mixed": 3}
     assert summary.failures == {**dict.fromkeys(explorer.GUARANTEES, 0), "vertex": 3}
@@ -1010,10 +1109,10 @@ def test_fuzz_rejection_exhaustion_is_a_precondition_error(monkeypatch):
 
 
 def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
-    def no_draw(getrandbits):
+    def no_draw(rng, first, stop, cases):
         raise AssertionError("drew a candidate")
 
-    monkeypatch.setattr(explorer, "_generated_rejection", lambda *args: no_draw)
+    monkeypatch.setattr(explorer, "_generated_fuzz", lambda *args: no_draw)
     cfg = SearchConfig(sample_count=1, seed=0, zero_probability=Fraction(1))
     with pytest.raises(PreconditionError, match="rejection sampling"):
         minimize_fuzz(cfg, require_negative_product=True)
@@ -1024,11 +1123,16 @@ def test_fuzz_refuses_an_unsatisfiable_draw_before_drawing(monkeypatch):
 
 def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
     # Counted by replacing module attributes, as the benchmark's tracer
-    # times the layers, so the fuzz must look each one up at call time.
-    # Per state: one call of the generated rejection loop, however many
-    # candidates it draws, built unchecked; one descent, which forms c once
-    # and d once if it steps; one classification, which takes the descent's
-    # label; and c and d once more in the guarantee check.
+    # times the layers, so the fuzz loop must look each one up at call time.
+    # Per state it draws, however many candidates, and descends inline and
+    # builds no state; it forms c once, d once if the descent steps and
+    # once more at the final state, and the closed form once.  So it calls
+    # none of the functions it inlines, and nothing builds a MacroState.
+    cfg, rng = SearchConfig(200, 5), random.Random()
+    steps = []  # from the functions the loop inlines, before they are counted
+    for index in range(200):
+        explorer._reseed(rng, 5, index)
+        steps.append(greedy_minimize_z(explorer._draw_state(rng, _rejection(cfg, True))).steps)
     returned = collections.defaultdict(list)
 
     def counting(name, wrapped):
@@ -1040,7 +1144,8 @@ def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
 
     for module, name in ((explorer, "_draw_state"), (explorer, "greedy_minimize_z"),
                          (explorer, "case_classify"), (explorer, "vertex_label"),
-                         (corpus, "c_values"), (corpus, "d_value")):
+                         (explorer, "failed_guarantees"), (corpus, "c_values"),
+                         (corpus, "d_value"), (corpus, "case_value")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for name, key in (("_generated_draw", "draw"), ("_generated_rejection", "sample")):
         generate = getattr(explorer, name)
@@ -1048,7 +1153,6 @@ def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
             explorer, name, lambda *args, key=key, generate=generate: counting(key, generate(*args))
         )
     monkeypatch.setattr(MacroState, "__new__", counting("MacroState", MacroState.__new__))
-    cfg = SearchConfig(200, 5)
     summary = minimize_fuzz(cfg, True)
     assert (summary.samples_run, summary.passed) == (200, 200)
     attempts = sum(helpers.reference_draw(helpers.sample_rng(5, index), cfg, negative=True)[1]
@@ -1056,31 +1160,31 @@ def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
     assert attempts > 200
     # d before the first step, carried by the step identity after each,
     # then once at the final state.
-    d_values = sum(bool(t.steps) + 1 for t in returned["greedy_minimize_z"])
+    d_values = sum(bool(s) + 1 for s in steps)
     assert {name: len(values) for name, values in returned.items()} == {
-        "_draw_state": 200, "sample": 200, "greedy_minimize_z": 200, "case_classify": 200,
-        "vertex_label": 200, "c_values": 2 * 200, "d_value": d_values,
-    }  # and no "draw" and no "MacroState": no validating construction
+        "c_values": 200, "d_value": d_values, "case_value": 200,
+    }  # and no "draw", "sample" or "MacroState": no validating construction
 
 
 def _record_fuzz_states(monkeypatch):
     """Every state two fuzz runs of 250 states draw, each followed by its
-    descent's final state: 2 x 500 states, all built with tuple.__new__.
-    The recording patches stay for the rest of the test, so a later
-    descent's final state is appended too."""
+    descent's final state: 2 x 500 states, read from the loop's int locals
+    and built with tuple.__new__.  The recording patch of the descent stays
+    for the rest of the test, so a later descent's final state is appended
+    too."""
     built = []
-    draw_state, descend = explorer._draw_state, explorer.greedy_minimize_z
+    descend = explorer.greedy_minimize_z
 
-    def recording_draw(*args):
-        built.append(draw_state(*args))
-        return built[-1]
+    def record(p, z):
+        built.append(tuple.__new__(MacroState, (p, z)))
 
     def recording_descent(*args):
         trace = descend(*args)
         built.append(trace.final)
         return trace
 
-    monkeypatch.setattr(explorer, "_draw_state", recording_draw)
+    state = ["record((p0, p1, p2), (z0, z1, z2))"]
+    helpers.insert_state_lines(monkeypatch, {"if not (p0": state, "mixed = ": state}, record=record)
     monkeypatch.setattr(explorer, "greedy_minimize_z", recording_descent)
     for seed, negative in ((0, True), (1, False)):
         minimize_fuzz(SearchConfig(250, seed), negative)
@@ -1105,10 +1209,10 @@ def _mixed_states(count):
 
 
 def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
-    # tuple.__new__ skips MacroState's checks; every state the fuzz draws
-    # and every final state of a descent is built with it and must pass them
-    # unchanged: the same values of the same types, three ints or Fractions
-    # each, z >= 0.
+    # tuple.__new__ skips MacroState's checks; every state the fuzz loop
+    # draws and descends to in its locals, and every final state of a
+    # descent, built with it, must pass them unchanged: the same values of
+    # the same types, three ints or Fractions each, z >= 0.
     built = _record_fuzz_states(monkeypatch)
     for state in _mixed_states(300):
         assert explorer.greedy_minimize_z(state).final is built[-1]
