@@ -72,8 +72,7 @@ same way: all that their generated ``__new__`` does.
 
 ``resolve_target`` reads each search target from ``corpus.TARGETS``.
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
-``corpus``, so the CLI reaches both without importing this module; they are
-re-exported here under the same names.
+``corpus``, so the CLI reaches both without importing this module.
 """
 
 from __future__ import annotations

@@ -14,12 +14,8 @@ import pytest
 
 import helpers
 from cstriple import cli, corpus, verifier
-from cstriple.explorer import (
-    PreconditionError,
-    SearchConfig,
-    minimize_fuzz,
-    sharpness_witness,
-)
+from cstriple.explorer import SearchConfig, minimize_fuzz, sharpness_witness
+from cstriple.poly import PreconditionError
 
 
 @contextmanager

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -19,10 +20,125 @@ import helpers
 from cstriple import cli, corpus, explorer
 
 
-def run(argv, capsys):
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run(argv, capsys, parse=cli.main):
+    """``(exit code, stdout, stderr)`` of ``parse(argv)``, whether the code
+    is returned or, by argparse, raised as ``SystemExit``."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def usage_error(last_line):
+    """argparse's stderr for a usage error that ends in ``last_line``.  Its
+    own wording is left open: the usage lines, which wrap with the terminal
+    width, and after an invalid choice the list of choices, quoted by 3.13.0
+    and unquoted by 3.13.13."""
+    choices = r" \(choose from [^\n]*\)" if "invalid choice: " in last_line else ""
+    usage = r"usage: cstriple[^\n]*\n(?: +[^\n]*\n)*"
+    return re.compile(usage + re.escape(last_line) + choices + "\n")
+
+
+# The command line's contract: argv, exit code, stderr and stdout.  Every
+# line that cstriple writes itself is pinned exactly, argparse's last line
+# around a cstriple message included; a stderr pattern leaves open only
+# argparse's own wording (``usage_error``).
+CLI_ROWS = [
+    (["verify"], 0, "",
+     "lagrange                   verified  terms=0\n"
+     "key-identity               verified  terms=0\n"
+     "constraint-factorization   verified  terms=0\n"
+     "k-equivalence              verified  terms=0\n"
+     "case-formulas              verified  terms=0\n"
+     "sharpness-reduction        verified  terms=0\n"
+     "weak-implication           verified  terms=0\n"
+     "overall: pass\n"),
+    (["verify", "--check", "key-identity"], 0, "",
+     "key-identity               verified  terms=0\noverall: pass\n"),
+    (["verify", "--check", "bogus"], 2,
+     usage_error("cstriple verify: error: argument --check: invalid choice: 'bogus'"), ""),
+    (["search", "--target", "d-k", "--c", "-1/3", "--samples", "50", "--seed", "1"], 0, "",
+     "target=d-k samples=50 seed=1\nmin = 0 at k1=1 k2=1 k3=1 b1=1 b2=1 b3=1\n"
+     "counterexamples: 0\noverall: pass\n"),
+    (["search", "--target", "d-tilde", "--samples", "10", "--seed", "1", "--zero-prob", "1"], 2,
+     "error: zero_probability 1 would evaluate only the zero point\n", ""),
+    # A misplaced c is reported first: the target is resolved before the check.
+    (["search", "--target", "cs", "--c", "1", "--zero-prob", "1", "--samples", "1", "--seed", "0"],
+     2, "error: constant c only applies to target 'd-k', not 'cs'\n", ""),
+    (["search", "--target", "weak", "--c", "1", "--samples", "10", "--seed", "1"], 2,
+     "error: constant c only applies to target 'd-k', not 'weak'\n", ""),
+    # The rational syntax is ASCII: an Arabic-Indic "3/5" is no rational.
+    *(
+        (["search", "--target", "d-k", "--c", bad, "--samples", "10", "--seed", "1"], 2,
+         usage_error(f"cstriple search: error: argument --c: {message}"), "")
+        for bad, message in (
+            ("0.7", "'0.7' is not a rational; use integer or num/den syntax"),
+            ("\u0663/\u0665", "'\u0663/\u0665' is not a rational; use integer or num/den syntax"),
+            ("1/0", "'1/0' has denominator zero"),
+        )
+    ),
+    (["search", "--target", "nope", "--samples", "10", "--seed", "0"], 2,
+     usage_error("cstriple search: error: argument --target: invalid choice: 'nope'"), ""),
+    # A unique prefix of an option is no spelling of it.
+    (["search", "--tar", "d-tilde"], 2,
+     usage_error("cstriple search: error: the following arguments are required: "
+                 "--target, --samples, --seed"), ""),
+    (["minimize", "--p", "-1,-1,-1", "--z", "1,1,1", "--order", "123"], 0, "",
+     "initial: p=(-1,-1,-1) z=(1,1,1) d=8\n"
+     "  lower z1: 1 -> 0   d: 8 -> 5\n"
+     "  lower z2: 1 -> 0   d: 5 -> 2\n"
+     "final: z=(0,0,1) d=2 case iii (permutation (3, 1, 2), closed form 2)\n"
+     "overall: pass\n"),
+    (["minimize", "--p", "-2,1,1", "--z", "1,0,0"], 2,
+     "error: infeasible start: constraint value -1 < 0\n", ""),
+    (["minimize", "--p", "1,1,1", "--z", "-1,1/2,0"], 2,
+     "error: z must be nonnegative, got (-1, 1/2, 0)\n", ""),
+    # Two coordinates, and an Arabic-Indic 3, which the ASCII syntax refuses;
+    # an order with a repeated or a missing digit.
+    *(
+        (["minimize", "--z", "0,0,0", *argv], 2,
+         usage_error(f"cstriple minimize: error: argument {message}"), "")
+        for argv, message in (
+            (["--p", "1,2"], "--p: '1,2' must be three comma-separated rationals"),
+            (["--p", "\u0663,1,1"],
+             "--p: '\u0663' is not a rational; use integer or num/den syntax"),
+            (["--p", "-1,-1,-1", "--order", "112"],
+             "--order: '112' must be a permutation of the digits 123"),
+            (["--p", "-1,-1,-1", "--order", "12"],
+             "--order: '12' must be a permutation of the digits 123"),
+        )
+    ),
+    (["sharpness", "--c", "3/5"], 0, "",
+     "c=3/5: value -9/5 < 0 at b=(1,1,1) k=(0,0,7)\noverall: pass\n"),
+    (["sharpness", "--c", "1/2"], 2,
+     "error: no witness exists for c = 1/2: the inequality holds for c <= 1/2\n", ""),
+    (["sharpness", "--c", "-1/2"], 2,
+     "error: no witness exists for c = -1/2: the inequality holds for c <= 1/2\n", ""),
+    (["fuzz", "--samples", "10", "--seed", "1"], 0, "",
+     "states=10 seed=1 passed=10 failed=0\ncases: i=0 ii=0 iii=6 iv=4 mixed=0\noverall: pass\n"),
+    (["fuzz", "--samples", "1", "--seed", "0", "--zero-prob", "1", "--negative-product"], 2,
+     "error: rejection sampling: zero_probability 1 admits no p1*p2*p3 < 0\n", ""),
+    # The top-level errors name the command argument, not the brace list of
+    # the subcommands, which the usage line shows.
+    ([], 2, usage_error("cstriple: error: the following arguments are required: command"), ""),
+    (["nope"], 2, usage_error("cstriple: error: argument command: invalid choice: 'nope'"), ""),
+    (["frobnicate"], 2,
+     usage_error("cstriple: error: argument command: invalid choice: 'frobnicate'"), ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err, out", CLI_ROWS, ids=[" ".join(row[0]) or "no-arguments" for row in CLI_ROWS]
+)
+def test_the_command_line_contract(argv, code, err, out, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, got_out, got_err = run(argv, capsys)
+    assert (got_code, got_out) == (code, out)
+    if isinstance(err, str):
+        assert got_err == err
+    else:
+        assert err.fullmatch(got_err), got_err
 
 
 def test_verify_all_passes(capsys, tmp_path):
@@ -45,24 +161,6 @@ def test_verify_all_passes(capsys, tmp_path):
         "weak-implication",
     ]
     assert all(r["status"] == "verified" for r in manifest["reports"])
-
-
-def test_verify_single_check(capsys):
-    code, out, _ = run(["verify", "--check", "key-identity"], capsys)
-    assert code == 0
-    assert "key-identity" in out
-
-
-def test_verify_default_runs_all(capsys):
-    code, out, _ = run(["verify"], capsys)
-    assert code == 0
-    assert out.count("verified") == 7
-
-
-def test_verify_rejects_unknown_check(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["verify", "--check", "bogus"])
-    assert excinfo.value.code == 2
 
 
 def test_verify_manifest_is_stable_modulo_elapsed(capsys, tmp_path):
@@ -185,22 +283,6 @@ def test_a_search_builds_fractions_only_for_what_it_prints(capsys, tmp_path, mon
         expected += [(point, value)] * (value < 0)
     assert report.counterexamples == expected
     assert [hit["value"] for hit in manifest["counterexamples"]] == [str(v) for _, v in expected]
-
-
-def test_search_zero_prob_one_exits_two(capsys):
-    code, _, err = run(
-        ["search", "--target", "d-tilde", "--samples", "10", "--seed", "1", "--zero-prob", "1"],
-        capsys,
-    )
-    assert code == 2
-    assert "zero_probability" in err
-    # A misplaced c is reported first: the target is resolved before the check.
-    code, _, err = run(
-        ["search", "--target", "cs", "--c", "1", "--zero-prob", "1", "--samples", "1", "--seed", "0"],
-        capsys,
-    )
-    assert code == 2
-    assert err == "error: constant c only applies to target 'd-k', not 'cs'\n"
 
 
 def test_unwritable_json_path_exits_two(capsys, tmp_path, monkeypatch):
@@ -366,12 +448,9 @@ def test_empty_json_path_exits_two_before_running(capsys, tmp_path):
                 )
             ),
         ):
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main(argv + ["--json", path])
-            assert excinfo.value.code == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert f"argument --json: {message}" in err
+            code, out, err = run(argv + ["--json", path], capsys)
+            assert (code, out) == (2, "")
+            assert err.endswith(f"cstriple {argv[0]}: error: argument --json: {message}\n")
     assert sorted(tmp_path.iterdir()) == [tmp_path / "file", tmp_path / "link.json"]
     assert (tmp_path / "file").read_text() == ""
 
@@ -416,31 +495,6 @@ def test_a_failed_stdout_write_exits_two(sink, unbuffered):
     )
 
 
-def test_search_c_flag_requires_dk_target(capsys):
-    argv = ["search", "--target", "weak", "--c", "1", "--samples", "10", "--seed", "1"]
-    code, out, err = run(argv, capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: constant c only applies to target 'd-k', not 'weak'\n"
-
-
-def test_search_accepts_a_negative_rational_constant(capsys):
-    code, out, _ = run(
-        ["search", "--target", "d-k", "--c", "-1/3", "--samples", "50", "--seed", "1"], capsys
-    )
-    assert code == 0
-    assert "overall: pass" in out
-
-
-def test_search_rejects_bad_rational(capsys):
-    # The rational syntax is ASCII: an Arabic-Indic "3/5" is no rational.
-    for bad, message in (("0.7", "is not a rational"), ("\u0663/\u0665", "is not a rational"),
-                         ("1/0", "'1/0' has denominator zero")):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["search", "--target", "d-k", "--c", bad, "--samples", "10", "--seed", "1"])
-        assert excinfo.value.code == 2
-        assert message in capsys.readouterr().err
-
-
 def test_minimize_hand_trace(capsys, tmp_path):
     manifest_path = tmp_path / "min.json"
     code, out, _ = run(
@@ -472,24 +526,6 @@ def test_minimize_manifest_matches_golden_file(capsys, tmp_path, fixture, argv):
     assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
 
 
-def test_minimize_respects_order_flag(capsys):
-    code, out, _ = run(["minimize", "--p", "-1,-1,-1", "--z", "1,1,1", "--order", "123"], capsys)
-    assert code == 0
-    assert "lower z1" in out
-
-
-def test_minimize_infeasible_state_is_structural(capsys):
-    code, _, err = run(["minimize", "--p", "-2,1,1", "--z", "1,0,0"], capsys)
-    assert code == 2
-    assert "infeasible" in err
-
-
-def test_minimize_negative_z_prints_the_values_as_text(capsys):
-    code, out, err = run(["minimize", "--p", "1,1,1", "--z", "-1,1/2,0"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: z must be nonnegative, got (-1, 1/2, 0)\n"
-
-
 def test_minimize_non_vertex_prints_the_values_as_text(capsys, monkeypatch):
     monkeypatch.setattr(explorer, "greedy_minimize_z", helpers.end_off_vertex)
     code, out, err = run(["minimize", "--p", "-1,1,1", "--z", "1,0,0"], capsys)
@@ -497,21 +533,6 @@ def test_minimize_non_vertex_prints_the_values_as_text(capsys, monkeypatch):
     assert err == (
         "error: not a vertex: some z_i is neither 0 nor -p_i at p=(-1, 1, 1), z=(5, 0, 0)\n"
     )
-
-
-def test_minimize_rejects_malformed_triple(capsys):
-    # Two coordinates, and an Arabic-Indic 3, which the ASCII syntax refuses;
-    # an order with a repeated or a missing digit.
-    for argv, message in (
-        (["--p", "1,2"], "must be three comma-separated rationals"),
-        (["--p", "\u0663,1,1"], "is not a rational"),
-        (["--p", "-1,-1,-1", "--order", "112"], "'112' must be a permutation of the digits 123"),
-        (["--p", "-1,-1,-1", "--order", "12"], "'12' must be a permutation of the digits 123"),
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["minimize", "--z", "0,0,0", *argv])
-        assert excinfo.value.code == 2
-        assert message in capsys.readouterr().err
 
 
 def test_sharpness_witness_commands(capsys, tmp_path):
@@ -524,28 +545,6 @@ def test_sharpness_witness_commands(capsys, tmp_path):
     assert witness["value"] == "-1"
     assert witness["k"] == ["0", "0", "3"]
     assert witness["b"] == ["1", "1", "1"]
-
-    code, out, _ = run(["sharpness", "--c", "3/5"], capsys)
-    assert code == 0
-    assert "-9/5" in out
-
-
-def test_sharpness_at_half_errors(capsys):
-    code, _, err = run(["sharpness", "--c", "1/2"], capsys)
-    assert code == 2
-    assert "no witness" in err
-
-
-def test_sharpness_takes_a_negative_rational(capsys):
-    code, _, err = run(["sharpness", "--c", "-1/2"], capsys)
-    assert code == 2
-    assert "no witness exists for c = -1/2" in err
-
-
-def test_unknown_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["frobnicate"])
-    assert excinfo.value.code == 2
 
 
 # The argument lists whose output a parser of one subcommand could change:
@@ -574,22 +573,14 @@ PARITY_ARGV = [
 ]
 
 
-def _outcome(parse, argv, capsys):
-    try:
-        code = parse(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return (code, *capsys.readouterr())
-
-
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_main_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
     # main builds only the subcommand named by argv[0]; the full parser is
     # the reference for exit code, stdout and stderr.
     monkeypatch.setenv("COLUMNS", "80")
-    expected = _outcome(cli.build_parser().parse_args, argv, capsys)
+    expected = run(argv, capsys, cli.build_parser().parse_args)
     assert expected[0] != 0 or expected[1]  # each case exits before running
-    assert _outcome(cli.main, argv, capsys) == expected
+    assert run(argv, capsys) == expected
 
 
 # A unique prefix of an option is no spelling of it, on the lazy and the
@@ -614,26 +605,11 @@ ABBREVIATED_ARGV = [
 def test_an_abbreviated_option_is_refused(argv, last_line, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for parse in (cli.main, cli.build_parser().parse_args):
-        code, out, err = _outcome(parse, argv, capsys)
+        code, out, err = run(argv, capsys, parse)
         assert (code, out) == (2, "")
         assert err.startswith("usage: cstriple")
         assert err.endswith(last_line)
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        ([], "the following arguments are required: command\n"),
-        (["nope"], "argument command: invalid choice: 'nope'"),
-    ],
-    ids=["no-arguments", "nope"],
-)
-def test_the_top_level_errors_name_the_command_argument(argv, message, capsys):
-    # Not the brace list of the subcommands, which the usage line shows.
-    code, out, err = _outcome(cli.main, argv, capsys)
-    assert (code, out) == (2, "")
-    assert message in err
 
 
 def test_a_verify_run_builds_two_parsers(capsys, monkeypatch):
@@ -703,13 +679,6 @@ def test_fuzz_exits_one_on_a_non_vertex_final_state(capsys, monkeypatch):
     assert code == 1
     assert "mixed=3" in out
     assert "failures: vertex=3" in out
-
-
-def test_fuzz_rejection_exhaustion_exits_two(capsys):
-    argv = ["fuzz", "--samples", "1", "--seed", "0", "--zero-prob", "1", "--negative-product"]
-    code, _, err = run(argv, capsys)
-    assert code == 2
-    assert "rejection sampling" in err
 
 
 @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))

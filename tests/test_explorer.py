@@ -21,7 +21,6 @@ import helpers
 from cstriple import corpus, explorer, verifier
 from cstriple.explorer import (
     MacroState,
-    PreconditionError,
     SearchConfig,
     case_classify,
     compile_evaluator,
@@ -34,7 +33,7 @@ from cstriple.explorer import (
     sharpness_witness,
     vertex_label,
 )
-from cstriple.poly import StructuralError, VarSet
+from cstriple.poly import PreconditionError, StructuralError, VarSet
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cstriple
-from cstriple import cli, corpus, explorer, poly
+from cstriple import cli
 
 
 def test_the_package_exports_only_its_version():
@@ -25,18 +25,6 @@ def test_the_package_exports_only_its_version():
     }
     assert public == set()
     assert cstriple.__version__ == "0.1.0"
-
-
-def test_moved_names_are_re_exported_by_explorer():
-    assert explorer.PreconditionError is poly.PreconditionError
-    assert explorer.TARGET_NAMES is corpus.TARGET_NAMES
-
-
-def test_search_still_refuses_an_unknown_target(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["search", "--target", "nope", "--samples", "10", "--seed", "0"])
-    assert excinfo.value.code == 2
-    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_unknown_attribute_raises_attribute_error():
