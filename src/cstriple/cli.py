@@ -199,7 +199,7 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     from . import explorer
     state = explorer.MacroState(args.p, args.z)
     trace = explorer.greedy_minimize_z(state, order=args.order)
-    classification = explorer.case_classify(trace.final, label=trace.case_label)
+    classification = explorer.case_classify(trace.final)
 
     def triple(values) -> str:
         return "(" + ",".join(str(v) for v in values) + ")"

@@ -51,24 +51,24 @@ numerator, so both rejection tests are exact.  The accepted candidate,
 times the lcm L of its six denominators, goes through ``_state_lines``'
 statements in locals as through ``greedy_minimize_z``, ``case_classify``
 and ``failed_guarantees``, which the tests check the loop against, and the
-loop tallies its label and broken guarantees.  The scaling is exact: d,
-the feasibility product and every case closed form are homogeneous of
-degree 3 in (p, z), so they get the factor L^3 > 0; the greedy step's bound
-max(0, -p_i) and its test on the sign of the other two factors commute
-with the scaling; and every fuzz guarantee is a sign, equality or order
-test, which a positive factor does not change.  The scaled state therefore
-takes the same steps, lands on the same vertex and passes or fails the same
-guarantees as the rational one (the tests check each degree on symbols).
+loop tallies its label and broken guarantees.  The loop carries d across a
+step by the step identity, d_after = d_before + c_i*(new - old); the
+library recomputes d with ``corpus.d_value`` before and after each step, so
+that check compares the loop's d and its rising flag with values found
+without the identity.  The scaling is exact: d, the feasibility product
+and every case closed form are homogeneous of degree 3 in (p, z), so they
+get the factor L^3 > 0; the greedy step's bound max(0, -p_i) and its test
+on the sign of the other two factors commute with the scaling; and every
+fuzz guarantee is a sign, equality or order test, which a positive factor
+does not change.  The scaled state therefore takes the same steps, lands
+on the same vertex and passes or fails the same guarantees as the rational
+one (the tests check each degree on symbols).
 
 Every type here is a ``typing.NamedTuple``, immutable once built.  The two
 inputs, ``SearchConfig`` and ``MacroState``, validate in ``__new__``, and
 their ``_make`` builds through it, so ``_make``, ``_replace`` and
-``copy.replace`` run the same checks; only ``tuple.__new__`` skips them.
-``_draw_state`` builds its state with ``tuple.__new__(MacroState, (p, z))``
-from ints it computed, with z_i >= 0 by ``abs``, and ``greedy_minimize_z``
-its final state from the p of its input and z_i taken from that input, 0
-or max(0, -p_i).  The descent builds its records, which check nothing, the
-same way: all that their generated ``__new__`` does.
+``copy.replace`` run the same checks.  Every value this module returns is
+built by its constructor, the drawn and the descended-to states included.
 
 ``resolve_target`` reads each search target from ``corpus.TARGETS``.
 ``PreconditionError`` is defined in ``poly`` and ``TARGET_NAMES`` in
@@ -449,9 +449,7 @@ class MacroState(NamedTuple("MacroState", [("p", tuple), ("z", tuple)])):
     Coordinates pass ``poly._exact``: ints and Fractions are kept as given
     and anything else is refused; every derived value is computed in the
     same ring, so an all-int state, as the fuzz draws, stays on ints.
-    ``_make``, ``_replace`` and ``copy.replace`` check their value too; only
-    ``tuple.__new__`` does not, and only the draw and the descent use it, on
-    coordinates that already meet these checks (see the module docstring)."""
+    ``_make``, ``_replace`` and ``copy.replace`` check their value too."""
 
     __slots__ = ()
     _make = _checked_make
@@ -528,7 +526,6 @@ def vertex_label(state: MacroState) -> str:
 
 
 _ORDERS = frozenset(permutations((1, 2, 3)))
-_DEFAULT_ORDER = (3, 2, 1)
 _INTS = (int, int, int)
 # The 0-based indices of the other two factors of each coordinate's step.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
@@ -538,7 +535,7 @@ _INFEASIBLE = "infeasible start: constraint value {} < 0"
 _NO_STATE = "rejection sampling found no admissible state in 10000 draws"
 
 
-def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) -> MinimizeTrace:
+def greedy_minimize_z(state: MacroState, order: Sequence[int] = (3, 2, 1)) -> MinimizeTrace:
     """Lower each z coordinate in turn to its smallest feasible value.
 
     With the other two factors fixed at their current values, the feasible
@@ -550,18 +547,12 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
     exactly these points, so the jump is taken directly.
 
     Coordinates are processed in ``order`` (default 3, 2, 1); a step is
-    recorded only when the value actually changes.  Requires nonzero p_i and
-    a feasible starting state.  The c_i depend on p alone, so c is formed
-    once.  d is linear in each z_i with slope c_i, so a step changes it by
-    exactly c_i*(new - old): the first step's d_before is ``corpus.d_value``
-    of the starting p and z, and every later d is carried by that identity.
-    On a state mixing int and Fraction coordinates a carried d may be a
-    Fraction where ``corpus.d_value`` gives the equal int; both print alike.
+    recorded only when the value actually changes, with d_before and d_after
+    ``corpus.d_value`` of the z before and after it.  Requires nonzero p_i
+    and a feasible starting state.
     """
-    # Default by identity; else the type test first: no bools, floats or unhashable items.
-    if order is not _DEFAULT_ORDER and not (
-        isinstance(order, Iterable) and tuple(map(type, order)) == _INTS and tuple(order) in _ORDERS
-    ):
+    # The type test first: no bools, floats or unhashable items.
+    if not (isinstance(order, Iterable) and tuple(map(type, order)) == _INTS and tuple(order) in _ORDERS):
         raise PreconditionError(f"order must be a permutation of (1, 2, 3), got {order!r}")
     p = state.p
     if not (p[0] and p[1] and p[2]):
@@ -569,7 +560,6 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
     feasibility = corpus.feasibility_value(p, state.z)
     if feasibility < 0:
         raise PreconditionError(_INFEASIBLE.format(feasibility))
-    c = corpus.c_values(*p)
     z = list(state.z)
     steps: list[MinimizeStep] = []
     for coord in order:
@@ -578,13 +568,12 @@ def greedy_minimize_z(state: MacroState, order: Sequence[int] = _DEFAULT_ORDER) 
         new_value = -p[i] if p[i] < 0 and (p[j] + z[j]) * (p[k] + z[k]) > 0 else 0
         old_value = z[i]
         if new_value != old_value:
-            before = d if steps else corpus.d_value(p, z, c)
-            d = before + c[i] * (new_value - old_value)
+            d_before = corpus.d_value(p, z)
             z[i] = new_value
-            record = (_Z_NAMES[i], old_value, new_value, before, d)
-            steps.append(tuple.__new__(MinimizeStep, record))
-    final = tuple.__new__(MacroState, (p, tuple(z)))
-    return tuple.__new__(MinimizeTrace, (state, tuple(steps), final, vertex_label(final)))
+            d_after = corpus.d_value(p, z)
+            steps.append(MinimizeStep(_Z_NAMES[i], old_value, new_value, d_before, d_after))
+    final = MacroState(p, z)
+    return MinimizeTrace(state, tuple(steps), final, vertex_label(final))
 
 
 class CaseClassification(NamedTuple):
@@ -610,25 +599,20 @@ _PERMUTATIONS = {zero: tuple(sorted((1, 2, 3), key=lambda j: zero[j - 1]))
                  for zero in product((False, True), repeat=3)}
 
 
-def case_classify(state: MacroState, *, label: str | None = None) -> CaseClassification:
-    """Classify a vertex (every z_i in {0, -p_i}) into one of the four cases
-    and evaluate its closed form ``corpus.case_value`` on the permuted p.
-
-    ``label``, when given, must be ``vertex_label(state)`` of a state with
-    nonzero p, as a descent's ``case_label`` is: the nonzero-p test and the
-    labelling are then skipped, and only "mixed" is still refused."""
+def case_classify(state: MacroState) -> CaseClassification:
+    """Classify a vertex (every z_i in {0, -p_i}) with nonzero p into one of
+    the four cases, by ``vertex_label``, and evaluate its closed form
+    ``corpus.case_value`` on the permuted p."""
     p, z = state.p, state.z
-    if label is None:
-        if not (p[0] and p[1] and p[2]):
-            raise PreconditionError("case analysis requires nonzero p coordinates")
-        label = vertex_label(state)
+    if not (p[0] and p[1] and p[2]):
+        raise PreconditionError("case analysis requires nonzero p coordinates")
+    label = vertex_label(state)
     if label == "mixed":
         raise PreconditionError(
             f"not a vertex: some z_i is neither 0 nor -p_i at p={_text(p)}, z={_text(z)}"
         )
     a, b, c = perm = _PERMUTATIONS[not z[0], not z[1], not z[2]]
-    value = corpus.case_value(label, p[a - 1], p[b - 1], p[c - 1])
-    return tuple.__new__(CaseClassification, (label, perm, value))
+    return CaseClassification(label, perm, corpus.case_value(label, p[a - 1], p[b - 1], p[c - 1]))
 
 
 # -- sharpness of the constant -------------------------------------------------
@@ -698,17 +682,15 @@ def _draw_state(rng: random.Random, sample: Callable) -> MacroState:
     """Rejection-sample a feasible MacroState with nonzero p (and, if the
     run asks for it, p1*p2*p3 < 0) from one per-sample stream, by one call
     of the run's ``_generated_rejection`` loop ``sample``.  The accepted
-    candidate becomes a state, built with ``tuple.__new__``: times the lcm
-    of its six denominators, so all its coordinates are ints."""
+    candidate becomes a state times the lcm of its six denominators, so
+    all its coordinates are ints."""
     candidate = sample(rng.getrandbits)
     if candidate is None:
         raise PreconditionError(_NO_STATE)
     n1, d1, n2, d2, n3, d3, m1, e1, m2, e2, m3, e3 = candidate
     scale = lcm(d1, d2, d3, e1, e2, e3)
-    return tuple.__new__(MacroState, (
-        (n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3)),
-        (m1 * (scale // e1), m2 * (scale // e2), m3 * (scale // e3)),
-    ))
+    return MacroState((n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3)),
+                      (m1 * (scale // e1), m2 * (scale // e2), m3 * (scale // e3)))
 
 
 GUARANTEES = ("monotonicity", "vertex", "negativity", "closed_form", "case_iv_negative_product")
@@ -723,19 +705,15 @@ def failed_guarantees(trace: MinimizeTrace, classification: CaseClassification |
     p1, p2, p3 = trace.final.p
     negative_product = p1 * p2 * p3 < 0
     d = trace.final.d_value()
-    monotone = True
-    for step in trace.steps:
-        if step.d_after > step.d_before:
-            monotone = False
     held = (
-        monotone,
+        all(step.d_after <= step.d_before for step in trace.steps),
         # z >= 0, so a pinned z_i = -p_i != 0 already has -p_i > 0.
         trace.case_label != "mixed",
         not negative_product or d >= 0,
         classification is None or classification.closed_form_value == d,
         not (negative_product and trace.case_label == "iv"),
     )
-    return [] if all(held) else [name for name, ok in zip(GUARANTEES, held) if not ok]
+    return [name for name, ok in zip(GUARANTEES, held) if not ok]
 
 
 # The names the fuzz loop reads besides its locals; it looks up each corpus formula at call time.

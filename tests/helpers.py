@@ -9,6 +9,7 @@ state.
 from __future__ import annotations
 
 import dis
+import inspect
 import itertools
 import math
 import random
@@ -305,6 +306,17 @@ def end_off_vertex(state: explorer.MacroState, order=(3, 2, 1)) -> explorer.Mini
     p = (-1, 1, 1), z = (5, 0, 0): z1 is neither 0 nor -p1, so not a vertex."""
     final = explorer.MacroState((-1, 1, 1), (5, 0, 0))
     return explorer.MinimizeTrace(state, (), final, explorer.vertex_label(final))
+
+
+def planted(module, name: str, old: str, new: str):
+    """The function ``name`` of ``module`` compiled from its source, in a copy
+    of the module's namespace, with the one occurrence of ``old`` replaced
+    by ``new``."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
 
 
 def insert_state_lines(monkeypatch, insertions: dict[str, list[str]], **names) -> None:

@@ -4,7 +4,6 @@ and the sharpness witness finder."""
 import ast
 import collections
 import copy
-import inspect
 import itertools
 import json
 import random
@@ -347,11 +346,7 @@ def test_the_search_loop_is_its_pieces(row):
 ], ids=["denominator-first", "zero-test-at-zn", "numerator-below-2nb", "p-numerator-0",
         "factor-0-rejected", "tie-replaces", "hit-dropped", "skip-unconditional"])
 def test_the_reference_check_refutes_every_planted_mutant(monkeypatch, function, original, planted):
-    source = inspect.getsource(getattr(explorer, function))
-    assert source.count(original) == 1
-    namespace = dict(vars(explorer))
-    exec(compile(source.replace(original, planted), "<mutant>", "exec"), namespace)
-    monkeypatch.setattr(explorer, function, namespace[function])
+    monkeypatch.setattr(explorer, function, helpers.planted(explorer, function, original, planted))
     _clear_draw_caches()  # drop the code the real emitters wrote, and then the mutant's
     check = {"_generated_search": test_the_search_loop_is_its_pieces}.get(
         function, test_every_draw_is_the_reference_draw)
@@ -690,6 +685,10 @@ def test_greedy_hand_trace():
         ("z3", 1, 0, 8, 5),
         ("z2", 1, 0, 5, 2),
     ]
+    assert trace.to_dict()["steps"] == [
+        {"coordinate": "z3", "old_value": "1", "new_value": "0", "d_before": "8", "d_after": "5"},
+        {"coordinate": "z2", "old_value": "1", "new_value": "0", "d_before": "5", "d_after": "2"},
+    ]
     assert trace.final.z == (1, 0, 0)
     assert trace.final.d_value() == 2
     assert trace.case_label == "iii"
@@ -722,40 +721,6 @@ def test_greedy_preconditions():
     assert listed.steps == default.steps and listed.final.z == default.final.z
 
 
-def test_the_descent_forms_c_once_in_every_order(monkeypatch):
-    # The c_i depend on p alone, so the descent forms them once however many
-    # steps it takes; here every order takes at least one.
-    calls = []
-    c_values = corpus.c_values
-
-    def counted(*p):
-        calls.append(p)
-        return c_values(*p)
-
-    monkeypatch.setattr(corpus, "c_values", counted)
-    state = MacroState((-1, -2, -3), (1, 2, 3))
-    for order in itertools.permutations((1, 2, 3)):
-        calls.clear()
-        assert greedy_minimize_z(state, order).steps
-        assert calls == [state.p]
-
-
-def test_the_descent_builds_real_records():
-    # The records come from tuple.__new__, not their constructors; each is
-    # still an instance that equals the record its constructor builds.
-    trace = greedy_minimize_z(MacroState((-1, -1, -1), (1, 1, 1)))
-    assert type(trace) is explorer.MinimizeTrace
-    assert trace == explorer.MinimizeTrace(**trace._asdict())
-    for step in trace.steps:
-        assert type(step) is explorer.MinimizeStep
-        assert step == explorer.MinimizeStep(**step._asdict())
-    assert trace.steps[0].d_after == 5
-    assert trace.to_dict()["steps"] == [
-        {"coordinate": "z3", "old_value": "1", "new_value": "0", "d_before": "8", "d_after": "5"},
-        {"coordinate": "z2", "old_value": "1", "new_value": "0", "d_before": "5", "d_after": "2"},
-    ]
-
-
 # One (p_i, z_i) per sign kind of a coordinate: p_i > 0 with z_i = 0 or
 # z_i > 0, and p_i < 0 with z_i = 0, 0 < z_i < -p_i, z_i = -p_i or z_i > -p_i.
 # Every branch of the descent reads only the signs of p_i, of the factors
@@ -781,7 +746,7 @@ def _checked_descent(descend, state, order):
         assert d_after == corpus.d_value(p, z)
     assert trace.final == (p, tuple(z))
     classification = case_classify(trace.final)
-    assert case_classify(trace.final, label=trace.case_label) == classification
+    assert classification.label == trace.case_label
     # Monotonicity and d >= 0 at the vertex depend on magnitudes, not signs
     # (they need c_i >= 0): on the representatives they are only samples.
     assert failed_guarantees(trace, classification) == []
@@ -823,23 +788,22 @@ def test_the_descent_is_checked_on_every_sign_path():
 
 
 # Each planted mutant of the descent's source, run through the enumeration,
-# fails it, so the enumeration cannot pass vacuously.
+# fails it, so the enumeration cannot pass vacuously.  An infeasible start
+# that is not refused fails the inner pytest.raises.
 @pytest.mark.parametrize("original, planted", [
     ("(p[k] + z[k]) > 0", "(p[k] + z[k]) >= 0"),
     ("new_value = -p[i]", "new_value = p[i]"),
-    ("c[i] *", "c[i - 1] *"),
+    pytest.param("z[i] = new_value\n            d_after = corpus.d_value(p, z)",
+                 "d_after = corpus.d_value(p, z)\n            z[i] = new_value", id="d_after-read-early"),
     ("_OTHERS[i]", "_OTHERS[i - 1]"),
     ("new_value != old_value", "new_value <= old_value"),
     ("feasibility < 0", "feasibility < -1"),
 ])
 def test_the_sign_enumeration_refutes_every_planted_mutant(original, planted):
-    source = inspect.getsource(explorer.greedy_minimize_z)
-    assert source.count(original) == 1
-    namespace = dict(vars(explorer))
-    exec(compile(source.replace(original, planted), "<mutant>", "exec"), namespace)
-    # An infeasible start that is not refused fails the inner pytest.raises.
-    with pytest.raises((AssertionError, pytest.fail.Exception)):
-        _check_every_sign_path(namespace["greedy_minimize_z"])
+    # A z_i set to p_i > 0 is refused first, by the final state's own MacroState check.
+    refused = PreconditionError if planted == "new_value = p[i]" else (AssertionError, pytest.fail.Exception)
+    with pytest.raises(refused):
+        _check_every_sign_path(helpers.planted(explorer, "greedy_minimize_z", original, planted))
 
 
 def _state_function(state_lines):
@@ -878,7 +842,7 @@ def _check_every_state_path(state_lines):
                 assert str(loop.value) == str(library.value)
                 continue
             trace = greedy_minimize_z(state)
-            classification = case_classify(trace.final, label=trace.case_label)
+            classification = case_classify(trace.final)
             assert run(state.p, state.z) == (
                 trace.case_label, failed_guarantees(trace, classification), trace.final.z,
                 trace.steps[-1].d_after if trace.steps else None, classification.closed_form_value)
@@ -920,20 +884,8 @@ def test_the_fuzz_loop_runs_the_state_lines(monkeypatch):
     ("negative and not pinned", "negative and pinned == 1"),
 ])
 def test_the_state_enumeration_refutes_every_planted_mutant(original, planted):
-    source = inspect.getsource(explorer._state_lines)
-    assert source.count(original) == 1
-    namespace = dict(vars(explorer))
-    exec(compile(source.replace(original, planted), "<mutant>", "exec"), namespace)
     with pytest.raises((AssertionError, pytest.fail.Exception)):
-        _check_every_state_path(namespace["_state_lines"])
-
-
-def test_a_carried_d_may_be_a_fraction_equal_to_the_int_d():
-    # Dropping the one Fraction z_1 leaves an all-int state: the recomputed
-    # d is the int 5 and the carried one Fraction(5), which prints alike.
-    (step, *_) = greedy_minimize_z(MacroState((-1, -1, -1), (Fraction(1), 1, 1)), (1, 2, 3)).steps
-    assert step.coordinate == "z1" and step.d_after == corpus.d_value((-1, -1, -1), (0, 1, 1)) == 5
-    assert type(step.d_after) is Fraction and str(step.d_after) == "5"
+        _check_every_state_path(helpers.planted(explorer, "_state_lines", original, planted))
 
 
 def test_vertex_label_mixed_for_non_vertex():
@@ -997,8 +949,6 @@ def test_classify_permutation_puts_the_pinned_indices_first(pinned, base):
     assert result.permutation == tuple(i + 1 for i in [*pinned, *rest])
     assert result.label == corpus.CASE_LABELS[len(pinned)]
     assert result.closed_form_value == state.d_value()
-    # Handed the descent's label, the classifier skips its own labelling.
-    assert case_classify(state, label=vertex_label(state)) == result
 
 
 def test_classify_rejects_non_vertex_and_zero_p():
@@ -1006,9 +956,6 @@ def test_classify_rejects_non_vertex_and_zero_p():
     state = MacroState((-1, 1, 1), (5, 0, 0))
     with pytest.raises(PreconditionError, match=not_a_vertex):
         case_classify(state)
-    # A handed "mixed" label is refused the same way.
-    with pytest.raises(PreconditionError, match=not_a_vertex):
-        case_classify(state, label="mixed")
     with pytest.raises(PreconditionError, match=r"^case analysis requires nonzero p coordinates$"):
         case_classify(MacroState((0, 1, 1), (0, 0, 0)))
 
@@ -1165,62 +1112,23 @@ def test_a_fuzz_run_keeps_its_call_ledger(monkeypatch):
     }  # and no "draw", "sample" or "MacroState": no validating construction
 
 
-def _record_fuzz_states(monkeypatch):
-    """Every state two fuzz runs of 250 states draw, each followed by its
-    descent's final state: 2 x 500 states, read from the loop's int locals
-    and built with tuple.__new__.  The recording patch of the descent stays
-    for the rest of the test, so a later descent's final state is appended
-    too."""
+def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
+    # The fuzz loop builds no MacroState, so nothing checks the states it
+    # works on.  Every state two runs of 250 states draw, and each final
+    # state of their descents, read from the loop's int locals, must pass
+    # MacroState's checks unchanged: the same values of the same types,
+    # three ints each, z >= 0.
     built = []
-    descend = explorer.greedy_minimize_z
-
-    def record(p, z):
-        built.append(tuple.__new__(MacroState, (p, z)))
-
-    def recording_descent(*args):
-        trace = descend(*args)
-        built.append(trace.final)
-        return trace
-
     state = ["record((p0, p1, p2), (z0, z1, z2))"]
-    helpers.insert_state_lines(monkeypatch, {"if not (p0": state, "mixed = ": state}, record=record)
-    monkeypatch.setattr(explorer, "greedy_minimize_z", recording_descent)
+    helpers.insert_state_lines(monkeypatch, {"if not (p0": state, "mixed = ": state},
+                               record=lambda p, z: built.append((p, z)))
     for seed, negative in ((0, True), (1, False)):
         minimize_fuzz(SearchConfig(250, seed), negative)
     assert len(built) == 2 * 500
-    return built
-
-
-def _mixed_states(count):
-    """``count`` feasible states with nonzero p: Fractions, and ints mixed
-    in, as MacroState's caller may pass them."""
-    rng = random.Random(7)
-    states = []
-    while len(states) < count:
-        p = tuple(helpers.rand_fraction(rng, 9) if rng.random() < 0.8 else rng.randint(-9, 9)
-                  for _ in range(3))
-        z = tuple(abs(helpers.rand_fraction(rng, 9)) if rng.random() < 0.8 else 0
-                  for _ in range(3))
-        state = MacroState(p, z)
-        if 0 not in p and state.is_feasible():
-            states.append(state)
-    return states
-
-
-def test_every_unvalidated_state_passes_the_validating_constructor(monkeypatch):
-    # tuple.__new__ skips MacroState's checks; every state the fuzz loop
-    # draws and descends to in its locals, and every final state of a
-    # descent, built with it, must pass them unchanged: the same values of
-    # the same types, three ints or Fractions each, z >= 0.
-    built = _record_fuzz_states(monkeypatch)
-    for state in _mixed_states(300):
-        assert explorer.greedy_minimize_z(state).final is built[-1]
-    assert len(built) == 2 * 500 + 300
-    assert any(type(v) is Fraction for s in built[-300:] for v in s.p + s.z)
-    for state in built:
-        checked = MacroState(state.p, state.z)  # ints or Fractions, three each, z >= 0
-        assert checked.p == state.p and checked.z == state.z  # both tuples
-        assert list(map(type, checked.p + checked.z)) == list(map(type, state.p + state.z))
+    for p, z in built:
+        checked = MacroState(p, z)
+        assert checked == (p, z)  # both tuples
+        assert list(map(type, checked.p + checked.z)) == [int] * 6
 
 
 def _step_identity_fails(slope):
@@ -1234,9 +1142,9 @@ def _step_identity_fails(slope):
 
 
 def test_a_step_changes_d_by_c_i_times_the_change():
-    # d is linear in each z_i with slope c_i, so the descent carries d across
-    # a step by c_i*(new - old).  On symbols this holds for every state; a
-    # planted mutant that takes c of the wrong index fails at every i.
+    # d is linear in each z_i with slope c_i, so the fuzz loop carries d
+    # across a step by c_i*(new - old).  On symbols this holds for every
+    # state; a planted mutant that takes c of the wrong index fails at every i.
     assert _step_identity_fails(lambda c, i: c[i]) == []
     assert _step_identity_fails(lambda c, i: c[i - 1]) == [0, 1, 2]
 
@@ -1276,7 +1184,7 @@ def test_fuzz_summaries_match_golden_file():
     assert _fuzz_fixture_text().encode() == (FIXTURES / "fuzz_seed0.json").read_bytes()
 
 
-def test_failed_guarantees_names_each_broken_guarantee():
+def _check_failed_guarantees(failed_guarantees):
     trace = greedy_minimize_z(MacroState((-1, -1, -1), (1, 1, 1)))
     classification = case_classify(trace.final)
     assert failed_guarantees(trace, classification) == []
@@ -1288,3 +1196,26 @@ def test_failed_guarantees_names_each_broken_guarantee():
     )
     broken = explorer.MinimizeTrace(trace.initial, (rising,), trace.final, "iv")
     assert failed_guarantees(broken, classification) == ["monotonicity", "case_iv_negative_product"]
+    off_vertex = helpers.end_off_vertex(trace.initial)
+    assert failed_guarantees(off_vertex, None) == ["vertex"]
+    s = MacroState((-1, -1, -1), (0, 0, 0))
+    assert failed_guarantees(explorer.MinimizeTrace(s, (), s, "iv"), None) == [
+        "negativity", "case_iv_negative_product"]
+
+
+def test_failed_guarantees_names_each_broken_guarantee():
+    _check_failed_guarantees(failed_guarantees)
+
+
+# Each guarantee of failed_guarantees, planted as always held, fails the check
+# above, so no guarantee goes untested.
+@pytest.mark.parametrize("held", [
+    "all(step.d_after <= step.d_before for step in trace.steps)",
+    'trace.case_label != "mixed"',
+    "not negative_product or d >= 0",
+    "classification is None or classification.closed_form_value == d",
+    'not (negative_product and trace.case_label == "iv")',
+], ids=explorer.GUARANTEES)
+def test_the_guarantee_check_refutes_every_planted_mutant(held):
+    with pytest.raises(AssertionError):
+        _check_failed_guarantees(helpers.planted(explorer, "failed_guarantees", held, "True"))

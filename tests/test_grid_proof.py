@@ -15,7 +15,6 @@ measures whether this proof refutes the corpus mutants on its own.
 """
 
 import contextlib
-import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -154,16 +153,6 @@ def test_one_grid_per_varset_walks_all_twelve_components(walks):
     assert sum(walk.points for walk in walks.values()) == 20_628
 
 
-def _planted(name: str, old: str, new: str):
-    """The corpus function ``name`` compiled from its source with the one
-    occurrence of ``old`` replaced by ``new``."""
-    source = inspect.getsource(getattr(corpus, name))
-    assert source.count(old) == 1
-    namespace = dict(vars(corpus))
-    exec(compile(source.replace(old, new), corpus.__file__, "exec"), namespace)
-    return namespace[name]
-
-
 def test_grid_refutes_a_planted_bracket_constant(monkeypatch):
     original = corpus.k_form
 
@@ -179,7 +168,7 @@ def test_grid_refutes_a_planted_bracket_constant(monkeypatch):
 
 
 def test_a_planted_discriminant_coefficient_is_refuted_by_replay_and_grid(monkeypatch):
-    planted = _planted("macro_identities", "7 * p1 * p2", "8 * p1 * p2")
+    planted = helpers.planted(corpus, "macro_identities", "7 * p1 * p2", "8 * p1 * p2")
     monkeypatch.setattr(corpus, "macro_identities", planted)
     report = verifier.run_check("case-formulas")
     assert report.status == verifier.STATUS_REFUTED
